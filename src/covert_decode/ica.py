@@ -11,10 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import EegRecording
-from .errors import DegenerateInputError
+from .errors import DataError, DegenerateInputError
 from .rng import substream
 
 _RANK_TOL = 1e-10
+# target size of one row block of the elementwise pass, so it stays in cache
+_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -57,6 +59,19 @@ def fastica_decompose(
     Symmetric (parallel) FastICA with the tanh contrast function on whitened
     data. Deterministic for a fixed seed; the descriptor records whether the
     fixed-point iteration converged and after how many sweeps.
+
+    Memory: besides the centered input, the fixed-point sweep holds two
+    k x N float64 arrays, the whitened data ``z`` and the contrast buffer
+    ``g`` (k components, N samples), plus one scratch block of about 1 MiB.
+    Nothing is allocated per sweep beyond k x k matrices: ``w @ z`` is
+    written into ``g``, and tanh and the mean of its derivative run over row
+    blocks of ``g`` in place. The block height follows from N alone
+    (``max(1, 2**20 // (8 * N))`` rows) and is not a setting; every row is
+    reduced exactly as over the whole array, so the result does not depend
+    on it.
+
+    Raises DataError if the input holds NaN or infinite samples, and
+    DegenerateInputError if the channel covariance is rank-deficient.
     """
     x = recording.data
     n_channels, n_samples = x.shape
@@ -72,6 +87,9 @@ def fastica_decompose(
     means = x.mean(axis=1)
     centered = x - means[:, np.newaxis]
     cov = centered @ centered.T / (n_samples - 1)
+    # any NaN or inf sample reaches every entry of its channel's row here
+    if not np.isfinite(cov).all():
+        raise DataError("recording contains NaN or infinite samples; FastICA needs finite data")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -88,12 +106,21 @@ def fastica_decompose(
 
     rng = substream(seed, "ica_init")
     w = _symmetric_decorrelation(rng.standard_normal((n_components, n_components)))
+    g = np.empty_like(z)
+    rows = max(1, _BLOCK_BYTES // (g.itemsize * n_samples))
+    scratch = np.empty((min(rows, n_components), n_samples))
+    g_prime_mean = np.empty(n_components)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        wz = w @ z
-        g = np.tanh(wz)
-        g_prime_mean = (1.0 - g**2).mean(axis=1)
+        np.matmul(w, z, out=g)
+        for r0 in range(0, n_components, rows):
+            blk = g[r0 : r0 + rows]
+            np.tanh(blk, out=blk)
+            sq = scratch[: blk.shape[0]]
+            np.square(blk, out=sq)
+            np.subtract(1.0, sq, out=sq)
+            sq.mean(axis=1, out=g_prime_mean[r0 : r0 + rows])
         w_new = (g @ z.T) / n_samples - g_prime_mean[:, np.newaxis] * w
         w_new = _symmetric_decorrelation(w_new)
         delta = np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0))
@@ -133,11 +160,15 @@ def ica_reconstruct(decomp: IcaDecomposition, excluded=()) -> np.ndarray:
             )
     kept = [i for i in range(decomp.n_components) if i not in excluded]
     n_samples = decomp.sources.shape[1]
-    if kept:
+    if not excluded:
+        # no fancy-index copies of mixing and the k x N sources
+        data = decomp.mixing @ decomp.sources
+    elif kept:
         data = decomp.mixing[:, kept] @ decomp.sources[kept, :]
     else:
         data = np.zeros((decomp.mixing.shape[0], n_samples))
-    return data + decomp.channel_means[:, np.newaxis]
+    data += decomp.channel_means[:, np.newaxis]
+    return data
 
 
 def suggest_artifact_components(

@@ -615,19 +615,6 @@ def _orthogonal(n: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _project_back(dz, wx):
-    """Gradient w.r.t. the layer input: one GEMM, reshaped to (B, T, D)."""
-    n_time, n_batch, n_gates = dz.shape
-    dx = dz.reshape(-1, n_gates) @ wx.T
-    return dx.reshape(n_time, n_batch, -1).transpose(1, 0, 2)
-
-
-def _input_weight_grad(seq, dz):
-    """d(loss)/d(wx) via a single GEMM over the flattened (time, batch) axes."""
-    seq_t = np.ascontiguousarray(seq.transpose(1, 0, 2))
-    return seq_t.reshape(-1, seq.shape[-1]).T @ dz.reshape(-1, dz.shape[-1])
-
-
 # ---------------------------------------------------------------------------
 # model
 

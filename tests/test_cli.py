@@ -168,6 +168,22 @@ def test_missing_input_exit_code_and_message(workspace, capsys):
     assert "nope.epoc" in capsys.readouterr().err
 
 
+def test_non_finite_recording_is_data_error(workspace, tmp_path, capsys):
+    recording = fileio.read_recording(workspace / "data" / "synthetic_overt.eegr")
+    data = recording.data.copy()
+    data[1, data.shape[1] // 2] = np.nan
+    recording.data = data
+    bad = fileio.write_recording(recording, tmp_path / "nan.eegr")
+    out = tmp_path / "nan.epoc"
+    code = main(["preprocess", "--input", str(bad), "--out", str(out),
+                 "--condition", "overt", "--seed", "3", *TRAIN_OVERRIDES])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "NaN or infinite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_passband_fails_before_io(workspace, capsys):
     # input path does not even exist: the design error must surface first
     code = main(["preprocess", "--input", str(workspace / "missing.eegr"),

@@ -5,8 +5,14 @@ import pytest
 from scipy import signal as sp_signal
 
 from covert_decode.containers import EegRecording
-from covert_decode.errors import DegenerateInputError
-from covert_decode.ica import fastica_decompose, ica_reconstruct, suggest_artifact_components
+from covert_decode.errors import DataError, DegenerateInputError
+from covert_decode.ica import (
+    _symmetric_decorrelation,
+    fastica_decompose,
+    ica_reconstruct,
+    suggest_artifact_components,
+)
+from covert_decode.rng import substream
 
 
 def make_recording(data, fs=500.0):
@@ -32,6 +38,112 @@ def match_abs_correlation(sources, truth):
         rs = [abs(np.corrcoef(s_rec, s_true)[0, 1]) for s_rec in sources]
         best.append(max(rs))
     return best
+
+
+def reference_fastica(x, n_components, max_iter, tol, seed):
+    """Frozen allocation-per-sweep FastICA: the oracle for the blocked sweep.
+
+    Returns (unmixing, mixing, sources, channel_means, descriptor).
+    """
+    n_samples = x.shape[1]
+    means = x.mean(axis=1)
+    centered = x - means[:, np.newaxis]
+    cov = centered @ centered.T / (n_samples - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    sel = slice(0, n_components)
+    whitening = (eigvecs[:, sel] / np.sqrt(eigvals[sel])).T
+    z = whitening @ centered
+    rng = substream(seed, "ica_init")
+    w = _symmetric_decorrelation(rng.standard_normal((n_components, n_components)))
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        wz = w @ z
+        g = np.tanh(wz)
+        g_prime_mean = (1.0 - g**2).mean(axis=1)
+        w_new = (g @ z.T) / n_samples - g_prime_mean[:, np.newaxis] * w
+        w_new = _symmetric_decorrelation(w_new)
+        delta = np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0))
+        w = w_new
+        if delta < tol:
+            converged = True
+            break
+    unmixing = w @ whitening
+    sources = unmixing @ centered
+    mixing = np.linalg.pinv(unmixing)
+    descriptor = (
+        f"fastica(symmetric, tanh, n_components={n_components}, "
+        f"iterations={iterations}, converged={converged}, tol={tol})"
+    )
+    return unmixing, mixing, sources, means, descriptor
+
+
+def reference_reconstruct(mixing, sources, means, kept):
+    return mixing[:, kept] @ sources[kept, :] + means[:, np.newaxis]
+
+
+def mixed_non_gaussian(n_channels, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_samples) / 500.0
+    kinds = [
+        lambda i: sp_signal.sawtooth(2 * np.pi * (3 + i) * t),
+        lambda i: rng.uniform(-1.0, 1.0, n_samples),
+        lambda i: rng.laplace(size=n_samples),
+        lambda i: np.sign(np.sin(2 * np.pi * (1.5 + 0.7 * i) * t)),
+    ]
+    sources = np.vstack([kinds[i % len(kinds)](i) for i in range(n_channels)])
+    mixing = rng.standard_normal((n_channels, n_channels)) + 2.0 * np.eye(n_channels)
+    return mixing @ sources + rng.normal(0.0, 3.0, (n_channels, 1))
+
+
+def block_rows(n_samples):
+    return max(1, 2**20 // (8 * n_samples))
+
+
+class TestBlockedSweepMatchesReference:
+    """The in-place, row-blocked sweep must be bit-identical to the plain one."""
+
+    @pytest.mark.parametrize(
+        "n_channels, n_components, n_samples, max_iter, tol, geometry",
+        [
+            (8, 8, 20000, 12, 1e-12, "ragged"),  # 6-row blocks: 6 + 2
+            (8, 5, 40000, 12, 1e-12, "ragged"),  # fewer components than channels: 3 + 2
+            (4, 3, 70000, 6, 1e-12, "one_row"),  # wide: each block is a single row
+            (8, 6, 2000, 15, 1e-12, "one_block"),  # narrow: one block holds all rows
+            (4, 4, 6000, 200, 1e-4, "converges"),  # tol reached before max_iter
+        ],
+    )
+    def test_bit_identical(self, n_channels, n_components, n_samples, max_iter, tol, geometry):
+        rows = block_rows(n_samples)
+        if geometry == "ragged":
+            assert 1 < rows < n_components and n_components % rows
+        elif geometry == "one_row":
+            assert rows == 1
+        elif geometry == "one_block":
+            assert rows >= n_components
+        x = mixed_non_gaussian(n_channels, n_samples, seed=n_components + n_samples)
+        decomp = fastica_decompose(
+            make_recording(x), n_components, max_iter=max_iter, tol=tol, seed=11
+        )
+        unmixing, mixing, sources, means, descriptor = reference_fastica(
+            x, n_components, max_iter, tol, seed=11
+        )
+        assert decomp.descriptor == descriptor
+        if geometry == "converges":
+            assert "converged=True" in descriptor
+            assert f"iterations={max_iter}," not in descriptor
+        np.testing.assert_array_equal(decomp.unmixing, unmixing)
+        np.testing.assert_array_equal(decomp.mixing, mixing)
+        np.testing.assert_array_equal(decomp.sources, sources)
+        everything = list(range(n_components))
+        np.testing.assert_array_equal(
+            ica_reconstruct(decomp, ()), reference_reconstruct(mixing, sources, means, everything)
+        )
+        np.testing.assert_array_equal(
+            ica_reconstruct(decomp, {0}), reference_reconstruct(mixing, sources, means, everything[1:])
+        )
 
 
 class TestFastIca:
@@ -92,6 +204,13 @@ class TestFastIca:
         decomp = fastica_decompose(rec, 2, max_iter=200, tol=1e-4, seed=1)
         assert "converged=True" in decomp.descriptor
         assert "tanh" in decomp.descriptor
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_data_error(self, bad):
+        data = np.random.default_rng(0).standard_normal((4, 3000))
+        data[2, 1234] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            fastica_decompose(make_recording(data), 4, seed=0)
 
     def test_invalid_component_count(self):
         rec = make_recording(sawtooth_and_noise())
