@@ -22,11 +22,10 @@ from .config import (
     RunConfig,
     load_kv_file,
 )
-from .containers import Condition, EegRecording
+from .containers import Condition, EegRecording, default_class_names
 from .errors import ConfigError, CovertDecodeError, DataError
-from .evaluation import confusion_matrix
+from .evaluation import accuracy_from_confusion, confusion_matrix
 from .experiments import (
-    evaluate_on,
     make_report,
     model_specs_from_config,
     run_cv,
@@ -277,14 +276,20 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"model expects {model.input_size} features, file has {features.n_features}"
         )
-    accuracy, cm = evaluate_on(model, features, batch_size=cfg["batch_size"])
-    y_pred = predict(model, features.data, cfg["batch_size"])
-    per_class = confusion_matrix(features.labels, y_pred, features.n_classes)
-    class_acc = {
-        features.class_names[i]: (
-            float(per_class[i, i] / per_class[i].sum()) if per_class[i].sum() else 0.0
+    if features.n_trials and features.labels.max() >= model.n_classes:
+        raise DataError(
+            f"file has labels up to {features.labels.max()}, "
+            f"model predicts {model.n_classes} classes"
         )
-        for i in range(features.n_classes)
+    # one prediction pass; the matrix is sized by the model, so classes the
+    # file lacks get a row of zeros and a default name
+    y_pred = predict(model, features.data, cfg["batch_size"])
+    cm = confusion_matrix(features.labels, y_pred, model.n_classes)
+    accuracy = accuracy_from_confusion(cm)
+    names = features.class_names + default_class_names(model.n_classes)[features.n_classes :]
+    class_acc = {
+        names[i]: float(cm[i, i] / cm[i].sum()) if cm[i].sum() else 0.0
+        for i in range(model.n_classes)
     }
     payload = {
         "accuracy": accuracy,

@@ -13,7 +13,7 @@ import numpy as np
 from .containers import FeatureTensor
 from .evaluation import accuracy_from_confusion, confusion_matrix, stratified_kfold
 from .network import build_model, classifier_specs
-from .training import TrainConfig, evaluate_accuracy, predict, train_model
+from .training import TrainConfig, predict, predict_models, train_model, train_models
 
 REPORT_SCHEMA = 1
 
@@ -58,30 +58,30 @@ def run_cv(
     """Stratified k-fold cross-validation of one architecture.
 
     Each fold trains a fresh model (fold-specific init substream) on the
-    other k-1 folds and tests on the held-out fold. Returns a report
-    fragment with per-fold accuracies and confusions plus the pooled
+    other k-1 folds and tests on the held-out fold. The k fits train in
+    lockstep (:func:`train_models`) and are tested together
+    (:func:`predict_models`); each ends exactly as it would alone. Returns a
+    report fragment with per-fold accuracies and confusions plus the pooled
     confusion matrix.
     """
     plan = stratified_kfold(features.labels, k, seed)
+    seeds = [_fold_seed(seed, fold) for fold in range(k)]
+    train_sets = [plan.train_indices(fold) for fold in range(k)]
+    test_sets = [plan.test_indices(fold) for fold in range(k)]
+    models = [build_model(layer_specs, seed=fold_seed, dtype=dtype) for fold_seed in seeds]
+    results = train_models(
+        models, features.data, features.labels, train_sets, train_config, seeds
+    )
+    predictions = predict_models(models, features.data, test_sets, train_config.batch_size)
     fold_entries = []
     pooled = np.zeros((features.n_classes, features.n_classes), dtype=np.int64)
-    for fold in range(k):
-        train_idx = plan.train_indices(fold)
-        test_idx = plan.test_indices(fold)
-        model = build_model(layer_specs, seed=_fold_seed(seed, fold), dtype=dtype)
-        result = train_model(
-            model,
-            features.data[train_idx],
-            features.labels[train_idx],
-            train_config,
-            seed=_fold_seed(seed, fold),
-        )
-        accuracy, cm = evaluate_on(model, features, test_idx, train_config.batch_size)
+    for fold, (result, test_idx, y_pred) in enumerate(zip(results, test_sets, predictions)):
+        cm = confusion_matrix(features.labels[test_idx], y_pred, features.n_classes)
         pooled += cm
         fold_entries.append(
             {
                 "fold": fold,
-                "accuracy": accuracy,
+                "accuracy": accuracy_from_confusion(cm),
                 "confusion": cm.tolist(),
                 "n_test": int(test_idx.size),
                 "epochs_run": result.epochs_run,

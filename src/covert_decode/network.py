@@ -11,6 +11,12 @@ Bidirectional layers run an independent pass in each time direction and merge
 per timestep (concat doubles the width; sum keeps it). With
 ``return_sequences=False`` a layer returns the forward pass's final state
 merged with the backward pass's state at the first timestep.
+
+Slot axis: the recurrent scan stacks one slot per (model, direction), so
+several models of one architecture, each with its own batch of one shared
+shape, advance through one scan (``forward_models``/``backward_models``).
+Every per-slot GEMM, reduction and RNG draw keeps its one-model shape and
+order, so a stacked pass is bit-identical to running the models one by one.
 """
 
 import copy
@@ -257,11 +263,18 @@ class _ParamLayer:
 class RecurrentLayer(_ParamLayer):
     """LSTM/GRU layer, optionally bidirectional, with full BPTT.
 
-    Both time directions run in one scan: states carry a leading direction
-    axis and the per-step matmul is a stacked (n_dir, B, H) @ (n_dir, H, G*H)
-    product, so a bidirectional layer costs the same number of numpy calls
-    per step as a unidirectional one. Direction 0 reads the sequence left to
-    right, direction 1 (when present) right to left.
+    The scan runs over *slots*, one per (model, direction): states carry a
+    leading slot axis and each step makes one stacked
+    (slots, B, H) @ (slots, H, G*H) product. A bidirectional layer therefore
+    costs the same number of numpy calls per step as a unidirectional one,
+    and so do several independent layers of one spec advanced together by
+    :meth:`forward_slots` / :meth:`backward_slots`. Slot ``m * n_dir + d`` is
+    direction ``d`` of layer ``m``; direction 0 reads the sequence left to
+    right, direction 1 (when present) right to left. Each slot's GEMMs and
+    reductions keep the shapes they have for a layer alone, and the
+    elementwise math does not depend on array length, so a stacked pass is
+    bit-identical to separate passes. ``forward`` and ``backward`` are the
+    one-layer case.
     """
 
     def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
@@ -285,90 +298,95 @@ class RecurrentLayer(_ParamLayer):
             self.params[f"{direction}_b"] = b.astype(self.dtype)
         self._cache = None
 
-    def _stacked(self, name):
-        return np.stack([self.params[f"{d}_{name}"] for d in self.directions])
-
     # -- forward
 
     def forward(self, x: np.ndarray, training: bool = False):
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        n_batch, n_time, d_in = x.shape
-        h_size = self.spec.size
-        gh = self.n_gates * h_size
+        return RecurrentLayer.forward_slots([self], [x], training)[0]
 
-        # input projections: one GEMM per direction, written into the
-        # time-major scan buffer
-        zx = np.empty((n_time, self.n_dir, n_batch, gh), dtype=self.dtype)
-        flat = x.reshape(-1, d_in)
-        for d, direction in enumerate(self.directions):
-            proj = flat @ self.params[f"{direction}_wx"] + self.params[f"{direction}_b"]
-            proj = proj.reshape(n_batch, n_time, gh)
-            if direction == "bw":
-                proj = proj[:, ::-1]
-            zx[:, d] = proj.transpose(1, 0, 2)
+    @staticmethod
+    def forward_slots(layers, xs, training: bool = False):
+        """Run layers of one spec, one input each, through a single scan.
 
-        h_stack, cache = self._scan(zx, n_batch, keep_cache=training)
-        if training:
-            cache["x"] = x
+        All inputs must share one (B, T, D) shape. Returns each layer's
+        output. In training mode every layer keeps its input plus the shared
+        scan cache, for one :meth:`backward_slots` call over the same layers.
+        """
+        head = layers[0]
+        xs = [np.ascontiguousarray(x, dtype=head.dtype) for x in xs]
+        if any(x.shape != xs[0].shape for x in xs):
+            raise ValueError("stacked layers need inputs of one shape")
+        n_batch, n_time, d_in = xs[0].shape
+        n_dir = head.n_dir
+        gh = head.n_gates * head.spec.size
 
+        # input projections: one GEMM per slot, written into the time-major
+        # scan buffer
+        zx = np.empty((n_time, len(layers) * n_dir, n_batch, gh), dtype=head.dtype)
+        for m, (layer, x) in enumerate(zip(layers, xs)):
+            flat = x.reshape(-1, d_in)
+            for d, direction in enumerate(layer.directions):
+                proj = flat @ layer.params[f"{direction}_wx"] + layer.params[f"{direction}_b"]
+                proj = proj.reshape(n_batch, n_time, gh)
+                if direction == "bw":
+                    proj = proj[:, ::-1]
+                zx[:, m * n_dir + d] = proj.transpose(1, 0, 2)
+
+        wh = np.stack([layer.params[f"{d}_wh"] for layer in layers for d in layer.directions])
+        h_stack, scan = head._scan(zx, wh, keep_cache=training)
+        outputs = []
+        for m, (layer, x) in enumerate(zip(layers, xs)):
+            outputs.append(layer._merge(h_stack[:, m * n_dir : (m + 1) * n_dir]))
+            if training:
+                layer._cache = {"x": x, "scan": scan}
+        return outputs
+
+    def _merge(self, h):
+        """This layer's output from its slots' states ``h`` (T, n_dir, B, H)."""
         if self.spec.return_sequences:
-            fw = h_stack[:, 0].transpose(1, 0, 2)  # (B, T, H)
-            if self.n_dir == 2:
-                bw = h_stack[::-1, 1].transpose(1, 0, 2)
-                if self.spec.merge_mode == "concat":
-                    merged = np.concatenate([fw, bw], axis=-1)
-                else:
-                    merged = fw + bw
-            else:
-                merged = fw
+            fw = h[:, 0].transpose(1, 0, 2)  # (B, T, H)
+            bw = h[::-1, -1].transpose(1, 0, 2)
         else:
             # forward final state plus (for bidirectional) the backward
             # pass's state at the first timestep, which is the last one it
             # computed
-            if self.n_dir == 2:
-                if self.spec.merge_mode == "concat":
-                    merged = np.concatenate([h_stack[-1, 0], h_stack[-1, 1]], axis=-1)
-                else:
-                    merged = h_stack[-1, 0] + h_stack[-1, 1]
-            else:
-                merged = h_stack[-1, 0]
-        if training:
-            self._cache = cache
-        return merged
+            fw, bw = h[-1, 0], h[-1, -1]
+        if self.n_dir == 1:
+            return fw
+        if self.spec.merge_mode == "concat":
+            return np.concatenate([fw, bw], axis=-1)
+        return fw + bw
 
-    def _scan(self, zx, n_batch, keep_cache: bool):
-        # keep_cache=False (inference) rotates small per-step buffers instead
-        # of materializing T-length gate stacks; only the state sequence
-        # itself is kept
-        n_time = zx.shape[0]
+    def _scan(self, zx, wh, keep_cache: bool):
+        # zx is (T, slots, B, G*H), wh (slots, H, G*H). Each step's gate
+        # activations overwrite that step's input projections in zx, which
+        # the training cache keeps as "act". keep_cache=False (inference)
+        # rotates small per-step buffers instead of materializing T-length
+        # state stacks; only the state sequence itself is kept
+        n_time, n_slots, n_batch = zx.shape[:3]
         h_size = self.spec.size
-        wh = self._stacked("wh")  # (n_dir, H, G*H)
-        state_shape = (self.n_dir, n_batch, h_size)
+        state_shape = (n_slots, n_batch, h_size)
         h = np.zeros(state_shape, dtype=self.dtype)
         h_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
         tmp = np.empty(state_shape, dtype=self.dtype)
         if self.cell == "lstm":
             three = 3 * h_size
+            hw = np.empty(zx.shape[1:], dtype=self.dtype)
+            tc = np.empty(state_shape, dtype=self.dtype)
             if keep_cache:
-                act = np.empty(zx.shape, dtype=self.dtype)
                 c_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
-                tanh_c = np.empty((n_time,) + state_shape, dtype=self.dtype)
             else:
-                z_buf = np.empty(zx.shape[1:], dtype=self.dtype)
                 c_spare = np.empty(state_shape, dtype=self.dtype)
-                tc_buf = np.empty(state_shape, dtype=self.dtype)
             c = np.zeros(state_shape, dtype=self.dtype)
             for t in range(n_time):
-                z = act[t] if keep_cache else z_buf
-                np.matmul(h, wh, out=z)
-                z += zx[t]
+                z = zx[t]
+                np.matmul(h, wh, out=hw)
+                z += hw
                 sigmoid(z[..., :three], out=z[..., :three])
                 np.tanh(z[..., three:], out=z[..., three:])
                 c_new = c_stack[t] if keep_cache else c_spare
                 np.multiply(z[..., h_size : 2 * h_size], c, out=c_new)  # f * c_prev
                 np.multiply(z[..., :h_size], z[..., three:], out=tmp)  # i * g
                 c_new += tmp
-                tc = tanh_c[t] if keep_cache else tc_buf
                 np.tanh(c_new, out=tc)
                 h = h_stack[t]
                 np.multiply(z[..., 2 * h_size : three], tc, out=h)  # o * tanh(c)
@@ -378,16 +396,15 @@ class RecurrentLayer(_ParamLayer):
                     c, c_spare = c_new, c
             if not keep_cache:
                 return h_stack, {}
-            return h_stack, {"h": h_stack, "act": act, "c": c_stack, "tanh_c": tanh_c}
+            return h_stack, {"wh": wh, "h": h_stack, "act": zx, "c": c_stack}
         two = 2 * h_size
         wh_zr = np.ascontiguousarray(wh[:, :, :two])
         wh_n = np.ascontiguousarray(wh[:, :, two:])
         if keep_cache:
-            act = np.empty(zx.shape, dtype=self.dtype)
             rh_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
         else:
             rh_buf = np.empty(state_shape, dtype=self.dtype)
-        zr_buf = np.empty((self.n_dir, n_batch, two), dtype=self.dtype)
+        zr_buf = np.empty((n_slots, n_batch, two), dtype=self.dtype)
         n_buf = np.empty(state_shape, dtype=self.dtype)
         for t in range(n_time):
             np.matmul(h, wh_zr, out=zr_buf)
@@ -399,8 +416,8 @@ class RecurrentLayer(_ParamLayer):
             n_buf += zx[t][..., two:]
             np.tanh(n_buf, out=n_buf)
             if keep_cache:
-                act[t][..., :two] = zr_buf
-                act[t][..., two:] = n_buf
+                zx[t][..., :two] = zr_buf
+                zx[t][..., two:] = n_buf
             h_new = h_stack[t]
             np.subtract(n_buf, h, out=tmp)
             tmp *= zr_buf[..., :h_size]
@@ -408,47 +425,75 @@ class RecurrentLayer(_ParamLayer):
             h = h_new
         if not keep_cache:
             return h_stack, {}
-        return h_stack, {"h": h_stack, "act": act, "rh": rh_stack}
+        return h_stack, {"wh": wh, "h": h_stack, "act": zx, "rh": rh_stack}
 
     # -- backward
 
     def backward(self, dout: np.ndarray, need_input_grad: bool = True):
-        if self._cache is None:
+        return RecurrentLayer.backward_slots([self], [dout], need_input_grad)[0]
+
+    @staticmethod
+    def backward_slots(layers, douts, need_input_grad: bool = True):
+        """BPTT for the layers of one training :meth:`forward_slots` call.
+
+        ``layers`` must be that call's layers in the same order, ``douts``
+        their output gradients. Fills each unfrozen layer's ``grads`` and
+        returns the input gradients (None when ``need_input_grad`` is false).
+        """
+        if any(layer._cache is None for layer in layers):
             raise RuntimeError("backward called without a training-mode forward")
-        cache = self._cache
-        x = cache["x"]
-        n_batch, n_time, _ = x.shape
+        head = layers[0]
+        scan = head._cache["scan"]
+        n_dir = head.n_dir
+        n_time, n_slots, n_batch, h_size = scan["h"].shape
+        if n_slots != len(layers) * n_dir or any(
+            layer._cache["scan"] is not scan for layer in layers
+        ):
+            raise RuntimeError("backward_slots needs the layers of one forward_slots call")
+
+        # route each output gradient to its slots' scan clocks
+        dh_out = np.zeros(scan["h"].shape, dtype=head.dtype)
+        for m, (layer, dout) in enumerate(zip(layers, douts)):
+            layer._route(dout, dh_out[:, m * n_dir : (m + 1) * n_dir])
+
+        dz = head._scan_backward(scan, dh_out)
+        dxs = []
+        for m, layer in enumerate(layers):
+            dxs.append(layer._param_grads(dz, scan, m, need_input_grad))
+            layer._cache = None
+        return dxs
+
+    def _route(self, dout, dh):
+        """Write this layer's output gradient into ``dh`` (T, n_dir, B, H), zeroed."""
         h_size = self.spec.size
-
-        # route the output gradient to each direction's scan clock
-        dh_out = np.zeros((n_time, self.n_dir, n_batch, h_size), dtype=self.dtype)
-        if self.spec.return_sequences:
-            if self.n_dir == 2 and self.spec.merge_mode == "concat":
-                d_fw, d_bw = dout[:, :, :h_size], dout[:, :, h_size:]
-            else:
-                d_fw = d_bw = dout
-            dh_out[:, 0] = d_fw.transpose(1, 0, 2)
-            if self.n_dir == 2:
-                dh_out[:, 1] = d_bw.transpose(1, 0, 2)[::-1]
+        if self.n_dir == 2 and self.spec.merge_mode == "concat":
+            d_fw, d_bw = dout[..., :h_size], dout[..., h_size:]
         else:
-            if self.n_dir == 2 and self.spec.merge_mode == "concat":
-                dh_out[-1, 0] = dout[:, :h_size]
-                dh_out[-1, 1] = dout[:, h_size:]
-            else:
-                dh_out[-1, :] = dout
+            d_fw = d_bw = dout
+        if self.spec.return_sequences:
+            dh[:, 0] = d_fw.transpose(1, 0, 2)
+            if self.n_dir == 2:
+                dh[:, 1] = d_bw.transpose(1, 0, 2)[::-1]
+        else:
+            dh[-1, 0] = d_fw
+            if self.n_dir == 2:
+                dh[-1, 1] = d_bw
 
-        dz = self._scan_backward(cache, dh_out)
-        self._cache = None
+    def _param_grads(self, dz, scan, m, need_input_grad):
+        """Weight gradients and input gradient of layer ``m`` of a stacked scan.
 
-        # parameter gradients and input gradient, one GEMM per direction
-        wx = self._stacked("wx")
+        One GEMM per direction, each over that slot's (T*B) rows only.
+        """
+        x = self._cache["x"]
+        n_batch, n_time, d_in = x.shape
+        h_size = self.spec.size
         dx = np.zeros_like(x) if need_input_grad else None
-        dz_t = dz.transpose(1, 0, 2, 3)  # (n_dir, T, B, GH)
         for d, direction in enumerate(self.directions):
-            dz_d = np.ascontiguousarray(dz_t[d])
-            dz_flat = dz_d.reshape(-1, dz.shape[-1])
+            slot = m * self.n_dir + d
+            dz_flat = np.ascontiguousarray(dz[:, slot]).reshape(-1, dz.shape[-1])
             if need_input_grad:
-                dx_d = (dz_flat @ wx[d].T).reshape(n_time, n_batch, -1).transpose(1, 0, 2)
+                wx = self.params[f"{direction}_wx"]
+                dx_d = (dz_flat @ wx.T).reshape(n_time, n_batch, -1).transpose(1, 0, 2)
                 if direction == "bw":
                     dx += dx_d[:, ::-1]
                 else:
@@ -456,57 +501,48 @@ class RecurrentLayer(_ParamLayer):
             if not self.frozen:
                 seq = x if direction == "fw" else x[:, ::-1]
                 seq_t = np.ascontiguousarray(seq.transpose(1, 0, 2))
-                self.grads[f"{direction}_wx"] = (
-                    seq_t.reshape(-1, x.shape[-1]).T @ dz_flat
-                )
-                h_prev = self._h_prev_stack(d)
+                self.grads[f"{direction}_wx"] = seq_t.reshape(-1, d_in).T @ dz_flat
+                h_prev = _shifted_states(scan["h"][:, slot])
                 if self.cell == "lstm":
-                    self.grads[f"{direction}_wh"] = (
-                        h_prev.reshape(-1, h_size).T @ dz_flat
-                    )
+                    self.grads[f"{direction}_wh"] = h_prev.reshape(-1, h_size).T @ dz_flat
                 else:
                     two = 2 * h_size
                     dwh_zr = h_prev.reshape(-1, h_size).T @ dz_flat[:, :two]
-                    rh = np.ascontiguousarray(self._last_rh[:, d]).reshape(-1, h_size)
+                    rh = np.ascontiguousarray(scan["rh"][:, slot]).reshape(-1, h_size)
                     dwh_n = rh.T @ dz_flat[:, two:]
                     self.grads[f"{direction}_wh"] = np.hstack([dwh_zr, dwh_n])
                 self.grads[f"{direction}_b"] = dz_flat.sum(axis=0)
-        self._last_h = None
-        self._last_rh = None
         return dx
 
-    def _h_prev_stack(self, d):
-        h = self._last_h[:, d]  # (T, B, H)
-        out = np.empty_like(np.ascontiguousarray(h))
-        out[0] = 0.0
-        out[1:] = h[:-1]
-        return out
-
     def _scan_backward(self, cache, dh_out):
+        # each step's gate gradients overwrite that step's activations in
+        # the cached "act" buffer, read from a one-step copy; returns that
+        # buffer, now holding the gate gradients dz (T, slots, B, G*H)
         h_stack = cache["h"]
         n_time = h_stack.shape[0]
         h_size = self.spec.size
         state_shape = h_stack.shape[1:]
-        wh = self._stacked("wh")
-        dz = np.empty((n_time,) + state_shape[:-1] + (self.n_gates * h_size,), self.dtype)
+        wh = cache["wh"]
+        dz = cache["act"]
+        a = np.empty(dz.shape[1:], dtype=self.dtype)
         dh_next = np.zeros(state_shape, dtype=self.dtype)
         tmp = np.empty(state_shape, dtype=self.dtype)
-        self._last_h = h_stack
-        self._last_rh = cache.get("rh")
 
         if self.cell == "lstm":
-            act, c_stack, tanh_c = cache["act"], cache["c"], cache["tanh_c"]
+            c_stack = cache["c"]
+            tc = np.empty(state_shape, dtype=self.dtype)
             three = 3 * h_size
             wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
             dc = np.zeros(state_shape, dtype=self.dtype)
+            i = a[..., :h_size]
+            f = a[..., h_size : 2 * h_size]
+            o = a[..., 2 * h_size : three]
+            g = a[..., three:]
             for t in range(n_time - 1, -1, -1):
                 dh = dh_out[t]
                 dh += dh_next
-                i = act[t, ..., :h_size]
-                f = act[t, ..., h_size : 2 * h_size]
-                o = act[t, ..., 2 * h_size : three]
-                g = act[t, ..., three:]
-                tc = tanh_c[t]
+                np.copyto(a, dz[t])
+                np.tanh(c_stack[t], out=tc)  # recomputed: cheaper than a T-long stack
                 np.multiply(tc, tc, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 tmp *= dh
@@ -539,19 +575,19 @@ class RecurrentLayer(_ParamLayer):
                 dc *= f
             return dz
 
-        act, rh_stack = cache["act"], cache["rh"]
         two = 2 * h_size
         wh_zr_t = np.ascontiguousarray(wh[:, :, :two].transpose(0, 2, 1))
         wh_n_t = np.ascontiguousarray(wh[:, :, two:].transpose(0, 2, 1))
         dh_acc = np.empty(state_shape, dtype=self.dtype)
         tmp2 = np.empty(state_shape, dtype=self.dtype)
         zeros_h = np.zeros(state_shape, dtype=self.dtype)
+        z = a[..., :h_size]
+        r = a[..., h_size:two]
+        n = a[..., two:]
         for t in range(n_time - 1, -1, -1):
             dh = dh_out[t]
             dh += dh_next
-            z = act[t, ..., :h_size]
-            r = act[t, ..., h_size:two]
-            n = act[t, ..., two:]
+            np.copyto(a, dz[t])
             hp = h_stack[t - 1] if t > 0 else zeros_h
             dzp = dz[t, ..., :h_size]
             np.subtract(n, hp, out=dzp)
@@ -577,6 +613,14 @@ class RecurrentLayer(_ParamLayer):
             dh_acc += tmp
             dh_next, dh_acc = dh_acc, dh_next
         return dz
+
+
+def _shifted_states(h):
+    """States one step back in time, ``h`` (T, B, H) -> contiguous with zeros at t=0."""
+    out = np.empty(h.shape, dtype=h.dtype)
+    out[0] = 0.0
+    out[1:] = h[:-1]
+    return out
 
 
 class DenseLayer(_ParamLayer):
@@ -654,23 +698,7 @@ class RecurrentModel:
 
     def forward(self, x: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
         """Class probabilities for a batch. Train mode samples dropout masks."""
-        out = np.asarray(x, dtype=self.dtype)
-        self._masks = {}
-        for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
-            if spec.kind in RECURRENT_KINDS:
-                out = layer.forward(out, training=training)
-            elif spec.kind == "dense":
-                out = layer.forward(out, training=training)
-            elif spec.kind == "softmax":
-                out = softmax(out)
-                continue
-            if training and spec.dropout_rate > 0.0:
-                if rng is None:
-                    raise ValueError("training-mode forward with dropout needs an rng")
-                mask = _dropout_mask(out.shape, spec.dropout_rate, rng, self.dtype)
-                self._masks[i] = mask
-                out = out * mask
-        return out
+        return forward_models([self], [x], training, [rng])[0]
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Backpropagate from the gradient w.r.t. the dense-head logits.
@@ -679,21 +707,7 @@ class RecurrentModel:
         (dlogits = (probs - onehot) / batch), which is both simpler and
         numerically safer than chaining through softmax alone.
         """
-        d = np.asarray(dlogits, dtype=self.dtype)
-        param_indices = [i for i, layer in enumerate(self.layers) if layer is not None]
-        lowest = param_indices[0] if param_indices else -1
-        for i in range(len(self.specs) - 1, -1, -1):
-            spec, layer = self.specs[i], self.layers[i]
-            if spec.kind == "softmax":
-                continue
-            if i in self._masks:
-                d = d * self._masks[i]
-            if layer is not None:
-                # the bottom parameterized layer has nothing below that needs
-                # its input gradient, so skip that GEMM
-                d = layer.backward(d, need_input_grad=i != lowest)
-        self._masks = {}
-        return d
+        return backward_models([self], [dlogits])[0]
 
     # -- parameter access
 
@@ -742,6 +756,66 @@ class RecurrentModel:
                 digest.update(f"layer{i}.{name}".encode())
                 digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
+
+
+def forward_models(models, xs, training: bool = False, rngs=None):
+    """Class probabilities of models of one architecture, one batch each.
+
+    The models' recurrent layers share one scan per layer
+    (:meth:`RecurrentLayer.forward_slots`); dense layers, dropout masks and
+    softmax stay per model, and ``rngs`` holds one dropout generator per
+    model. The batches must share one shape. A lone model goes through each
+    layer's own ``forward``.
+    """
+    if rngs is None:
+        rngs = [None] * len(models)
+    outs = [np.asarray(x, dtype=model.dtype) for model, x in zip(models, xs)]
+    for model in models:
+        model._masks = {}
+    for i, spec in enumerate(models[0].specs):
+        layers = [model.layers[i] for model in models]
+        if spec.kind == "softmax":
+            outs = [softmax(out) for out in outs]
+            continue
+        if spec.kind in RECURRENT_KINDS and len(models) > 1:
+            outs = RecurrentLayer.forward_slots(layers, outs, training)
+        elif layers[0] is not None:
+            outs = [layer.forward(out, training=training) for layer, out in zip(layers, outs)]
+        if training and spec.dropout_rate > 0.0:
+            for j, (model, rng) in enumerate(zip(models, rngs)):
+                if rng is None:
+                    raise ValueError("training-mode forward with dropout needs an rng")
+                mask = _dropout_mask(outs[j].shape, spec.dropout_rate, rng, model.dtype)
+                model._masks[i] = mask
+                outs[j] = outs[j] * mask
+    return outs
+
+
+def backward_models(models, dlogits):
+    """Backpropagate each model's logit gradient after one training
+    :func:`forward_models` call over the same models, in the same order."""
+    ds = [np.asarray(d, dtype=model.dtype) for model, d in zip(models, dlogits)]
+    head = models[0]
+    param_indices = [i for i, layer in enumerate(head.layers) if layer is not None]
+    lowest = param_indices[0] if param_indices else -1
+    for i in range(len(head.specs) - 1, -1, -1):
+        if head.specs[i].kind == "softmax":
+            continue
+        ds = [d * model._masks[i] if i in model._masks else d for model, d in zip(models, ds)]
+        layers = [model.layers[i] for model in models]
+        if layers[0] is None:
+            continue
+        # the bottom parameterized layer has nothing below that needs its
+        # input gradient, so skip that GEMM
+        need_input_grad = i != lowest
+        if head.specs[i].kind in RECURRENT_KINDS and len(models) > 1:
+            ds = RecurrentLayer.backward_slots(layers, ds, need_input_grad)
+        else:
+            ds = [layer.backward(d, need_input_grad=need_input_grad)
+                  for layer, d in zip(layers, ds)]
+    for model in models:
+        model._masks = {}
+    return ds
 
 
 def build_model(specs, seed: int, dtype=np.float32) -> RecurrentModel:

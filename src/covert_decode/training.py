@@ -1,12 +1,27 @@
 """Training loop: seeded minibatches, Adam updates, validation-plateau early
-stopping, and batched evaluation."""
+stopping, and batched evaluation.
+
+Independent fits of one architecture train in lockstep (``train_models``):
+each keeps its own data subset, substreams, Adam state and early stopping,
+while at every minibatch step the fits whose next batch has the same number
+of trials share one stacked forward/backward pass over the network's slot
+axis (see ``network.RecurrentLayer``). A partial last batch runs in its own
+group and stopped fits drop out; nothing is padded, so every fit ends
+bit-identical to training it alone. ``train_model`` is the one-fit case.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericError
-from .network import RecurrentModel, cross_entropy_mean
+from .network import (
+    RecurrentLayer,
+    RecurrentModel,
+    backward_models,
+    cross_entropy_mean,
+    forward_models,
+)
 from .optim import adam_step, init_adam
 from .rng import substream
 
@@ -21,7 +36,6 @@ class TrainConfig:
     max_epochs: int = 60
     patience: int = 10
     validation_fraction: float = 0.1
-    stop_on_perfect_train: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -67,14 +81,36 @@ def _stratified_validation_split(labels: np.ndarray, fraction: float, rng):
 
 def predict_proba(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Eval-mode class probabilities, batched to bound memory."""
-    chunks = []
-    for start in range(0, x.shape[0], batch_size):
-        chunks.append(model.forward(x[start : start + batch_size], training=False))
-    return np.concatenate(chunks, axis=0)
+    x = np.asarray(x)
+    return _predict_proba_models([model], x, [np.arange(x.shape[0])], batch_size)[0]
 
 
 def predict(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
     return predict_proba(model, x, batch_size).argmax(axis=1)
+
+
+def predict_models(models, x, subsets, batch_size: int = 32):
+    """Predicted labels of models of one architecture, model ``i`` on the
+    trials ``x[subsets[i]]``.
+
+    Equal to ``[predict(m, x[s], batch_size) for m, s in zip(models, subsets)]``:
+    the chunks are the same, and at each chunk the models whose chunks hold
+    equally many trials share one eval-mode pass.
+    """
+    probs = _predict_proba_models(models, np.asarray(x), subsets, batch_size)
+    return [p.argmax(axis=1) for p in probs]
+
+
+def _predict_proba_models(models, x, subsets, batch_size):
+    chunks = [[] for _ in models]
+    for start in range(0, max(len(rows) for rows in subsets), batch_size):
+        pending = [j for j, rows in enumerate(subsets) if start < len(rows)]
+        sizes = [min(batch_size, len(subsets[j]) - start) for j in pending]
+        for group in _stack_groups(pending, sizes, models[0], x.shape[1], keep_cache=False):
+            batch = [x[subsets[j][start : start + batch_size]] for j in group]
+            for j, probs in zip(group, forward_models([models[j] for j in group], batch)):
+                chunks[j].append(probs)
+    return [np.concatenate(c, axis=0) for c in chunks]
 
 
 def evaluate_accuracy(model, x, y, batch_size: int = 32) -> float:
@@ -87,20 +123,134 @@ def train_step(model: RecurrentModel, x_batch, y_batch, adam_state, dropout_rng)
     Returns (loss, n_correct); correctness is judged from the same training
     forward pass, so per-epoch accuracy costs nothing extra.
     """
-    y_batch = np.asarray(y_batch, dtype=np.int64)
-    probs = model.forward(x_batch, training=True, rng=dropout_rng)
-    loss = cross_entropy_mean(probs, y_batch)
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite training loss: {loss}")
-    n = probs.shape[0]
-    n_correct = int((probs.argmax(axis=1) == y_batch).sum())
-    dlogits = probs.astype(model.dtype, copy=True)
-    dlogits[np.arange(n), y_batch] -= 1.0
-    dlogits /= n
-    model.backward(dlogits)
-    adam_step(model.trainable_params(), model.collect_grads(), adam_state)
-    model.zero_grads()
-    return loss, n_correct
+    return _train_steps([model], [x_batch], [y_batch], [adam_state], [dropout_rng])[0]
+
+
+def _train_steps(models, x_batches, y_batches, adam_states, dropout_rngs):
+    """train_step for models of one architecture on equally shaped batches,
+    with one shared forward and backward pass."""
+    y_batches = [np.asarray(y, dtype=np.int64) for y in y_batches]
+    probs = forward_models(models, x_batches, training=True, rngs=dropout_rngs)
+    results, dlogits = [], []
+    for model, p, y in zip(models, probs, y_batches):
+        loss = cross_entropy_mean(p, y)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite training loss: {loss}")
+        n = p.shape[0]
+        results.append((loss, int((p.argmax(axis=1) == y).sum())))
+        d = p.astype(model.dtype, copy=True)
+        d[np.arange(n), y] -= 1.0
+        d /= n
+        dlogits.append(d)
+    backward_models(models, dlogits)
+    for model, state in zip(models, adam_states):
+        adam_step(model.trainable_params(), model.collect_grads(), state)
+        model.zero_grads()
+    return results
+
+
+# Scan buffers that stacked fits may hold at once. Lockstep fits train in
+# waves just small enough for a full batch of each to share one scan within
+# this budget, and eval-mode groups are capped the same way; a lone fit is
+# never split. A paper-scale fit exceeds it alone, so such fits train one
+# after another and their scan memory stays that of a single fit (the
+# models' parameters, one copy per fit, are all live). At desk scale the
+# budget lets three bidirectional fits share a step, for about 10 MB more
+# peak RSS than training them one by one.
+STACK_BUDGET_BYTES = 16 * 2**20
+
+
+def _stack_groups(items, sizes, model, n_time, keep_cache):
+    """Split ``items`` into stackable groups: equal batch ``sizes`` (one per
+    item), in order, each within STACK_BUDGET_BYTES."""
+    by_size = {}
+    for item, size in zip(items, sizes):
+        by_size.setdefault(size, []).append(item)
+    groups = []
+    for size, members in by_size.items():
+        cap = _stack_cap(model, size, n_time, keep_cache)
+        groups += [members[i : i + cap] for i in range(0, len(members), cap)]
+    return groups
+
+
+def _stack_cap(model, n_rows, n_time, keep_cache):
+    """How many models' scan buffers for ``n_rows`` trials fit the budget."""
+    per_state = 0
+    for spec, layer in zip(model.specs, model.layers):
+        if isinstance(layer, RecurrentLayer):
+            # gate buffer and hidden states; training also keeps the cell
+            # (LSTM) or reset-gated (GRU) states and the output gradients
+            width = layer.n_gates + (3 if keep_cache else 1)
+            per_state += layer.n_dir * spec.size * width
+    scan_bytes = n_time * n_rows * per_state * model.dtype.itemsize
+    return max(1, STACK_BUDGET_BYTES // max(1, scan_bytes))
+
+
+@dataclass
+class _Fit:
+    """One model's own training state inside :func:`train_models`.
+
+    ``train_idx`` and ``val_idx`` index the shared trial array.
+    """
+
+    model: RecurrentModel
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    adam: object
+    shuffle_rng: object
+    dropout_rng: object
+    history: list = field(default_factory=list)
+    val_accuracy: float = 0.0
+    best_val: float = -1.0
+    best_epoch: int = 0
+    best_params: dict = None
+    epochs_run: int = 0
+    stopped: bool = False
+    batches: list = field(default_factory=list)
+    losses: list = field(default_factory=list)
+    correct: int = 0
+
+    def finish(self) -> TrainResult:
+        """Restore the best-epoch weights and report."""
+        if self.best_params is not None:
+            current = self.model.trainable_params()
+            for key, value in self.best_params.items():
+                current[key][...] = value
+        return TrainResult(self.epochs_run, self.best_epoch, self.history)
+
+
+def _start_fit(model, y, rows, config: TrainConfig, seed: int) -> _Fit:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size < 2:
+        raise ValueError("need at least two training samples")
+    train_idx, val_idx = rows, rows[:0]
+    if config.validation_fraction > 0.0 and config.patience > 0:
+        local_train, local_val = _stratified_validation_split(
+            y[rows], config.validation_fraction, substream(seed, "val_split")
+        )
+        if local_val.size:
+            train_idx, val_idx = rows[local_train], rows[local_val]
+    adam = init_adam(
+        model.trainable_params(),
+        learning_rate=config.learning_rate,
+        beta1=config.beta1,
+        beta2=config.beta2,
+        epsilon=config.epsilon,
+    )
+    return _Fit(model, train_idx, val_idx, adam,
+                substream(seed, "shuffle"), substream(seed, "dropout"))
+
+
+def _validation_accuracies(fits, x, y, batch_size):
+    """Each fit's validation accuracy; equally sized chunks share eval passes."""
+    if not fits:
+        return []
+    if len(fits) == 1:
+        # a lone fit takes the public one-model entry point
+        f = fits[0]
+        return [evaluate_accuracy(f.model, x[f.val_idx], y[f.val_idx], batch_size)]
+    labels = predict_models([f.model for f in fits], x, [f.val_idx for f in fits], batch_size)
+    return [float((lab == y[f.val_idx]).mean()) for f, lab in zip(fits, labels)]
 
 
 def train_model(
@@ -119,81 +269,99 @@ def train_model(
     ``seed``.
     """
     x = np.asarray(x)
+    return train_models([model], x, y, [np.arange(x.shape[0])], config, [seed])[0]
+
+
+def train_models(models, x, y, subsets, config: TrainConfig, seeds) -> list:
+    """Train independent models of one architecture in lockstep, in place.
+
+    Model ``i`` trains on the trials ``x[subsets[i]]`` and ends exactly as
+    ``train_model(models[i], x[subsets[i]], y[subsets[i]], config, seeds[i])``
+    would: it keeps its own validation split, shuffle and dropout substreams,
+    Adam state, early stopping and best-epoch snapshot. Returns one
+    TrainResult per model.
+
+    Grouping rule: at each minibatch step, the fits whose next batch has the
+    same number of trials share one stacked forward and backward pass (one
+    recurrent scan per layer, see :meth:`RecurrentLayer.forward_slots`); at
+    each epoch end, validation chunks of equal size share the eval-mode
+    passes the same way. A fit with a different batch size (a partial last
+    batch) runs in a group of its own and a fit that has stopped early drops
+    out. Fits train in waves sized by STACK_BUDGET_BYTES, in the given order,
+    so put fits with equal subset sizes next to each other. Nothing is
+    padded and rows of different fits never share a GEMM, so the results are
+    bit-identical to sequential fits.
+    """
+    x = np.asarray(x)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] != y.shape[0]:
         raise ValueError("feature/label count mismatch")
-    if x.shape[0] < 2:
-        raise ValueError("need at least two training samples")
+    if not len(models) == len(subsets) == len(seeds):
+        raise ValueError("need one subset and one seed per model")
+    head = models[0]
+    if any(m.specs != head.specs or m.dtype != head.dtype for m in models):
+        raise ValueError("lockstep training needs models of one architecture and dtype")
+    wave = _stack_cap(head, config.batch_size, x.shape[1], keep_cache=True)
+    results = []
+    for start in range(0, len(models), wave):
+        end = start + wave
+        fits = [_start_fit(m, y, rows, config, seed)
+                for m, rows, seed in zip(models[start:end], subsets[start:end], seeds[start:end])]
+        _train_wave(fits, x, y, config)
+        results += [f.finish() for f in fits]
+    return results
 
-    use_validation = config.validation_fraction > 0.0 and config.patience > 0
-    if use_validation:
-        split_rng = substream(seed, "val_split")
-        train_idx, val_idx = _stratified_validation_split(
-            y, config.validation_fraction, split_rng
-        )
-        if val_idx.size == 0:
-            use_validation = False
-            train_idx = np.arange(x.shape[0])
-    else:
-        train_idx = np.arange(x.shape[0])
-    x_train, y_train = x[train_idx], y[train_idx]
 
-    adam_state = init_adam(
-        model.trainable_params(),
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
-    shuffle_rng = substream(seed, "shuffle")
-    dropout_rng = substream(seed, "dropout")
-
-    history = []
-    best_val = -1.0
-    best_epoch = 0
-    best_params = None
-    epochs_run = 0
+def _train_wave(fits, x, y, config: TrainConfig):
+    n_time = x.shape[1]
     eval_batch = max(config.batch_size, 128)
     for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
-        order = shuffle_rng.permutation(x_train.shape[0])
-        losses = []
-        correct = 0
-        for batch_idx in _batches(x_train.shape[0], config.batch_size, order):
-            loss, n_correct = train_step(
-                model, x_train[batch_idx], y_train[batch_idx], adam_state, dropout_rng
-            )
-            losses.append(loss)
-            correct += n_correct
-        entry = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)),
-            # running accuracy from the training passes themselves (with
-            # dropout active), not a separate full evaluation
-            "train_accuracy": correct / x_train.shape[0],
-        }
-        if use_validation:
-            entry["val_accuracy"] = evaluate_accuracy(model, x[val_idx], y[val_idx], eval_batch)
-        history.append(entry)
+        active = [f for f in fits if not f.stopped]
+        if not active:
+            break
+        for f in active:
+            f.epochs_run = epoch
+            order = f.shuffle_rng.permutation(f.train_idx.size)
+            f.batches = list(_batches(f.train_idx.size, config.batch_size, order))
+            f.losses, f.correct = [], 0
+        for step in range(max(len(f.batches) for f in active)):
+            pending = [f for f in active if step < len(f.batches)]
+            sizes = [f.batches[step].size for f in pending]
+            for group in _stack_groups(pending, sizes, fits[0].model, n_time, keep_cache=True):
+                rows = [f.train_idx[f.batches[step]] for f in group]
+                if len(group) == 1:
+                    # a lone fit takes the public one-model entry point
+                    f = group[0]
+                    results = [train_step(f.model, x[rows[0]], y[rows[0]], f.adam,
+                                          f.dropout_rng)]
+                else:
+                    results = _train_steps([f.model for f in group], [x[r] for r in rows],
+                                           [y[r] for r in rows], [f.adam for f in group],
+                                           [f.dropout_rng for f in group])
+                for f, (loss, n_correct) in zip(group, results):
+                    f.losses.append(loss)
+                    f.correct += n_correct
 
-        if use_validation:
-            if entry["val_accuracy"] > best_val:
-                best_val = entry["val_accuracy"]
-                best_epoch = epoch
-                best_params = {k: v.copy() for k, v in model.trainable_params().items()}
-            elif epoch - best_epoch >= config.patience:
-                break
-        else:
-            best_epoch = epoch
-        if config.stop_on_perfect_train and entry["train_accuracy"] >= 0.98:
-            # the running estimate sees dropout; confirm in eval mode
-            exact = evaluate_accuracy(model, x_train, y_train, eval_batch)
-            entry["train_accuracy_eval"] = exact
-            if exact >= 1.0:
-                break
+        validating = [f for f in active if f.val_idx.size]
+        for f, accuracy in zip(validating, _validation_accuracies(validating, x, y, eval_batch)):
+            f.val_accuracy = accuracy
 
-    if best_params is not None:
-        current = model.trainable_params()
-        for key, value in best_params.items():
-            current[key][...] = value
-    return TrainResult(epochs_run=epochs_run, best_epoch=best_epoch, history=history)
+        for f in active:
+            entry = {
+                "epoch": epoch,
+                "train_loss": float(np.mean(f.losses)),
+                # running accuracy from the training passes themselves (with
+                # dropout active), not a separate full evaluation
+                "train_accuracy": f.correct / f.train_idx.size,
+            }
+            if f.val_idx.size:
+                entry["val_accuracy"] = f.val_accuracy
+            f.history.append(entry)
+            if not f.val_idx.size:
+                f.best_epoch = epoch
+            elif entry["val_accuracy"] > f.best_val:
+                f.best_val = entry["val_accuracy"]
+                f.best_epoch = epoch
+                f.best_params = {k: v.copy() for k, v in f.model.trainable_params().items()}
+            elif epoch - f.best_epoch >= config.patience:
+                f.stopped = True

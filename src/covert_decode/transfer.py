@@ -8,7 +8,7 @@ network with frozen layers (body dropout is disabled during fine-tuning, the
 head-input dropout still applies), and orders of magnitude faster.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +27,10 @@ from .network import (
 )
 from .optim import adam_step, init_adam
 from .rng import substream
-from .training import TrainConfig, train_model
+
+# train_model stays importable here: perfbench/recorder.py wraps
+# transfer.train_model by name
+from .training import TrainConfig, predict_models, train_model, train_models  # noqa: F401
 
 
 @dataclass
@@ -221,16 +224,7 @@ def _fine_tune_with_indices(
     hash_before = model.recurrent_param_hash()
     if cached_features is None:
         cached_features = head_input_features(model, covert.data, config.batch_size)
-    ft_config = TrainConfig(
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=0,
-        validation_fraction=0.0,
-    )
+    ft_config = replace(config, patience=0, validation_fraction=0.0)
     _train_head_on_cached(
         model,
         cached_features[finetune_idx],
@@ -287,18 +281,15 @@ def transfer_sweep(
 
     frozen = freeze_recurrent(source_model.clone())
     cached = head_input_features(frozen, covert.data, train_config.batch_size)
-    ft_config = TrainConfig(
-        learning_rate=train_config.learning_rate,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        epsilon=train_config.epsilon,
-        batch_size=train_config.batch_size,
+    ft_config = replace(
+        train_config,
         max_epochs=plan.fine_tune_max_epochs,
         patience=0,
         validation_fraction=0.0,
     )
 
     runs = []
+    cells = {budget: [] for budget in plan.budgets}  # (run, fine-tune and test trials)
     for seed in plan.seeds:
         test_idx, budget_sets = nested_budget_indices(
             covert.labels, plan.budgets, plan.test_fraction, seed
@@ -325,24 +316,11 @@ def transfer_sweep(
                 "recurrent_hash_before": ft.recurrent_hash_before,
                 "recurrent_hash_after": ft.recurrent_hash_after,
             }
-            if include_scratch_baseline:
-                scratch = build_model(layer_specs, seed=_scratch_seed(seed, budget))
-                train_model(
-                    scratch,
-                    covert.data[budget_sets[budget]],
-                    covert.labels[budget_sets[budget]],
-                    train_config,
-                    seed=_scratch_seed(seed, budget),
-                )
-                from .training import evaluate_accuracy
-
-                run["scratch_accuracy"] = evaluate_accuracy(
-                    scratch,
-                    covert.data[test_idx],
-                    covert.labels[test_idx],
-                    train_config.batch_size,
-                )
+            cells[budget].append((run, budget_sets[budget], test_idx))
             runs.append(run)
+    if include_scratch_baseline:
+        for budget, budget_cells in cells.items():
+            _scratch_baselines(budget, budget_cells, covert, layer_specs, train_config)
     payload["runs"] = runs
 
     summary = []
@@ -387,6 +365,23 @@ def transfer_sweep(
             v["p_corrected"] = p_corr
         payload["transfer_vs_scratch_t_tests"] = versus
     return payload
+
+
+def _scratch_baselines(budget, cells, covert, layer_specs, train_config):
+    """Train one budget's scratch baselines and add their test accuracies.
+
+    The seeds' fine-tune subsets have equal sizes, so their fits train in
+    lockstep and share every stacked scan; one budget at a time keeps the
+    number of live baseline models at the number of seeds.
+    """
+    seeds = [_scratch_seed(run["seed"], budget) for run, _, _ in cells]
+    models = [build_model(layer_specs, seed=seed) for seed in seeds]
+    subsets = [finetune_idx for _, finetune_idx, _ in cells]
+    train_models(models, covert.data, covert.labels, subsets, train_config, seeds)
+    tests = [test_idx for _, _, test_idx in cells]
+    predictions = predict_models(models, covert.data, tests, train_config.batch_size)
+    for (run, _, test_idx), y_pred in zip(cells, predictions):
+        run["scratch_accuracy"] = float((y_pred == covert.labels[test_idx]).mean())
 
 
 def _scratch_seed(seed: int, budget: float) -> int:

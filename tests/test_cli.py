@@ -9,6 +9,8 @@ import pytest
 
 from covert_decode import fileio
 from covert_decode.cli import main
+from covert_decode.containers import Condition, FeatureTensor
+from covert_decode.network import build_model, classifier_specs
 
 SYNTH_SPEC = """
 # miniature subject: fast enough for tests
@@ -226,3 +228,51 @@ def test_synth_deterministic_across_runs(workspace, tmp_path):
     a = (tmp_path / "r1" / "synthetic_overt.eegr").read_bytes()
     b = (tmp_path / "r2" / "synthetic_overt.eegr").read_bytes()
     assert a == b
+
+
+def _features_file(path, labels, n_features=4, t_len=6):
+    rng = np.random.default_rng(0)
+    labels = np.asarray(labels)
+    tensor = FeatureTensor(
+        data=rng.standard_normal((labels.size, t_len, n_features)).astype(np.float32),
+        labels=labels,
+        condition=Condition.COVERT,
+        class_names=[f"class_{i}" for i in range(labels.max() + 1)],
+    )
+    return fileio.write_features(tensor, path)
+
+
+def _gru_checkpoint(path, n_classes, favoured, n_features=4):
+    model = build_model(classifier_specs("gru", n_features, hidden=(3,), dropout=(0.0,),
+                                         n_classes=n_classes), seed=0)
+    model.layers[1].params["b"][favoured] = 50.0  # the head always picks this class
+    return fileio.save_model(model, path)
+
+
+def test_evaluate_sizes_confusion_from_model(tmp_path, capsys):
+    # a 5-class model on a file holding only classes 0-2, predicting class 4
+    model = _gru_checkpoint(tmp_path / "five.rmdl", n_classes=5, favoured=4)
+    feats = _features_file(tmp_path / "three.ften", [0, 1, 2, 0, 1, 2, 0])
+    out = tmp_path / "evaluate.json"
+    code = main(["evaluate", "--model", str(model), "--features", str(feats),
+                 "--out", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["confusion"] == [[0, 0, 0, 0, 3], [0, 0, 0, 0, 2], [0, 0, 0, 0, 2],
+                                   [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+    assert report["accuracy"] == 0.0
+    assert sorted(report["per_class_accuracy"]) == [f"class_{i}" for i in range(5)]
+
+
+def test_evaluate_rejects_labels_beyond_model(tmp_path, capsys):
+    model = _gru_checkpoint(tmp_path / "three.rmdl", n_classes=3, favoured=0)
+    feats = _features_file(tmp_path / "five.ften", [0, 1, 2, 3, 4])
+    out = tmp_path / "evaluate.json"
+    code = main(["evaluate", "--model", str(model), "--features", str(feats),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "3 classes" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from covert_decode.containers import Condition, FeatureTensor
-from covert_decode.evaluation import accuracy_from_confusion
-from covert_decode.experiments import make_report, model_specs_from_config, run_cv, train_holdout
-from covert_decode.training import TrainConfig
+from covert_decode.evaluation import accuracy_from_confusion, stratified_kfold
+from covert_decode.experiments import (
+    evaluate_on,
+    make_report,
+    model_specs_from_config,
+    run_cv,
+    train_holdout,
+)
+from covert_decode.network import build_model
+from covert_decode.training import TrainConfig, train_model
 
 
 def class_coded_tensor(n_per_class=10, t_len=12, n_channels=3, n_classes=5, seed=0,
@@ -28,6 +35,37 @@ def class_coded_tensor(n_per_class=10, t_len=12, n_channels=3, n_classes=5, seed
 
 FAST = TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=25, patience=25,
                    validation_fraction=0.0)
+
+
+def reference_run_cv(features, layer_specs, train_config, k, seed):
+    """run_cv as it was before lockstep training: one fold after another,
+    each trained by train_model and tested by evaluate_on. Frozen as the
+    oracle for the lockstep run_cv."""
+    plan = stratified_kfold(features.labels, k, seed)
+    fold_entries = []
+    pooled = np.zeros((features.n_classes, features.n_classes), dtype=np.int64)
+    for fold in range(k):
+        train_idx = plan.train_indices(fold)
+        test_idx = plan.test_indices(fold)
+        model = build_model(layer_specs, seed=seed * 1000 + fold)
+        result = train_model(model, features.data[train_idx], features.labels[train_idx],
+                             train_config, seed=seed * 1000 + fold)
+        accuracy, cm = evaluate_on(model, features, test_idx, train_config.batch_size)
+        pooled += cm
+        fold_entries.append({"fold": fold, "accuracy": accuracy, "confusion": cm.tolist(),
+                             "n_test": int(test_idx.size), "epochs_run": result.epochs_run,
+                             "best_epoch": result.best_epoch})
+    accuracies = [f["accuracy"] for f in fold_entries]
+    return {
+        "k": k,
+        "seed": seed,
+        "folds": fold_entries,
+        "fold_accuracies": accuracies,
+        "mean_accuracy": float(np.mean(accuracies)),
+        "stdev_accuracy": float(np.std(accuracies, ddof=1)) if k > 1 else 0.0,
+        "pooled_confusion": pooled.tolist(),
+        "pooled_accuracy": accuracy_from_confusion(pooled),
+    }
 
 
 class TestRunCv:
@@ -76,6 +114,20 @@ class TestRunCv:
         a = run_cv(tensor, specs, config, k=3, seed=7)
         b = run_cv(tensor, specs, config, k=3, seed=7)
         assert a == b
+
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
+    def test_matches_sequential_reference(self, kind):
+        # 37 trials in 4 folds: unequal fold sizes, partial batches and a
+        # validation split with early stopping in every fold
+        tensor = class_coded_tensor(n_per_class=8, t_len=6, seed=3)
+        tensor.data, tensor.labels = tensor.data[:37], tensor.labels[:37]
+        specs = model_specs_from_config(kind, tensor.n_features, hidden=(5, 4),
+                                        dropout=(0.2, 0.1), n_classes=5)
+        config = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=8, patience=2,
+                             validation_fraction=0.2)
+        fragment = run_cv(tensor, specs, config, k=4, seed=5)
+        assert fragment == reference_run_cv(tensor, specs, config, k=4, seed=5)
 
 
 class TestTrainHoldout:

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from covert_decode.network import (
     LayerSpec,
+    RecurrentLayer,
+    backward_models,
     build_model,
     classifier_specs,
     cross_entropy,
     cross_entropy_mean,
     dense_softmax_forward,
     dropout_apply,
+    forward_models,
     gru_step,
     lstm_step,
     softmax,
@@ -451,3 +454,49 @@ class TestForwardDeterminism:
         np.testing.assert_array_equal(
             model.forward(x, training=False), model.forward(x, training=False)
         )
+
+
+class TestStackedSlots:
+    """Models stacked on the slot axis against the same models run alone."""
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
+    @pytest.mark.parametrize("merge_mode", ["concat", "sum"])
+    @pytest.mark.parametrize("n_batch", [1, 5])
+    def test_models_match_one_at_a_time(self, kind, merge_mode, n_batch):
+        specs = classifier_specs(kind, 3, hidden=(5, 4), dropout=(0.3, 0.2), n_classes=3,
+                                 merge_mode=merge_mode)
+        stacked = [build_model(specs, seed=s) for s in range(3)]
+        alone = [build_model(specs, seed=s) for s in range(3)]
+        stacked[1].set_frozen(0, True)
+        alone[1].set_frozen(0, True)
+        xs = [np.random.default_rng(s).standard_normal((n_batch, 6, 3)).astype(np.float32)
+              for s in range(3)]
+        probs = forward_models(stacked, xs, training=True,
+                               rngs=[substream(s, "drop") for s in range(3)])
+        backward_models(stacked, [p - 0.5 for p in probs])
+        for s, (model, x, p) in enumerate(zip(alone, xs, probs)):
+            q = model.forward(x, training=True, rng=substream(s, "drop"))
+            model.backward(q - 0.5)
+            assert np.array_equal(p, q)
+            ga, gb = stacked[s].collect_grads(), model.collect_grads()
+            assert sorted(ga) == sorted(gb)
+            for key in ga:
+                assert np.array_equal(ga[key], gb[key]), key
+        for p, model, x in zip(forward_models(stacked, xs), alone, xs):
+            assert np.array_equal(p, model.forward(x))
+
+    def test_backward_needs_the_forward_group(self):
+        spec = LayerSpec(kind="lstm", input_size=3, size=4)
+        layers = [RecurrentLayer(spec, substream(s, "init")) for s in range(3)]
+        x = np.zeros((2, 5, 3), dtype=np.float32)
+        RecurrentLayer.forward_slots(layers[:2], [x, x], training=True)
+        layers[2].forward(x, training=True)
+        with pytest.raises(RuntimeError):
+            RecurrentLayer.backward_slots(layers[1:], [np.zeros((2, 5, 4))] * 2)
+
+    def test_inputs_of_different_shapes_rejected(self):
+        spec = LayerSpec(kind="gru", input_size=3, size=4)
+        layers = [RecurrentLayer(spec, substream(s, "init")) for s in range(2)]
+        with pytest.raises(ValueError):
+            RecurrentLayer.forward_slots(
+                layers, [np.zeros((2, 5, 3)), np.zeros((3, 5, 3))])

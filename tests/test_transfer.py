@@ -1,12 +1,15 @@
 """Freeze contract, budget nesting, fine-tuning, and the sweep bookkeeping."""
 
+import json
+
 import numpy as np
 import pytest
 
 from covert_decode.containers import Condition, FeatureTensor
 from covert_decode.network import build_model, classifier_specs
 from covert_decode.rng import substream
-from covert_decode.training import TrainConfig, train_model
+from covert_decode.evaluation import bonferroni, paired_t_test
+from covert_decode.training import TrainConfig, evaluate_accuracy, train_model
 from covert_decode.transfer import (
     TransferPlan,
     fine_tune,
@@ -32,6 +35,39 @@ def toy_tensor(n_per_class=20, t_len=16, n_channels=3, n_classes=5, seed=0, scal
         condition=Condition.COVERT,
         class_names=[f"c{i}" for i in range(n_classes)],
     )
+
+
+def reference_scratch_payload(plan, covert, source, config):
+    """The sweep payload with scratch baselines trained one at a time, each by
+    train_model, as transfer_sweep did before lockstep training. Frozen as the
+    oracle for the lockstep sweep; the transfer side comes from a sweep
+    without baselines."""
+    payload = transfer_sweep(plan, covert, source_model=source, train_config=config,
+                             include_scratch_baseline=False)
+    runs = iter(payload["runs"])
+    for seed in plan.seeds:
+        test_idx, budget_sets = nested_budget_indices(covert.labels, plan.budgets,
+                                                      plan.test_fraction, seed)
+        for budget in plan.budgets:
+            scratch_seed = seed * 10000 + int(round(budget * 100))
+            scratch = build_model(source.specs, seed=scratch_seed)
+            train_model(scratch, covert.data[budget_sets[budget]],
+                        covert.labels[budget_sets[budget]], config, seed=scratch_seed)
+            next(runs)["scratch_accuracy"] = evaluate_accuracy(
+                scratch, covert.data[test_idx], covert.labels[test_idx], config.batch_size)
+    versus = []
+    for entry in payload["summary"]:
+        budget = entry["budget"]
+        a = [r["transfer_accuracy"] for r in payload["runs"] if r["budget"] == budget]
+        b = [r["scratch_accuracy"] for r in payload["runs"] if r["budget"] == budget]
+        entry["scratch_mean"] = float(np.mean(b))
+        entry["scratch_stdev"] = float(np.std(b, ddof=1)) if len(b) > 1 else 0.0
+        t, p = paired_t_test(a, b)
+        versus.append({"budget": budget, "t": t, "p_raw": p})
+    for v, p_corr in zip(versus, bonferroni([v["p_raw"] for v in versus], len(versus))):
+        v["p_corrected"] = p_corr
+    payload["transfer_vs_scratch_t_tests"] = versus
+    return payload
 
 
 def small_model(n_features=6, seed=0):
@@ -215,6 +251,18 @@ class TestTransferSweep:
             assert "scratch_accuracy" in run
         assert "transfer_vs_scratch_t_tests" in payload
         assert "scratch_mean" in payload["summary"][0]
+
+    def test_scratch_baselines_match_sequential_reference(self):
+        # 3 seeds x 3 budgets of 25 trials: fine-tune sets of 5, 10 and 15
+        # trials give unequal batch schedules; validation and early stopping on
+        tensor = toy_tensor(n_per_class=5, t_len=6)
+        model = small_model(seed=13)
+        plan = TransferPlan(budgets=(0.2, 0.4, 0.6), seeds=(0, 1, 2), fine_tune_max_epochs=2)
+        config = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=6, patience=2,
+                             validation_fraction=0.2)
+        payload = transfer_sweep(plan, tensor, source_model=model, train_config=config)
+        expected = reference_scratch_payload(plan, tensor, model, config)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     def test_pairwise_family_size_six_for_four_budgets(self):
         tensor = toy_tensor(n_per_class=20, t_len=6)
