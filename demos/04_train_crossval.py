@@ -9,8 +9,9 @@ couple of minutes on one core.
 
 import numpy as np
 
-from covert_decode.experiments import model_specs_from_config, run_cv
+from covert_decode.experiments import run_cv
 from covert_decode.features import extract_features
+from covert_decode.network import classifier_specs
 from covert_decode.synth import SynthSpec, generate_paired
 from covert_decode.training import TrainConfig
 
@@ -35,7 +36,7 @@ def main():
     )
     print(f"{'model':>8} {'mean acc':>9} {'stdev':>7} {'per-fold':>24}")
     for kind in ("lstm", "gru", "bilstm", "bigru"):
-        specs = model_specs_from_config(
+        specs = classifier_specs(
             kind, features.n_features, hidden=(12, 8), dropout=(0.3, 0.2), n_classes=5
         )
         fragment = run_cv(features, specs, config, k=3, seed=1)

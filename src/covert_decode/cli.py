@@ -25,14 +25,10 @@ from .config import (
 from .containers import Condition, EegRecording, default_class_names
 from .errors import ConfigError, CovertDecodeError, DataError
 from .evaluation import accuracy_from_confusion, confusion_matrix
-from .experiments import (
-    make_report,
-    model_specs_from_config,
-    run_cv,
-    train_holdout,
-)
+from .experiments import make_report, run_cv, train_holdout
 from .features import envelope_correlation, extract_features
 from .ica import fastica_decompose, ica_reconstruct
+from .network import classifier_specs
 from .preprocessing import (
     design_butterworth_bandpass,
     design_notch,
@@ -99,7 +95,7 @@ def _model_specs(cfg: RunConfig, kind: str, input_size: int, n_classes: int):
     dropout = cfg.float_list("dropout_rates")
     if len(hidden) != len(dropout):
         raise ConfigError("hidden_units and dropout_rates must have the same length")
-    return model_specs_from_config(
+    return classifier_specs(
         kind,
         input_size,
         hidden=hidden,
@@ -107,6 +103,19 @@ def _model_specs(cfg: RunConfig, kind: str, input_size: int, n_classes: int):
         n_classes=n_classes,
         merge_mode=cfg["merge_mode"],
     )
+
+
+def _check_model_fits(model, features, role: str = "model"):
+    """Reject a feature file whose width or labels the model cannot take."""
+    if model.input_size != features.n_features:
+        raise DataError(
+            f"{role} expects {model.input_size} features, file has {features.n_features}"
+        )
+    if features.n_trials and features.labels.max() >= model.n_classes:
+        raise DataError(
+            f"file has labels up to {features.labels.max()}, "
+            f"{role} predicts {model.n_classes} classes"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +281,7 @@ def cmd_evaluate(args) -> int:
     feat_path = _require_file(args.features)
     model = fileio.load_model(model_path)
     features = fileio.read_features(feat_path)
-    if model.input_size != features.n_features:
-        raise DataError(
-            f"model expects {model.input_size} features, file has {features.n_features}"
-        )
-    if features.n_trials and features.labels.max() >= model.n_classes:
-        raise DataError(
-            f"file has labels up to {features.labels.max()}, "
-            f"model predicts {model.n_classes} classes"
-        )
+    _check_model_fits(model, features)
     # one prediction pass; the matrix is sized by the model, so classes the
     # file lacks get a row of zeros and a default name
     y_pred = predict(model, features.data, cfg["batch_size"])
@@ -315,10 +316,7 @@ def cmd_transfer(args) -> int:
     covert_path = _require_file(args.covert)
     source = fileio.load_model(source_path)
     covert = fileio.read_features(covert_path)
-    if source.input_size != covert.n_features:
-        raise DataError(
-            f"source model expects {source.input_size} features, file has {covert.n_features}"
-        )
+    _check_model_fits(source, covert, role="source model")
     budgets = (
         [float(b) for b in args.budgets.split(",")] if args.budgets else cfg.float_list("budgets")
     )

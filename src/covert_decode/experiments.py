@@ -12,28 +12,10 @@ import numpy as np
 
 from .containers import FeatureTensor
 from .evaluation import accuracy_from_confusion, confusion_matrix, stratified_kfold
-from .network import build_model, classifier_specs
+from .network import build_model
 from .training import TrainConfig, predict, predict_models, train_model, train_models
 
 REPORT_SCHEMA = 1
-
-
-def model_specs_from_config(
-    kind: str,
-    input_size: int,
-    hidden=(512, 256),
-    dropout=(0.3, 0.2),
-    n_classes: int = 5,
-    merge_mode: str = "concat",
-):
-    return classifier_specs(
-        kind,
-        input_size,
-        hidden=tuple(hidden),
-        dropout=tuple(dropout),
-        n_classes=n_classes,
-        merge_mode=merge_mode,
-    )
 
 
 def evaluate_on(model, features: FeatureTensor, indices=None, batch_size: int = 32):

@@ -47,9 +47,7 @@ def analytic_signal(x: np.ndarray) -> AnalyticSignal:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
     if x.size < 4:
         raise ValueError(f"signal too short for the analytic transform: {x.size} < 4 samples")
-    spectrum = np.fft.fft(x) * _analytic_weights(x.size)
-    analytic = np.fft.ifft(spectrum)
-    return AnalyticSignal(real_part=x.copy(), imag_part=analytic.imag)
+    return AnalyticSignal(real_part=x.copy(), imag_part=_analytic_imag_along_time(x, axis=0))
 
 
 def _analytic_imag_along_time(x: np.ndarray, axis: int) -> np.ndarray:

@@ -21,10 +21,16 @@ Checkpoint (.rmdl):  magic "RMDL", u32 version=1, u32 JSON header length,
     JSON header (layer specs, freeze flags, rng seed), u32 parameter count,
     per parameter: u32 name length + name, u8 ndim, u32 dims, f32 data.
     Save/load round-trips are bit-exact.
+
+Readers compare every size a header declares with the bytes left in the file
+before reading, so a corrupt or hostile header raises FileFormatError rather
+than attempting a huge read.
 """
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -55,6 +61,14 @@ def _write_string(fh, text: str):
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
+    # every size comes from the file's own header: compare it with the bytes
+    # left before reading, so a corrupt size fails here instead of asking
+    # for gigabytes
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FileFormatError(
+            f"{path}: truncated while reading {what} ({n} bytes declared, {left} left)"
+        )
     raw = fh.read(n)
     if len(raw) != n:
         raise FileFormatError(f"{path}: truncated while reading {what}")
@@ -63,7 +77,11 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
 
 def _read_string(fh, path, what: str) -> str:
     (length,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{what} length"))
-    return _read_exact(fh, length, path, what).decode("utf-8")
+    raw = _read_exact(fh, length, path, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {what} is not valid UTF-8") from exc
 
 
 def _check_magic(fh, magic: bytes, path):
@@ -89,7 +107,7 @@ def write_recording(recording: EegRecording, path) -> Path:
         fh.write(struct.pack("<Q", len(recording.markers)))
         for sample, cls in recording.markers:
             fh.write(struct.pack("<QH", sample, cls))
-        fh.write(np.ascontiguousarray(recording.data, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(recording.data, dtype="<f4")))
     return path
 
 
@@ -102,10 +120,8 @@ def read_recording(path) -> EegRecording:
         (sample_rate,) = struct.unpack("<d", _read_exact(fh, 8, path, "sample_rate"))
         labels = [_read_string(fh, path, "channel label") for _ in range(n_channels)]
         (n_markers,) = struct.unpack("<Q", _read_exact(fh, 8, path, "marker count"))
-        markers = []
-        for _ in range(n_markers):
-            sample, cls = struct.unpack("<QH", _read_exact(fh, 10, path, "marker"))
-            markers.append((sample, cls))
+        raw = _read_exact(fh, 10 * n_markers, path, "markers")
+        markers = list(struct.iter_unpack("<QH", raw))
         raw = _read_exact(fh, 4 * n_channels * n_samples, path, "sample data")
         data = np.frombuffer(raw, dtype="<f4").reshape(n_channels, n_samples)
     return EegRecording(
@@ -134,8 +150,8 @@ def write_epochs(epochs: EpochSet, path) -> Path:
         fh.write(struct.pack("<I", epochs.n_classes))
         for name in epochs.class_names:
             _write_string(fh, name)
-        fh.write(np.ascontiguousarray(epochs.labels, dtype="<u2").tobytes())
-        fh.write(np.ascontiguousarray(epochs.data, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(epochs.labels, dtype="<u2")))
+        fh.write(memoryview(np.ascontiguousarray(epochs.data, dtype="<f4")))
     return path
 
 
@@ -177,8 +193,8 @@ def write_features(features: FeatureTensor, path) -> Path:
                 int(features.condition),
             )
         )
-        fh.write(np.ascontiguousarray(features.labels, dtype="<u2").tobytes())
-        fh.write(np.ascontiguousarray(features.data, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(features.labels, dtype="<u2")))
+        fh.write(memoryview(np.ascontiguousarray(features.data, dtype="<f4")))
     return path
 
 
@@ -224,7 +240,7 @@ def save_model(model: RecurrentModel, path) -> Path:
             arr32 = np.ascontiguousarray(arr, dtype="<f4")
             fh.write(struct.pack("<B", arr32.ndim))
             fh.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-            fh.write(arr32.tobytes())
+            fh.write(memoryview(arr32))
     return path
 
 
@@ -233,7 +249,11 @@ def load_model(path) -> RecurrentModel:
     with open(path, "rb") as fh:
         _check_magic(fh, MODEL_MAGIC, path)
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
-        header = json.loads(_read_exact(fh, header_len, path, "header"))
+        raw = _read_exact(fh, header_len, path, "header")
+        try:
+            header = json.loads(raw)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FileFormatError(f"{path}: header is not valid JSON") from exc
         specs = [LayerSpec.from_dict(d) for d in header["layer_specs"]]
         model = build_model(specs, seed=header["rng_seed"], dtype=np.float32)
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "parameter count"))
@@ -242,7 +262,7 @@ def load_model(path) -> RecurrentModel:
             name = _read_string(fh, path, "parameter name")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "parameter ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "parameter shape"))
-            raw = _read_exact(fh, 4 * int(np.prod(shape)), path, f"parameter {name}")
+            raw = _read_exact(fh, 4 * math.prod(shape), path, f"parameter {name}")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     expected = {name for name, _ in model.param_blocks()}
     if set(params) != expected:

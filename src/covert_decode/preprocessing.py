@@ -3,12 +3,14 @@ epoching with pre-stimulus baseline correction.
 
 The standard EEG chain here is notch (powerline), Butterworth band-pass,
 then epoching; artifact removal lives in :mod:`covert_decode.ica`.
+
+``scipy.signal`` is imported inside the functions that use it: loading it
+costs more than the rest of the package, and only ``preprocess`` needs it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .errors import EpochingError, FilterDesignError
@@ -71,6 +73,8 @@ def design_notch(center_hz: float, quality: float, sample_rate_hz: float) -> Fil
         )
     if quality <= 0:
         raise FilterDesignError(f"notch quality must be positive, got {quality}")
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.iirnotch(center_hz, quality, fs=sample_rate_hz)
     descriptor = f"notch(center={center_hz}Hz, q={quality}, fs={sample_rate_hz}Hz)"
     return _check_stable(FilterCoefficients(b, a, descriptor))
@@ -91,6 +95,8 @@ def design_butterworth_bandpass(
             f"cutoffs must satisfy 0 < low < high < {nyquist} Hz, "
             f"got low={low_hz}, high={high_hz} at fs={sample_rate_hz}"
         )
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz)
     descriptor = (
         f"butterworth_bandpass(order={order}, low={low_hz}Hz, high={high_hz}Hz, "
@@ -115,6 +121,8 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
             f"signal length {x.shape[axis]} too short for zero-phase filtering "
             f"(need > {3 * n_taps} samples for {coeffs.design_descriptor or 'this filter'})"
         )
+    from scipy import signal as sp_signal
+
     padlen = 3 * (n_taps - 1)
     sos = sp_signal.tf2sos(coeffs.numerator, coeffs.denominator)
     return sp_signal.sosfiltfilt(sos, x, axis=axis, padtype="even", padlen=padlen)

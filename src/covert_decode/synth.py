@@ -9,12 +9,14 @@ correlation, an attenuated amplitude, and extra phase jitter that shrinks as
 the correlation approaches 1 (so rho = 1 with no noise reproduces the overt
 signal exactly). Envelope shapes are smoothed random walks rather than fixed
 bumps, which keeps classes from being separable by a single template value.
+
+``scipy.ndimage`` is imported inside the smoothing function, so that importing
+the package (and every command but ``synth``) does not pay for loading it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .features import extract_features, _pearson_columns
@@ -72,6 +74,8 @@ def default_subject(
 
 
 def _smooth_standardized(rng, n: int, sigma_samples: float) -> np.ndarray:
+    from scipy.ndimage import gaussian_filter1d
+
     raw = gaussian_filter1d(rng.standard_normal(n), sigma=sigma_samples, mode="wrap")
     raw -= raw.mean()
     sd = raw.std()

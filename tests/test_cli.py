@@ -2,11 +2,15 @@
 determinism of emitted artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covert_decode
 from covert_decode import fileio
 from covert_decode.cli import main
 from covert_decode.containers import Condition, FeatureTensor
@@ -135,6 +139,58 @@ def test_train_evaluate_transfer_report(workspace):
     tables = {p.name for p in (root / "tables").iterdir()}
     assert {"accuracy_table.csv", "transfer_budgets.csv",
             "envelope_means.csv", "envelope_correlation.csv"} <= tables
+
+
+SCIPY_MODULES = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.special")
+
+# Runs covert-decode commands in a fresh interpreter and prints, after the
+# import and after each command, which of SCIPY_MODULES it has loaded.
+SCIPY_PROBE = """
+import json, sys
+from covert_decode.cli import main
+watched = json.loads(sys.argv[1])
+def loaded():
+    return [m for m in watched if m in sys.modules]
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[2]):
+    assert main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def _scipy_loaded(commands):
+    src = str(Path(covert_decode.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(SCIPY_MODULES), json.dumps(commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_commands_import_only_the_scipy_they_use(workspace, tmp_path):
+    root = workspace
+    seen = _scipy_loaded([
+        ["features", "--input", str(root / "overt.epoc"), "--out", str(tmp_path / "o.ften")],
+        ["train", "--features", str(root / "overt.ften"), "--model", "gru", "--cv", "2",
+         "--out", str(tmp_path / "train.json"), "--checkpoint", str(tmp_path / "m.rmdl"),
+         *TRAIN_OVERRIDES],
+        ["evaluate", "--model", str(tmp_path / "m.rmdl"), "--features",
+         str(root / "covert.ften"), "--out", str(tmp_path / "eval.json")],
+        ["report", "--train-report", str(tmp_path / "train.json"), "--transfer-report",
+         str(root / "transfer.json"), "--overt-features", str(root / "overt.ften"),
+         "--covert-features", str(root / "covert.ften"), "--out-dir", str(tmp_path / "t")],
+        ["validate", str(root / "overt.ften"), str(tmp_path / "m.rmdl"),
+         str(root / "data" / "synthetic_overt.eegr")],
+    ])
+    assert seen == {name: [] for name in
+                    ("import", "features", "train", "evaluate", "report", "validate")}
+    seen = _scipy_loaded([
+        ["transfer", "--source", str(root / "model.rmdl"), "--covert", str(root / "covert.ften"),
+         "--budgets", "0.3", "--seeds", "2", "--out", str(tmp_path / "transfer.json"),
+         *TRAIN_OVERRIDES, "--set", "fine_tune_max_epochs=2"],
+    ])
+    assert seen == {"import": [], "transfer": ["scipy.special"]}
 
 
 def test_report_regeneration_idempotent(workspace):
@@ -274,5 +330,18 @@ def test_evaluate_rejects_labels_beyond_model(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "3 classes" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_transfer_rejects_labels_beyond_source(tmp_path, capsys):
+    source = _gru_checkpoint(tmp_path / "three.rmdl", n_classes=3, favoured=0)
+    feats = _features_file(tmp_path / "five.ften", np.repeat(np.arange(5), 4))
+    out = tmp_path / "transfer.json"
+    code = main(["transfer", "--source", str(source), "--covert", str(feats),
+                 "--budgets", "0.3", "--seeds", "2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "source model predicts 3 classes" in err
     assert "Traceback" not in err
     assert not out.exists()

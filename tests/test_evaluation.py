@@ -142,6 +142,17 @@ class TestPairedTTest:
             expected = 2.0 * t_sf_oracle(abs(t), df)
             assert p == pytest.approx(min(expected, 1.0), abs=1e-8)
 
+    def test_p_equals_scipy_stats_bit_for_bit(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            a = rng.standard_normal(n)
+            b = a + rng.normal(rng.uniform(-2, 2), rng.uniform(0.01, 3), n)
+            t, p = paired_t_test(a, b)
+            assert p == min(2.0 * float(stats.t.sf(abs(t), df=n - 1)), 1.0)
+
     def test_zero_variance_nonzero_mean(self):
         t, p = paired_t_test([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
         assert np.isinf(t) and t > 0

@@ -8,11 +8,10 @@ from covert_decode.evaluation import accuracy_from_confusion, stratified_kfold
 from covert_decode.experiments import (
     evaluate_on,
     make_report,
-    model_specs_from_config,
     run_cv,
     train_holdout,
 )
-from covert_decode.network import build_model
+from covert_decode.network import build_model, classifier_specs
 from covert_decode.training import TrainConfig, train_model
 
 
@@ -71,8 +70,8 @@ def reference_run_cv(features, layer_specs, train_config, k, seed):
 class TestRunCv:
     def test_separable_toy_reaches_95(self):
         tensor = class_coded_tensor()
-        specs = model_specs_from_config("gru", tensor.n_features, hidden=(8,),
-                                        dropout=(0.0,), n_classes=5)
+        specs = classifier_specs("gru", tensor.n_features, hidden=(8,),
+                                 dropout=(0.0,), n_classes=5)
         fragment = run_cv(tensor, specs, FAST, k=5, seed=0)
         assert fragment["mean_accuracy"] >= 0.95
         assert len(fragment["folds"]) == 5
@@ -83,8 +82,8 @@ class TestRunCv:
         for seed in range(5):
             tensor = class_coded_tensor(seed=seed)
             tensor.labels = rng.permutation(tensor.labels)
-            specs = model_specs_from_config("gru", tensor.n_features, hidden=(6,),
-                                            dropout=(0.0,), n_classes=5)
+            specs = classifier_specs("gru", tensor.n_features, hidden=(6,),
+                                     dropout=(0.0,), n_classes=5)
             config = TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=6,
                                  validation_fraction=0.0)
             fragment = run_cv(tensor, specs, config, k=5, seed=seed)
@@ -93,8 +92,8 @@ class TestRunCv:
 
     def test_fold_accuracy_consistent_with_confusion(self):
         tensor = class_coded_tensor(n_per_class=6)
-        specs = model_specs_from_config("lstm", tensor.n_features, hidden=(6,),
-                                        dropout=(0.0,), n_classes=5)
+        specs = classifier_specs("lstm", tensor.n_features, hidden=(6,),
+                                 dropout=(0.0,), n_classes=5)
         config = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2,
                              validation_fraction=0.0)
         fragment = run_cv(tensor, specs, config, k=3, seed=2)
@@ -107,8 +106,8 @@ class TestRunCv:
 
     def test_deterministic(self):
         tensor = class_coded_tensor(n_per_class=6)
-        specs = model_specs_from_config("gru", tensor.n_features, hidden=(5,),
-                                        dropout=(0.1,), n_classes=5)
+        specs = classifier_specs("gru", tensor.n_features, hidden=(5,),
+                                 dropout=(0.1,), n_classes=5)
         config = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=2,
                              validation_fraction=0.0)
         a = run_cv(tensor, specs, config, k=3, seed=7)
@@ -122,8 +121,8 @@ class TestRunCv:
         # validation split with early stopping in every fold
         tensor = class_coded_tensor(n_per_class=8, t_len=6, seed=3)
         tensor.data, tensor.labels = tensor.data[:37], tensor.labels[:37]
-        specs = model_specs_from_config(kind, tensor.n_features, hidden=(5, 4),
-                                        dropout=(0.2, 0.1), n_classes=5)
+        specs = classifier_specs(kind, tensor.n_features, hidden=(5, 4),
+                                 dropout=(0.2, 0.1), n_classes=5)
         config = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=8, patience=2,
                              validation_fraction=0.2)
         fragment = run_cv(tensor, specs, config, k=4, seed=5)
@@ -133,8 +132,8 @@ class TestRunCv:
 class TestTrainHoldout:
     def test_fragment_shape(self):
         tensor = class_coded_tensor()
-        specs = model_specs_from_config("gru", tensor.n_features, hidden=(8,),
-                                        dropout=(0.0,), n_classes=5)
+        specs = classifier_specs("gru", tensor.n_features, hidden=(8,),
+                                 dropout=(0.0,), n_classes=5)
         model, fragment = train_holdout(tensor, specs, FAST, test_fraction=0.2, seed=1)
         assert fragment["n_train"] == 40 and fragment["n_test"] == 10
         assert 0.0 <= fragment["holdout_accuracy"] <= 1.0

@@ -76,6 +76,20 @@ class TestAnalyticSignal:
         negative = spectrum[101:]
         assert np.abs(negative).max() / np.abs(spectrum).max() < 1e-9
 
+    @pytest.mark.parametrize("n", [4, 5, 128, 129, 1000])
+    def test_matches_frozen_fft_path(self, n):
+        # the 1-D transform before it shared the batched helper
+        x = np.random.default_rng(n).standard_normal(n)
+        w = np.zeros(n)
+        w[0] = 1.0
+        if n % 2 == 0:
+            w[1 : n // 2] = 2.0
+            w[n // 2] = 1.0
+        else:
+            w[1 : (n + 1) // 2] = 2.0
+        expected = np.fft.ifft(np.fft.fft(x) * w).imag
+        np.testing.assert_array_equal(analytic_signal(x).imag_part, expected)
+
     def test_real_part_is_input(self):
         x = np.random.default_rng(6).standard_normal(50)
         np.testing.assert_array_equal(analytic_signal(x).real_part, x)

@@ -1,9 +1,13 @@
 """Binary format round trips and tamper detection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from covert_decode import fileio
+from covert_decode.cli import main
 from covert_decode.containers import Condition, EegRecording, EpochSet, FeatureTensor
 from covert_decode.errors import FileFormatError
 from covert_decode.network import build_model, classifier_specs
@@ -40,10 +44,59 @@ def sample_features():
     )
 
 
+# Reference writers: every format as it was written with ``tobytes()`` copies
+# of each payload. The writers must keep producing exactly these bytes.
+
+
+def _ref_string(text):
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def reference_recording_bytes(rec):
+    out = b"EEGR" + struct.pack("<II", 1, rec.n_channels) + struct.pack("<Q", rec.n_samples)
+    out += struct.pack("<d", float(rec.sample_rate_hz))
+    out += b"".join(_ref_string(label) for label in rec.channel_labels)
+    out += struct.pack("<Q", len(rec.markers))
+    out += b"".join(struct.pack("<QH", s, c) for s, c in rec.markers)
+    return out + np.ascontiguousarray(rec.data, dtype="<f4").tobytes()
+
+
+def reference_epochs_bytes(epochs):
+    out = b"EPOC" + struct.pack("<IIIIB", 1, epochs.n_trials, epochs.n_timesteps,
+                                epochs.n_channels, int(epochs.condition))
+    out += struct.pack("<d", float(epochs.sample_rate_hz)) + struct.pack("<I", epochs.n_classes)
+    out += b"".join(_ref_string(name) for name in epochs.class_names)
+    out += np.ascontiguousarray(epochs.labels, dtype="<u2").tobytes()
+    return out + np.ascontiguousarray(epochs.data, dtype="<f4").tobytes()
+
+
+def reference_features_bytes(features):
+    out = b"FTEN" + struct.pack("<IIIIB", 1, features.n_trials, features.n_timesteps,
+                                features.n_features, int(features.condition))
+    out += np.ascontiguousarray(features.labels, dtype="<u2").tobytes()
+    return out + np.ascontiguousarray(features.data, dtype="<f4").tobytes()
+
+
+def reference_model_bytes(model):
+    header = {"layer_specs": [spec.to_dict() for spec in model.specs],
+              "freeze_flags": model.freeze_flags(), "rng_seed": model.rng_seed}
+    header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    blocks = model.param_blocks()
+    out = b"RMDL" + struct.pack("<II", 1, len(header_raw)) + header_raw
+    out += struct.pack("<I", len(blocks))
+    for name, arr in blocks:
+        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        out += _ref_string(name) + struct.pack("<B", arr32.ndim)
+        out += struct.pack(f"<{arr32.ndim}I", *arr32.shape) + arr32.tobytes()
+    return out
+
+
 class TestRecordingFormat:
     def test_round_trip(self, tmp_path):
         rec = sample_recording()
         path = fileio.write_recording(rec, tmp_path / "r.eegr")
+        assert path.read_bytes() == reference_recording_bytes(rec)
         loaded = fileio.read_recording(path)
         np.testing.assert_array_equal(loaded.data, rec.data)
         assert loaded.sample_rate_hz == rec.sample_rate_hz
@@ -80,7 +133,9 @@ class TestRecordingFormat:
 class TestEpochsFormat:
     def test_round_trip(self, tmp_path):
         epochs = sample_epochs()
-        loaded = fileio.read_epochs(fileio.write_epochs(epochs, tmp_path / "e.epoc"))
+        path = fileio.write_epochs(epochs, tmp_path / "e.epoc")
+        assert path.read_bytes() == reference_epochs_bytes(epochs)
+        loaded = fileio.read_epochs(path)
         np.testing.assert_array_equal(loaded.data, epochs.data)
         np.testing.assert_array_equal(loaded.labels, epochs.labels)
         assert loaded.condition == Condition.COVERT
@@ -91,7 +146,9 @@ class TestEpochsFormat:
 class TestFeatureFormat:
     def test_round_trip(self, tmp_path):
         tensor = sample_features()
-        loaded = fileio.read_features(fileio.write_features(tensor, tmp_path / "f.ften"))
+        path = fileio.write_features(tensor, tmp_path / "f.ften")
+        assert path.read_bytes() == reference_features_bytes(tensor)
+        loaded = fileio.read_features(path)
         np.testing.assert_array_equal(loaded.data, tensor.data)
         np.testing.assert_array_equal(loaded.labels, tensor.labels)
         assert loaded.condition == Condition.OVERT
@@ -116,6 +173,7 @@ class TestModelCheckpoint:
         model = build_model(specs, seed=11)
         model.set_frozen(0, True)
         p1 = fileio.save_model(model, tmp_path / "m1.rmdl")
+        assert p1.read_bytes() == reference_model_bytes(model)
         loaded = fileio.load_model(p1)
         p2 = fileio.save_model(loaded, tmp_path / "m2.rmdl")
         assert p1.read_bytes() == p2.read_bytes()
@@ -139,6 +197,74 @@ class TestModelCheckpoint:
         path.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(FileFormatError):
             fileio.load_model(path)
+
+
+def _sample_files(tmp_path):
+    model = build_model(classifier_specs("gru", 6, hidden=(3,), dropout=(0.0,), n_classes=3),
+                        seed=0)
+    return {
+        ".eegr": (fileio.write_recording(sample_recording(), tmp_path / "s.eegr"),
+                  fileio.read_recording),
+        ".epoc": (fileio.write_epochs(sample_epochs(), tmp_path / "s.epoc"),
+                  fileio.read_epochs),
+        ".ften": (fileio.write_features(sample_features(), tmp_path / "s.ften"),
+                  fileio.read_features),
+        ".rmdl": (fileio.save_model(model, tmp_path / "s.rmdl"), fileio.load_model),
+    }
+
+
+def _rmdl_offset(raw, field):
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    count = 12 + header_len
+    (name_len,) = struct.unpack_from("<I", raw, count + 4)
+    ndim = count + 8 + name_len
+    return {"header length": 8, "parameter count": count, "parameter name length": count + 4,
+            "parameter ndim": ndim, "parameter dim": ndim + 1}[field]
+
+
+# (suffix, size field, byte offset in the sample file, struct code); the
+# checkpoint's offsets depend on its JSON header and are looked up
+SIZE_FIELDS = [
+    (".eegr", "n_channels", 8, "<I"),
+    (".eegr", "n_samples", 12, "<Q"),
+    (".eegr", "channel label length", 28, "<I"),
+    (".eegr", "marker count", 46, "<Q"),
+    (".epoc", "n_trials", 8, "<I"),
+    (".epoc", "n_timesteps", 12, "<I"),
+    (".epoc", "n_channels", 16, "<I"),
+    (".epoc", "class count", 29, "<I"),
+    (".epoc", "class name length", 33, "<I"),
+    (".ften", "n_trials", 8, "<I"),
+    (".ften", "n_timesteps", 12, "<I"),
+    (".ften", "n_features", 16, "<I"),
+    (".rmdl", "header length", None, "<I"),
+    (".rmdl", "parameter count", None, "<I"),
+    (".rmdl", "parameter name length", None, "<I"),
+    (".rmdl", "parameter ndim", None, "<B"),
+    (".rmdl", "parameter dim", None, "<I"),
+]
+
+
+class TestInflatedSizeFields:
+    @pytest.mark.parametrize("how", ["max", "within_file", "plus_one"])
+    @pytest.mark.parametrize("suffix,field,offset,code", SIZE_FIELDS,
+                             ids=[f"{s[1:]}-{f}" for s, f, _, _ in SIZE_FIELDS])
+    def test_only_file_format_error_escapes(self, tmp_path, suffix, field, offset, code,
+                                            how):
+        path, reader = _sample_files(tmp_path)[suffix]
+        raw = bytearray(path.read_bytes())
+        if offset is None:
+            offset = _rmdl_offset(raw, field)
+        width = struct.calcsize(code)
+        (old,) = struct.unpack_from(code, raw, offset)
+        top = 2 ** (8 * width) - 1
+        value = {"max": top, "within_file": min(top, old + (len(raw) - offset) // 3),
+                 "plus_one": old + 1}[how]
+        struct.pack_into(code, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError):
+            reader(path)
+        assert main(["validate", str(path)]) == 3
 
 
 class TestJsonHelpers:
