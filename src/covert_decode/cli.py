@@ -106,12 +106,15 @@ def _model_specs(cfg: RunConfig, kind: str, input_size: int, n_classes: int):
 
 
 def _check_model_fits(model, features, role: str = "model"):
-    """Reject a feature file whose width or labels the model cannot take."""
+    """Reject a feature file whose width or labels the model cannot take, or
+    that holds no trials to evaluate."""
+    if not features.n_trials:
+        raise DataError("feature file holds no trials")
     if model.input_size != features.n_features:
         raise DataError(
             f"{role} expects {model.input_size} features, file has {features.n_features}"
         )
-    if features.n_trials and features.labels.max() >= model.n_classes:
+    if features.labels.max() >= model.n_classes:
         raise DataError(
             f"file has labels up to {features.labels.max()}, "
             f"{role} predicts {model.n_classes} classes"

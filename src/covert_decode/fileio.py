@@ -124,12 +124,15 @@ def read_recording(path) -> EegRecording:
         markers = list(struct.iter_unpack("<QH", raw))
         raw = _read_exact(fh, 4 * n_channels * n_samples, path, "sample data")
         data = np.frombuffer(raw, dtype="<f4").reshape(n_channels, n_samples)
-    return EegRecording(
-        data=data.astype(np.float64),
-        sample_rate_hz=sample_rate,
-        channel_labels=labels,
-        markers=markers,
-    )
+    try:
+        return EegRecording(
+            data=data.astype(np.float64),
+            sample_rate_hz=sample_rate,
+            channel_labels=labels,
+            markers=markers,
+        )
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_epochs(epochs: EpochSet, path) -> Path:
@@ -170,13 +173,16 @@ def read_epochs(path) -> EpochSet:
         ).astype(np.int64)
         raw = _read_exact(fh, 4 * n_trials * n_timesteps * n_channels, path, "epoch data")
         data = np.frombuffer(raw, dtype="<f4").reshape(n_trials, n_timesteps, n_channels)
-    return EpochSet(
-        data=data.astype(np.float64),
-        labels=labels,
-        condition=Condition(condition),
-        sample_rate_hz=sample_rate,
-        class_names=class_names,
-    )
+    try:
+        return EpochSet(
+            data=data.astype(np.float64),
+            labels=labels,
+            condition=Condition(condition),
+            sample_rate_hz=sample_rate,
+            class_names=class_names,
+        )
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_features(features: FeatureTensor, path) -> Path:
@@ -211,12 +217,15 @@ def read_features(path) -> FeatureTensor:
         raw = _read_exact(fh, 4 * n_trials * n_timesteps * n_features, path, "feature data")
         data = np.frombuffer(raw, dtype="<f4").reshape(n_trials, n_timesteps, n_features)
     n_classes = int(labels.max()) + 1 if n_trials else 1
-    return FeatureTensor(
-        data=np.array(data, dtype=np.float32),
-        labels=labels,
-        condition=Condition(condition),
-        class_names=default_class_names(n_classes),
-    )
+    try:
+        return FeatureTensor(
+            data=np.array(data, dtype=np.float32),
+            labels=labels,
+            condition=Condition(condition),
+            class_names=default_class_names(n_classes),
+        )
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def save_model(model: RecurrentModel, path) -> Path:
@@ -254,8 +263,16 @@ def load_model(path) -> RecurrentModel:
             header = json.loads(raw)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise FileFormatError(f"{path}: header is not valid JSON") from exc
-        specs = [LayerSpec.from_dict(d) for d in header["layer_specs"]]
-        model = build_model(specs, seed=header["rng_seed"], dtype=np.float32)
+        try:
+            specs = [LayerSpec.from_dict(d) for d in header["layer_specs"]]
+            model = build_model(specs, seed=header["rng_seed"], dtype=np.float32)
+            freeze_flags = [bool(flag) for flag in header["freeze_flags"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FileFormatError(f"{path}: header does not describe a model ({exc!r})") from exc
+        if len(freeze_flags) != len(specs):
+            raise FileFormatError(
+                f"{path}: {len(freeze_flags)} freeze flags for {len(specs)} layers"
+            )
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "parameter count"))
         params = {}
         for _ in range(n_blocks):
@@ -274,9 +291,9 @@ def load_model(path) -> RecurrentModel:
                 f"expected {arr.shape}"
             )
         arr[...] = params[name]
-    for i, frozen in enumerate(header["freeze_flags"]):
-        if model.layers[i] is not None:
-            model.layers[i].frozen = bool(frozen)
+    for layer, frozen in zip(model.layers, freeze_flags):
+        if layer is not None:
+            layer.frozen = frozen
     return model
 
 

@@ -17,6 +17,15 @@ several models of one architecture, each with its own batch of one shared
 shape, advance through one scan (``forward_models``/``backward_models``).
 Every per-slot GEMM, reduction and RNG draw keeps its one-model shape and
 order, so a stacked pass is bit-identical to running the models one by one.
+
+Scan buffers:
+  gate buffer    (slots, T, B, G*H), slot-major: each slot's slab is one
+                 contiguous (T*B, G*H) matrix, so its input projection is
+                 one GEMM written in place and its weight gradients read
+                 it as a view; step t of every slot is ``zx[:, t]``
+  states         (T, slots, B, H)
+  eval passes    project their inputs EVAL_BLOCK_BYTES of gates at a time
+                 into one reused block and keep only the state sequence
 """
 
 import copy
@@ -41,6 +50,12 @@ def sigmoid(x, out=None):
     return out
 
 RECURRENT_KINDS = ("lstm", "gru", "bilstm", "bigru")
+
+# target size of one block of eval-mode input projections (every slot's gate
+# pre-activations): an eval pass projects at most this many bytes of
+# timesteps at a time, instead of the whole sequence, unless one timestep
+# alone is larger
+EVAL_BLOCK_BYTES = 4 * 2**20
 LAYER_KINDS = RECURRENT_KINDS + ("dense", "dropout", "softmax")
 
 
@@ -275,6 +290,17 @@ class RecurrentLayer(_ParamLayer):
     elementwise math does not depend on array length, so a stacked pass is
     bit-identical to separate passes. ``forward`` and ``backward`` are the
     one-layer case.
+
+    Input projections (:func:`_input_projections`) are computed up front,
+    one GEMM per slot from a D-wide time-major copy of the inputs, straight
+    into the slot's slab of the gate buffer. A training pass projects the
+    whole sequence, which its cache keeps; an eval pass projects blocks of
+    at most EVAL_BLOCK_BYTES each, so it holds its state sequence plus one
+    block and no T-long gate buffer. The GEMM rows
+    are ordered and grouped differently from a whole-sequence projection,
+    but BLAS gives each row of a GEMM the same bits whatever the row count
+    (only a lone row, computed as a GEMV, rounds differently, and no block
+    has one unless the whole pass has one), so the outputs do not change.
     """
 
     def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
@@ -315,24 +341,16 @@ class RecurrentLayer(_ParamLayer):
         xs = [np.ascontiguousarray(x, dtype=head.dtype) for x in xs]
         if any(x.shape != xs[0].shape for x in xs):
             raise ValueError("stacked layers need inputs of one shape")
-        n_batch, n_time, d_in = xs[0].shape
+        n_batch, n_time = xs[0].shape[:2]
         n_dir = head.n_dir
-        gh = head.n_gates * head.spec.size
-
-        # input projections: one GEMM per slot, written into the time-major
-        # scan buffer
-        zx = np.empty((n_time, len(layers) * n_dir, n_batch, gh), dtype=head.dtype)
-        for m, (layer, x) in enumerate(zip(layers, xs)):
-            flat = x.reshape(-1, d_in)
-            for d, direction in enumerate(layer.directions):
-                proj = flat @ layer.params[f"{direction}_wx"] + layer.params[f"{direction}_b"]
-                proj = proj.reshape(n_batch, n_time, gh)
-                if direction == "bw":
-                    proj = proj[:, ::-1]
-                zx[:, m * n_dir + d] = proj.transpose(1, 0, 2)
-
         wh = np.stack([layer.params[f"{d}_wh"] for layer in layers for d in layer.directions])
-        h_stack, scan = head._scan(zx, wh, keep_cache=training)
+        if training:
+            steps = n_time
+        else:
+            step_bytes = wh.shape[0] * n_batch * wh.shape[2] * head.dtype.itemsize
+            steps = EVAL_BLOCK_BYTES // max(1, step_bytes)
+        blocks = _input_projections(layers, xs, max(1, steps))
+        h_stack, scan = head._scan(blocks, wh, n_time, n_batch, keep_cache=training)
         outputs = []
         for m, (layer, x) in enumerate(zip(layers, xs)):
             outputs.append(layer._merge(h_stack[:, m * n_dir : (m + 1) * n_dir]))
@@ -356,44 +374,47 @@ class RecurrentLayer(_ParamLayer):
             return np.concatenate([fw, bw], axis=-1)
         return fw + bw
 
-    def _scan(self, zx, wh, keep_cache: bool):
-        # zx is (T, slots, B, G*H), wh (slots, H, G*H). Each step's gate
-        # activations overwrite that step's input projections in zx, which
-        # the training cache keeps as "act". keep_cache=False (inference)
-        # rotates small per-step buffers instead of materializing T-length
-        # state stacks; only the state sequence itself is kept
-        n_time, n_slots, n_batch = zx.shape[:3]
+    def _scan(self, blocks, wh, n_time, n_batch, keep_cache: bool):
+        # blocks yields (t0, zx): the input projections of scan steps t0,
+        # t0 + 1, ... as (slots, steps, B, G*H), see _input_projections; wh
+        # is (slots, H, G*H). Each step's gate activations overwrite that
+        # step's input projections in zx. In training the one block spans
+        # the whole sequence and the cache keeps it as "act"; inference
+        # (keep_cache=False) rotates small per-step buffers instead of
+        # materializing T-length state stacks, so only the state sequence
+        # itself and one block of projections are held
         h_size = self.spec.size
-        state_shape = (n_slots, n_batch, h_size)
+        state_shape = (wh.shape[0], n_batch, h_size)
         h = np.zeros(state_shape, dtype=self.dtype)
         h_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
         tmp = np.empty(state_shape, dtype=self.dtype)
         if self.cell == "lstm":
             three = 3 * h_size
-            hw = np.empty(zx.shape[1:], dtype=self.dtype)
+            hw = np.empty(state_shape[:2] + (wh.shape[2],), dtype=self.dtype)
             tc = np.empty(state_shape, dtype=self.dtype)
             if keep_cache:
                 c_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
             else:
                 c_spare = np.empty(state_shape, dtype=self.dtype)
             c = np.zeros(state_shape, dtype=self.dtype)
-            for t in range(n_time):
-                z = zx[t]
-                np.matmul(h, wh, out=hw)
-                z += hw
-                sigmoid(z[..., :three], out=z[..., :three])
-                np.tanh(z[..., three:], out=z[..., three:])
-                c_new = c_stack[t] if keep_cache else c_spare
-                np.multiply(z[..., h_size : 2 * h_size], c, out=c_new)  # f * c_prev
-                np.multiply(z[..., :h_size], z[..., three:], out=tmp)  # i * g
-                c_new += tmp
-                np.tanh(c_new, out=tc)
-                h = h_stack[t]
-                np.multiply(z[..., 2 * h_size : three], tc, out=h)  # o * tanh(c)
-                if keep_cache:
-                    c = c_new
-                else:
-                    c, c_spare = c_new, c
+            for t0, zx in blocks:
+                for t in range(t0, t0 + zx.shape[1]):
+                    z = zx[:, t - t0]
+                    np.matmul(h, wh, out=hw)
+                    z += hw
+                    sigmoid(z[..., :three], out=z[..., :three])
+                    np.tanh(z[..., three:], out=z[..., three:])
+                    c_new = c_stack[t] if keep_cache else c_spare
+                    np.multiply(z[..., h_size : 2 * h_size], c, out=c_new)  # f * c_prev
+                    np.multiply(z[..., :h_size], z[..., three:], out=tmp)  # i * g
+                    c_new += tmp
+                    np.tanh(c_new, out=tc)
+                    h = h_stack[t]
+                    np.multiply(z[..., 2 * h_size : three], tc, out=h)  # o * tanh(c)
+                    if keep_cache:
+                        c = c_new
+                    else:
+                        c, c_spare = c_new, c
             if not keep_cache:
                 return h_stack, {}
             return h_stack, {"wh": wh, "h": h_stack, "act": zx, "c": c_stack}
@@ -404,25 +425,27 @@ class RecurrentLayer(_ParamLayer):
             rh_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
         else:
             rh_buf = np.empty(state_shape, dtype=self.dtype)
-        zr_buf = np.empty((n_slots, n_batch, two), dtype=self.dtype)
+        zr_buf = np.empty(state_shape[:2] + (two,), dtype=self.dtype)
         n_buf = np.empty(state_shape, dtype=self.dtype)
-        for t in range(n_time):
-            np.matmul(h, wh_zr, out=zr_buf)
-            np.add(zr_buf, zx[t][..., :two], out=zr_buf)
-            sigmoid(zr_buf, out=zr_buf)
-            rh = rh_stack[t] if keep_cache else rh_buf
-            np.multiply(zr_buf[..., h_size:], h, out=rh)  # r * h_prev
-            np.matmul(rh, wh_n, out=n_buf)
-            n_buf += zx[t][..., two:]
-            np.tanh(n_buf, out=n_buf)
-            if keep_cache:
-                zx[t][..., :two] = zr_buf
-                zx[t][..., two:] = n_buf
-            h_new = h_stack[t]
-            np.subtract(n_buf, h, out=tmp)
-            tmp *= zr_buf[..., :h_size]
-            np.add(h, tmp, out=h_new)  # h + z * (n - h_prev)
-            h = h_new
+        for t0, zx in blocks:
+            for t in range(t0, t0 + zx.shape[1]):
+                z = zx[:, t - t0]
+                np.matmul(h, wh_zr, out=zr_buf)
+                np.add(zr_buf, z[..., :two], out=zr_buf)
+                sigmoid(zr_buf, out=zr_buf)
+                rh = rh_stack[t] if keep_cache else rh_buf
+                np.multiply(zr_buf[..., h_size:], h, out=rh)  # r * h_prev
+                np.matmul(rh, wh_n, out=n_buf)
+                n_buf += z[..., two:]
+                np.tanh(n_buf, out=n_buf)
+                if keep_cache:
+                    z[..., :two] = zr_buf
+                    z[..., two:] = n_buf
+                h_new = h_stack[t]
+                np.subtract(n_buf, h, out=tmp)
+                tmp *= zr_buf[..., :h_size]
+                np.add(h, tmp, out=h_new)  # h + z * (n - h_prev)
+                h = h_new
         if not keep_cache:
             return h_stack, {}
         return h_stack, {"wh": wh, "h": h_stack, "act": zx, "rh": rh_stack}
@@ -490,7 +513,7 @@ class RecurrentLayer(_ParamLayer):
         dx = np.zeros_like(x) if need_input_grad else None
         for d, direction in enumerate(self.directions):
             slot = m * self.n_dir + d
-            dz_flat = np.ascontiguousarray(dz[:, slot]).reshape(-1, dz.shape[-1])
+            dz_flat = dz[slot].reshape(-1, dz.shape[-1])  # (T*B, G*H) view
             if need_input_grad:
                 wx = self.params[f"{direction}_wx"]
                 dx_d = (dz_flat @ wx.T).reshape(n_time, n_batch, -1).transpose(1, 0, 2)
@@ -517,14 +540,14 @@ class RecurrentLayer(_ParamLayer):
     def _scan_backward(self, cache, dh_out):
         # each step's gate gradients overwrite that step's activations in
         # the cached "act" buffer, read from a one-step copy; returns that
-        # buffer, now holding the gate gradients dz (T, slots, B, G*H)
+        # buffer, now holding the gate gradients dz (slots, T, B, G*H)
         h_stack = cache["h"]
         n_time = h_stack.shape[0]
         h_size = self.spec.size
         state_shape = h_stack.shape[1:]
         wh = cache["wh"]
         dz = cache["act"]
-        a = np.empty(dz.shape[1:], dtype=self.dtype)
+        a = np.empty(dz[:, 0].shape, dtype=self.dtype)
         dh_next = np.zeros(state_shape, dtype=self.dtype)
         tmp = np.empty(state_shape, dtype=self.dtype)
 
@@ -541,24 +564,25 @@ class RecurrentLayer(_ParamLayer):
             for t in range(n_time - 1, -1, -1):
                 dh = dh_out[t]
                 dh += dh_next
-                np.copyto(a, dz[t])
+                dzt = dz[:, t]
+                np.copyto(a, dzt)
                 np.tanh(c_stack[t], out=tc)  # recomputed: cheaper than a T-long stack
                 np.multiply(tc, tc, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 tmp *= dh
                 tmp *= o
                 dc += tmp
-                zo = dz[t, ..., 2 * h_size : three]
+                zo = dzt[..., 2 * h_size : three]
                 np.subtract(1.0, o, out=zo)
                 zo *= o
                 zo *= dh
                 zo *= tc
-                zi = dz[t, ..., :h_size]
+                zi = dzt[..., :h_size]
                 np.subtract(1.0, i, out=zi)
                 zi *= i
                 zi *= dc
                 zi *= g
-                zf = dz[t, ..., h_size : 2 * h_size]
+                zf = dzt[..., h_size : 2 * h_size]
                 if t > 0:
                     np.subtract(1.0, f, out=zf)
                     zf *= f
@@ -566,12 +590,12 @@ class RecurrentLayer(_ParamLayer):
                     zf *= c_stack[t - 1]
                 else:
                     zf[...] = 0.0  # c_prev at t=0 is zero
-                zg = dz[t, ..., three:]
+                zg = dzt[..., three:]
                 np.multiply(g, g, out=zg)
                 np.subtract(1.0, zg, out=zg)
                 zg *= dc
                 zg *= i
-                np.matmul(dz[t], wh_t, out=dh_next)
+                np.matmul(dzt, wh_t, out=dh_next)
                 dc *= f
             return dz
 
@@ -587,15 +611,16 @@ class RecurrentLayer(_ParamLayer):
         for t in range(n_time - 1, -1, -1):
             dh = dh_out[t]
             dh += dh_next
-            np.copyto(a, dz[t])
+            dzt = dz[:, t]
+            np.copyto(a, dzt)
             hp = h_stack[t - 1] if t > 0 else zeros_h
-            dzp = dz[t, ..., :h_size]
+            dzp = dzt[..., :h_size]
             np.subtract(n, hp, out=dzp)
             dzp *= dh
             np.subtract(1.0, z, out=tmp)
             dzp *= tmp
             dzp *= z
-            dan = dz[t, ..., two:]
+            dan = dzt[..., two:]
             np.multiply(n, n, out=dan)
             np.subtract(1.0, dan, out=dan)
             dan *= dh
@@ -605,14 +630,53 @@ class RecurrentLayer(_ParamLayer):
             np.multiply(tmp2, r, out=tmp)
             dh_acc += tmp
             np.multiply(tmp2, hp, out=tmp)  # dr
-            dzr = dz[t, ..., h_size:two]
+            dzr = dzt[..., h_size:two]
             np.subtract(1.0, r, out=dzr)
             dzr *= r
             dzr *= tmp
-            np.matmul(dz[t, ..., :two], wh_zr_t, out=tmp)
+            np.matmul(dzt[..., :two], wh_zr_t, out=tmp)
             dh_acc += tmp
             dh_next, dh_acc = dh_acc, dh_next
         return dz
+
+
+def _input_projections(layers, xs, steps):
+    """Yield ``(t0, zx)`` blocks of the input projections ``x @ wx + b``.
+
+    ``zx`` is (slots, n, B, G*H): scan steps t0 .. t0 + n - 1 of every slot.
+    The sequence is cut evenly into as few blocks of at most ``steps`` scan
+    steps as it allows, but never into blocks whose GEMMs would have a
+    single row: BLAS computes those as a GEMV, which rounds differently from
+    the GEMM of a longer pass. Each slot's slab is one GEMM written in place
+    from a time-major copy of the block's inputs (time-reversed for the
+    backward direction), which is D wide; the bias is then added in place.
+    One buffer serves every block, so a block must be consumed before the
+    next is asked for.
+    """
+    head = layers[0]
+    n_batch, n_time, d_in = xs[0].shape
+    gh = head.n_gates * head.spec.size
+    n_blocks = max(1, min(-(-n_time // steps), n_time * n_batch // 2))
+    bounds = [n_time * i // n_blocks for i in range(n_blocks + 1)]
+    longest = -(-n_time // n_blocks)
+    zx = np.empty((len(layers) * head.n_dir, longest, n_batch, gh), dtype=head.dtype)
+    x_t = np.empty((longest, n_batch, d_in), dtype=head.dtype)
+    for t0, t1 in zip(bounds, bounds[1:]):
+        n = t1 - t0
+        seq = x_t[:n]
+        slot = 0
+        for layer, x in zip(layers, xs):
+            for direction in layer.directions:
+                if direction == "fw":
+                    np.copyto(seq, x[:, t0:t1].transpose(1, 0, 2))
+                else:
+                    np.copyto(seq, x[:, n_time - t1 : n_time - t0].transpose(1, 0, 2)[::-1])
+                slab = zx[slot, :n]
+                np.matmul(seq.reshape(-1, d_in), layer.params[f"{direction}_wx"],
+                          out=slab.reshape(-1, gh))
+                slab += layer.params[f"{direction}_b"]
+                slot += 1
+        yield t0, zx[:, :n]
 
 
 def _shifted_states(h):
@@ -758,21 +822,22 @@ class RecurrentModel:
         return digest.hexdigest()
 
 
-def forward_models(models, xs, training: bool = False, rngs=None):
+def forward_models(models, xs, training: bool = False, rngs=None, upto=None):
     """Class probabilities of models of one architecture, one batch each.
 
     The models' recurrent layers share one scan per layer
     (:meth:`RecurrentLayer.forward_slots`); dense layers, dropout masks and
     softmax stay per model, and ``rngs`` holds one dropout generator per
     model. The batches must share one shape. A lone model goes through each
-    layer's own ``forward``.
+    layer's own ``forward``. With ``upto``, only the layers below that index
+    run, and their output is returned instead of the probabilities.
     """
     if rngs is None:
         rngs = [None] * len(models)
     outs = [np.asarray(x, dtype=model.dtype) for model, x in zip(models, xs)]
     for model in models:
         model._masks = {}
-    for i, spec in enumerate(models[0].specs):
+    for i, spec in enumerate(models[0].specs[:upto]):
         layers = [model.layers[i] for model in models]
         if spec.kind == "softmax":
             outs = [softmax(out) for out in outs]

@@ -8,6 +8,14 @@ of trials share one stacked forward/backward pass over the network's slot
 axis (see ``network.RecurrentLayer``). A partial last batch runs in its own
 group and stopped fits drop out; nothing is padded, so every fit ends
 bit-identical to training it alone. ``train_model`` is the one-fit case.
+
+Evaluation (``predict``, ``predict_proba``, ``predict_models``,
+``evaluate_accuracy``, validation and ``transfer.head_input_features``) cuts
+each model's trials into chunks of its batch size and runs up to
+``_merge_cap`` consecutive full chunks of one model as one scan, stacked on
+the batch axis: as many as keep the pass within one training step's scan
+buffers (7 for LSTM, 6 for GRU). The partial last chunk runs alone. The
+outputs equal those of one pass per chunk.
 """
 
 from dataclasses import dataclass, field
@@ -94,23 +102,50 @@ def predict_models(models, x, subsets, batch_size: int = 32):
     trials ``x[subsets[i]]``.
 
     Equal to ``[predict(m, x[s], batch_size) for m, s in zip(models, subsets)]``:
-    the chunks are the same, and at each chunk the models whose chunks hold
-    equally many trials share one eval-mode pass.
+    the chunks are the same, and the models whose eval pieces hold equally
+    many trials share one eval-mode pass (see :func:`_predict_proba_models`).
     """
     probs = _predict_proba_models(models, np.asarray(x), subsets, batch_size)
     return [p.argmax(axis=1) for p in probs]
 
 
-def _predict_proba_models(models, x, subsets, batch_size):
-    chunks = [[] for _ in models]
-    for start in range(0, max(len(rows) for rows in subsets), batch_size):
-        pending = [j for j, rows in enumerate(subsets) if start < len(rows)]
-        sizes = [min(batch_size, len(subsets[j]) - start) for j in pending]
-        for group in _stack_groups(pending, sizes, models[0], x.shape[1], keep_cache=False):
-            batch = [x[subsets[j][start : start + batch_size]] for j in group]
-            for j, probs in zip(group, forward_models([models[j] for j in group], batch)):
-                chunks[j].append(probs)
-    return [np.concatenate(c, axis=0) for c in chunks]
+def _predict_proba_models(models, x, subsets, batch_size, upto=None):
+    """Eval-mode probabilities of each model ``i`` on ``x[subsets[i]]``, or
+    with ``upto`` the activations entering layer ``upto``.
+
+    Each model's trials are cut into chunks of ``batch_size``. Up to
+    :func:`_merge_cap` consecutive full chunks of one model run as one pass,
+    stacked on the batch axis; the partial last chunk runs alone. At each
+    pass the models whose pieces hold equally many trials share one scan,
+    in groups capped by STACK_BUDGET_BYTES. A GEMM gives each row the same
+    bits whatever its row count (one row excepted, which BLAS rounds as a
+    GEMV: a one-trial chunk is never merged), so the outputs equal those of
+    running every chunk alone.
+    """
+    head, n_time = models[0], x.shape[1]
+    span = _merge_cap(head, batch_size, n_time) * batch_size
+    outs = [[] for _ in models]
+    for start in range(0, max(len(rows) for rows in subsets), span):
+        full, partial = [], []  # (model, first row, trials)
+        for j, rows in enumerate(subsets):
+            n = min(span, len(rows) - start)
+            if n <= 0:
+                continue
+            n_full = n - n % batch_size
+            if n_full:
+                full.append((j, start, n_full))
+            if n > n_full:
+                partial.append((j, start + n_full, n - n_full))
+        for pieces in (full, partial):
+            sizes = [n for _, _, n in pieces]
+            for group in _stack_groups(pieces, sizes, head, n_time, keep_cache=False):
+                batch = [x[subsets[j][lo : lo + n]] for j, lo, n in group]
+                results = forward_models([models[j] for j, _, _ in group], batch, upto=upto)
+                for (j, _, _), out in zip(group, results):
+                    outs[j].append(out)
+    # a model without trials gets an empty result of its output's shape
+    return [np.concatenate(o, axis=0) if o else forward_models([m], [x[:0]], upto=upto)[0]
+            for m, o in zip(models, outs)]
 
 
 def evaluate_accuracy(model, x, y, batch_size: int = 32) -> float:
@@ -173,17 +208,33 @@ def _stack_groups(items, sizes, model, n_time, keep_cache):
     return groups
 
 
-def _stack_cap(model, n_rows, n_time, keep_cache):
-    """How many models' scan buffers for ``n_rows`` trials fit the budget."""
+def _scan_bytes(model, n_rows, n_time, keep_cache):
+    """Bytes of the scan buffers that one pass over ``n_rows`` trials holds."""
     per_state = 0
     for spec, layer in zip(model.specs, model.layers):
         if isinstance(layer, RecurrentLayer):
-            # gate buffer and hidden states; training also keeps the cell
-            # (LSTM) or reset-gated (GRU) states and the output gradients
-            width = layer.n_gates + (3 if keep_cache else 1)
+            # training keeps the T-long gate buffer, the hidden states, the
+            # cell (LSTM) or reset-gated (GRU) states and the output
+            # gradients; an eval pass keeps only the hidden states (its
+            # projections come in blocks of network.EVAL_BLOCK_BYTES)
+            width = layer.n_gates + 3 if keep_cache else 1
             per_state += layer.n_dir * spec.size * width
-    scan_bytes = n_time * n_rows * per_state * model.dtype.itemsize
-    return max(1, STACK_BUDGET_BYTES // max(1, scan_bytes))
+    return n_time * n_rows * per_state * model.dtype.itemsize
+
+
+def _stack_cap(model, n_rows, n_time, keep_cache):
+    """How many models' scan buffers for ``n_rows`` trials fit the budget."""
+    return max(1, STACK_BUDGET_BYTES // max(1, _scan_bytes(model, n_rows, n_time, keep_cache)))
+
+
+def _merge_cap(model, batch_size, n_time):
+    """How many full eval chunks of ``batch_size`` trials one pass may merge:
+    as many as keep its scan buffers within one training step's at that
+    batch size (7 for LSTM, 6 for GRU). One-trial chunks are never merged."""
+    if batch_size == 1:
+        return 1
+    train = _scan_bytes(model, batch_size, n_time, keep_cache=True)
+    return max(1, train // max(1, _scan_bytes(model, batch_size, n_time, keep_cache=False)))
 
 
 @dataclass

@@ -30,7 +30,13 @@ from .rng import substream
 
 # train_model stays importable here: perfbench/recorder.py wraps
 # transfer.train_model by name
-from .training import TrainConfig, predict_models, train_model, train_models  # noqa: F401
+from .training import (  # noqa: F401
+    TrainConfig,
+    _predict_proba_models,
+    predict_models,
+    train_model,
+    train_models,
+)
 
 
 @dataclass
@@ -122,16 +128,12 @@ def _head_layers(model: RecurrentModel):
 
 
 def head_input_features(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
-    """Eval-mode activations feeding the dense head, batched."""
+    """Eval-mode activations feeding the dense head, batched as
+    :func:`training.predict_proba` batches."""
     dense_idx, _ = _head_layers(model)
-    chunks = []
-    for start in range(0, x.shape[0], batch_size):
-        out = np.asarray(x[start : start + batch_size], dtype=model.dtype)
-        for spec, layer in zip(model.specs[:dense_idx], model.layers[:dense_idx]):
-            if layer is not None:
-                out = layer.forward(out, training=False)
-        chunks.append(out)
-    return np.concatenate(chunks, axis=0)
+    x = np.asarray(x)
+    return _predict_proba_models([model], x, [np.arange(x.shape[0])], batch_size,
+                                 upto=dense_idx)[0]
 
 
 def _train_head_on_cached(

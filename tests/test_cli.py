@@ -345,3 +345,32 @@ def test_transfer_rejects_labels_beyond_source(tmp_path, capsys):
     assert "source model predicts 3 classes" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _empty_features_file(path, n_features=4, t_len=6):
+    tensor = FeatureTensor(
+        data=np.zeros((0, t_len, n_features), dtype=np.float32),
+        labels=np.zeros(0, dtype=np.int64),
+        condition=Condition.COVERT,
+        class_names=["class_0"],
+    )
+    return fileio.write_features(tensor, path)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "transfer"])
+def test_zero_trial_file_is_data_error(tmp_path, capsys, command):
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=3, favoured=0)
+    feats = _empty_features_file(tmp_path / "empty.ften")
+    assert main(["validate", str(feats)]) == 0  # a well-formed file, just empty
+    capsys.readouterr()
+    out = tmp_path / f"{command}.json"
+    if command == "evaluate":
+        argv = ["evaluate", "--model", str(model), "--features", str(feats)]
+    else:
+        argv = ["transfer", "--source", str(model), "--covert", str(feats),
+                "--budgets", "0.3", "--seeds", "2"]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "no trials" in err
+    assert "Traceback" not in err
+    assert not out.exists()

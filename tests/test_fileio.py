@@ -267,6 +267,70 @@ class TestInflatedSizeFields:
         assert main(["validate", str(path)]) == 3
 
 
+def _edit_rmdl_header(raw, edit):
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + header_len])
+    edit(header)
+    new = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + header_len :]
+
+
+def _drop_layer_specs(header):
+    del header["layer_specs"]
+
+
+def _zero_size(header):
+    header["layer_specs"][0]["size"] = 0
+
+
+def _unknown_spec_key(header):
+    header["layer_specs"][0]["colour"] = "red"
+
+
+def _extra_freeze_flag(header):
+    header["freeze_flags"].append(True)
+
+
+def _condition_seven(raw):
+    raw[20] = 7  # the u8 condition after magic, version and three u32 sizes
+    return raw
+
+
+def _label_beyond_names(raw):
+    (n_classes,) = struct.unpack_from("<I", raw, 29)
+    offset = 33
+    for _ in range(n_classes):
+        offset += 4 + struct.unpack_from("<I", raw, offset)[0]
+    struct.pack_into("<H", raw, offset, n_classes)  # first trial's label
+    return raw
+
+
+# (suffix, how the written sample file is damaged); every case once escaped
+# the reader as an untyped exception
+BAD_VALUES = [
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _drop_layer_specs)),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _zero_size)),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _unknown_spec_key)),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _extra_freeze_flag)),
+    (".ften", _condition_seven),
+    (".epoc", _condition_seven),
+    (".epoc", _label_beyond_names),
+]
+BAD_VALUE_IDS = ["rmdl-no-layer-specs", "rmdl-size-zero", "rmdl-unknown-spec-key",
+                 "rmdl-freeze-flags-too-long", "ften-condition-7", "epoc-condition-7",
+                 "epoc-label-beyond-class-names"]
+
+
+class TestBadFieldValues:
+    @pytest.mark.parametrize("suffix,damage", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_only_file_format_error_escapes(self, tmp_path, suffix, damage):
+        path, reader = _sample_files(tmp_path)[suffix]
+        path.write_bytes(bytes(damage(bytearray(path.read_bytes()))))
+        with pytest.raises(FileFormatError):
+            reader(path)
+        assert main(["validate", str(path)]) == 3
+
+
 class TestJsonHelpers:
     def test_dump_is_deterministic(self, tmp_path):
         obj = {"b": 2, "a": [1.5, {"z": True, "y": None}]}

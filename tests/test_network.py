@@ -1,10 +1,13 @@
 """Cells, layers, model construction, and BPTT gradient correctness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covert_decode import network
 from covert_decode.network import (
     LayerSpec,
     RecurrentLayer,
@@ -500,3 +503,29 @@ class TestStackedSlots:
         with pytest.raises(ValueError):
             RecurrentLayer.forward_slots(
                 layers, [np.zeros((2, 5, 3)), np.zeros((3, 5, 3))])
+
+
+class TestEvalMemory:
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
+    def test_eval_forward_peaks_below_one_gate_buffer(self, kind, monkeypatch):
+        # an eval pass projects its inputs in blocks of at most EVAL_BLOCK_BYTES
+        # and keeps only its state sequence, so a sequence whose gates span
+        # 16 such blocks never needs a T-long gate buffer (a 64 KiB block
+        # keeps the sequence short)
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 2**16)
+        spec = LayerSpec(kind=kind, input_size=8, size=32)
+        layer = RecurrentLayer(spec, substream(0, "init"))
+        n_batch = 8
+        gate_step = layer.n_dir * n_batch * layer.n_gates * spec.size * 4
+        n_time = 16 * network.EVAL_BLOCK_BYTES // gate_step
+        gate_buffer = n_time * gate_step
+        states = n_time * layer.n_dir * n_batch * spec.size * 4
+        x = np.zeros((n_batch, n_time, spec.input_size), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = layer.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_batch, n_time, spec.output_size)
+        assert states <= peak < gate_buffer

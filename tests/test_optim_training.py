@@ -324,3 +324,41 @@ class TestTrainModelsMatchesSequential:
         models = [build_model(lockstep_specs("bigru"), seed=s) for s in range(4)]
         for labels, model, rows in zip(predict_models(models, x, subsets, 16), models, subsets):
             assert np.array_equal(labels, predict(model, x[rows], 16))
+
+
+class TestEvalMergeCap:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("hidden", [(5, 3), (64, 16), (24,)])
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 32])
+    def test_merged_pass_within_one_training_step(self, kind, hidden, batch_size):
+        specs = classifier_specs(kind, 6, hidden=hidden, dropout=(0.0,) * len(hidden))
+        model = build_model(specs, seed=0)
+        n_time = 50
+        k = training._merge_cap(model, batch_size, n_time)
+        step = training._scan_bytes(model, batch_size, n_time, keep_cache=True)
+        assert k >= 1
+        assert training._scan_bytes(model, k * batch_size, n_time, keep_cache=False) <= step
+        if batch_size == 1:
+            assert k == 1  # one-trial chunks keep their own pass
+        else:
+            assert k == (7 if kind.endswith("lstm") else 6)
+            merged = training._scan_bytes(model, (k + 1) * batch_size, n_time, keep_cache=False)
+            assert merged > step
+
+
+class TestZeroTrials:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_returns_empty_arrays(self, kind):
+        model = build_model(lockstep_specs(kind), seed=0)
+        x = np.zeros((0, 7, 4), dtype=np.float32)
+        probs = training.predict_proba(model, x)
+        labels = predict(model, x)
+        assert probs.shape == (0, 3) and probs.dtype == model.dtype
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+
+    def test_empty_subset_among_models(self):
+        x, y, subsets = lockstep_data((9, 1), seed=6)
+        models = [build_model(lockstep_specs("gru"), seed=s) for s in range(3)]
+        labels = predict_models(models, x, subsets + [subsets[0][:0]], 4)
+        assert [lab.shape for lab in labels] == [(9,), (1,), (0,)]
+        assert np.array_equal(labels[0], predict(models[0], x[subsets[0]], 4))
