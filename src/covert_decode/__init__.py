@@ -39,11 +39,6 @@ from .network import (
     RecurrentModel,
     build_model,
     classifier_specs,
-    cross_entropy,
-    dense_softmax_forward,
-    dropout_apply,
-    gru_step,
-    lstm_step,
     softmax,
 )
 from .optim import AdamState, adam_step, init_adam
@@ -89,12 +84,9 @@ __all__ = [
     "build_model",
     "classifier_specs",
     "confusion_matrix",
-    "cross_entropy",
     "default_subject",
-    "dense_softmax_forward",
     "design_butterworth_bandpass",
     "design_notch",
-    "dropout_apply",
     "envelope",
     "envelope_correlation",
     "epoch_and_baseline",
@@ -105,11 +97,9 @@ __all__ = [
     "fine_tune",
     "freeze_recurrent",
     "generate_paired",
-    "gru_step",
     "holdout_split",
     "ica_reconstruct",
     "init_adam",
-    "lstm_step",
     "paired_t_test",
     "softmax",
     "stratified_kfold",

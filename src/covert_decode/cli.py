@@ -24,7 +24,12 @@ from .config import (
 )
 from .containers import Condition, EegRecording, default_class_names
 from .errors import ConfigError, CovertDecodeError, DataError
-from .evaluation import accuracy_from_confusion, confusion_matrix
+from .evaluation import (
+    accuracy_from_confusion,
+    confusion_matrix,
+    holdout_split,
+    stratified_kfold,
+)
 from .experiments import make_report, run_cv, train_holdout
 from .features import envelope_correlation, extract_features
 from .ica import fastica_decompose, ica_reconstruct
@@ -36,7 +41,7 @@ from .preprocessing import (
     filter_zero_phase,
 )
 from .training import TrainConfig, predict
-from .transfer import TransferPlan, transfer_sweep
+from .transfer import TransferPlan, nested_budget_indices, transfer_sweep
 
 MODEL_KINDS = ("lstm", "gru", "bilstm", "bigru")
 
@@ -105,11 +110,27 @@ def _model_specs(cfg: RunConfig, kind: str, input_size: int, n_classes: int):
     )
 
 
-def _check_model_fits(model, features, role: str = "model"):
-    """Reject a feature file whose width or labels the model cannot take, or
-    that holds no trials to evaluate."""
+def _check_not_empty(features):
     if not features.n_trials:
         raise DataError("feature file holds no trials")
+    if not features.n_timesteps:
+        raise DataError("feature file holds no timesteps")
+
+
+def _check_split(split, labels, *args):
+    """Run a split function on a file's labels up front, so that a file too
+    small for it ends in a DataError instead of a traceback mid-run; the
+    split functions themselves raise ValueError."""
+    try:
+        split(labels, *args)
+    except ValueError as exc:
+        raise DataError(f"feature file too small: {exc}") from exc
+
+
+def _check_model_fits(model, features, role: str = "model"):
+    """Reject a feature file whose width or labels the model cannot take, or
+    that holds no trials or timesteps to evaluate."""
+    _check_not_empty(features)
     if model.input_size != features.n_features:
         raise DataError(
             f"{role} expects {model.input_size} features, file has {features.n_features}"
@@ -250,9 +271,15 @@ def cmd_train(args) -> int:
     kind = args.model or cfg["model"]
     specs = _model_specs(cfg, kind, features.n_features, features.n_classes)
     train_config = _train_config(cfg)
+    k = args.cv if args.cv is not None else cfg["cv_folds"]
+    if not 0.0 < cfg["test_fraction"] < 1.0:
+        raise ConfigError(f"test_fraction must lie in (0, 1), got {cfg['test_fraction']}")
+    _check_not_empty(features)
+    if k >= 2:
+        _check_split(stratified_kfold, features.labels, k, seed)
+    _check_split(holdout_split, features.labels, cfg["test_fraction"], seed)
 
     payload = {"model": kind, "n_trials": features.n_trials}
-    k = args.cv if args.cv is not None else cfg["cv_folds"]
     if k >= 2:
         payload["cv"] = run_cv(features, specs, train_config, k=k, seed=seed)
         print(
@@ -320,17 +347,24 @@ def cmd_transfer(args) -> int:
     source = fileio.load_model(source_path)
     covert = fileio.read_features(covert_path)
     _check_model_fits(source, covert, role="source model")
-    budgets = (
-        [float(b) for b in args.budgets.split(",")] if args.budgets else cfg.float_list("budgets")
-    )
     n_seeds = args.seeds if args.seeds is not None else cfg["transfer_seeds"]
-    plan = TransferPlan(
-        budgets=tuple(budgets),
-        test_fraction=cfg["test_fraction"],
-        reinit_head=cfg["reinit_head"],
-        seeds=tuple(seed + i for i in range(n_seeds)),
-        fine_tune_max_epochs=cfg["fine_tune_max_epochs"],
-    )
+    try:
+        budgets = (
+            [float(b) for b in args.budgets.split(",")] if args.budgets
+            else cfg.float_list("budgets")
+        )
+        plan = TransferPlan(
+            budgets=tuple(budgets),
+            test_fraction=cfg["test_fraction"],
+            reinit_head=cfg["reinit_head"],
+            seeds=tuple(seed + i for i in range(n_seeds)),
+            fine_tune_max_epochs=cfg["fine_tune_max_epochs"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for sweep_seed in plan.seeds:
+        _check_split(nested_budget_indices, covert.labels, plan.budgets, plan.test_fraction,
+                     sweep_seed)
     payload = transfer_sweep(
         plan,
         covert,
@@ -556,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv", type=int, default=None, help="number of folds (>= 2; 0 skips CV)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--checkpoint", help="model checkpoint path (.rmdl)")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (runs serially)")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -574,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=None, help="number of sweep seeds")
     p.add_argument("--no-scratch", action="store_true", help="skip from-scratch baselines")
     p.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (runs serially)")
     _add_common(p)
     p.set_defaults(func=cmd_transfer)
 
@@ -596,10 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs = getattr(args, "jobs", 1)
-    if jobs is not None and jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CovertDecodeError as exc:

@@ -26,10 +26,31 @@ Scan buffers:
   states         (T, slots, B, H)
   eval passes    project their inputs EVAL_BLOCK_BYTES of gates at a time
                  into one reused block and keep only the state sequence
+
+Threads: a layer's forward and backward scans split their slots into two
+contiguous groups, one per thread (the calling thread and one pool thread),
+when one step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS
+(2*B*H*G*H; at paper width that is the first layer's training scans and
+every eval scan, never a desk-scale one). A bidirectional layer's directions
+thus run on separate cores; so do stacked fits. While the threads run,
+OpenBLAS is held to one thread, so the scans need as many cores as threads;
+the worker count is min(2, slots, usable cores, BLAS threads at call time),
+so OPENBLAS_NUM_THREADS=1 keeps every scan on one thread, and so does a
+numpy whose OpenBLAS thread calls cannot be found. Training projections and
+the weight-gradient GEMMs stay in the calling thread on every BLAS thread;
+an eval thread projects its own slots, in blocks of an equal share of
+EVAL_BLOCK_BYTES. Each slot keeps its GEMM shapes and the gate math is
+elementwise, so the split changes no bits (as long as BLAS gives a GEMM row
+the same bits on one thread as on several, which the merged eval chunks
+already rely on). The calling thread allocates every buffer the threads
+touch; they only write into them, so no memory lands in a per-thread
+malloc arena. The threads call only the scan internals and ``sigmoid``.
 """
 
 import copy
+import functools
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +77,11 @@ RECURRENT_KINDS = ("lstm", "gru", "bilstm", "bigru")
 # timesteps at a time, instead of the whole sequence, unless one timestep
 # alone is larger
 EVAL_BLOCK_BYTES = 4 * 2**20
+# a scan splits its slots over at most this many threads (see "Threads"),
+# and only when one step's recurrent GEMM of one slot, 2*B*H*G*H FLOP,
+# reaches SCAN_THREAD_FLOPS
+MAX_SCAN_WORKERS = 2
+SCAN_THREAD_FLOPS = 2**25
 LAYER_KINDS = RECURRENT_KINDS + ("dense", "dropout", "softmax")
 
 
@@ -158,49 +184,7 @@ def classifier_specs(
 
 
 # ---------------------------------------------------------------------------
-# cell math
-
-
-def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
-    h_size = z.shape[-1] // 4
-    i = sigmoid(z[..., :h_size])
-    f = sigmoid(z[..., h_size : 2 * h_size])
-    o = sigmoid(z[..., 2 * h_size : 3 * h_size])
-    g = np.tanh(z[..., 3 * h_size :])
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, i, f, g, o, tanh_c
-
-
-def lstm_step(x_t, h_prev, c_prev, params):
-    """One LSTM step. ``params`` maps wx (D,4H), wh (H,4H), b (4H,)."""
-    x_t, h_prev, c_prev = np.asarray(x_t), np.asarray(h_prev), np.asarray(c_prev)
-    z = x_t @ params["wx"] + h_prev @ params["wh"] + params["b"]
-    h, c = _lstm_gates(z, c_prev)[:2]
-    return h, c
-
-
-def _gru_gates(z_zr: np.ndarray, zx_n: np.ndarray, h_prev: np.ndarray, wh_n: np.ndarray):
-    h_size = z_zr.shape[-1] // 2
-    z = sigmoid(z_zr[..., :h_size])
-    r = sigmoid(z_zr[..., h_size:])
-    rh = r * h_prev
-    n = np.tanh(zx_n + rh @ wh_n)
-    h = (1.0 - z) * h_prev + z * n
-    return h, z, r, n, rh
-
-
-def gru_step(x_t, h_prev, params):
-    """One GRU step: update/reset gates, then the candidate blended by update.
-
-    h_t = (1 - z) * h_prev + z * tanh(x wx_n + (r * h_prev) wh_n + b_n)
-    """
-    x_t, h_prev = np.asarray(x_t), np.asarray(h_prev)
-    h_size = h_prev.shape[-1]
-    zx = x_t @ params["wx"] + params["b"]
-    z_zr = zx[..., : 2 * h_size] + h_prev @ params["wh"][:, : 2 * h_size]
-    return _gru_gates(z_zr, zx[..., 2 * h_size :], h_prev, params["wh"][:, 2 * h_size :])[0]
+# softmax head and dropout
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,44 +194,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dense_softmax_forward(h, w, b) -> np.ndarray:
-    """Dense projection followed by softmax; rows sum to 1."""
-    return softmax(np.asarray(h) @ w + b)
-
-
-def cross_entropy(probs, label) -> float:
-    """Negative log probability of the true label (probabilities clamped at 1e-12)."""
-    p = np.asarray(probs, dtype=np.float64)
-    return float(-np.log(max(float(p[int(label)]), 1e-12)))
-
-
 def cross_entropy_mean(probs, labels) -> float:
     """Mean cross-entropy of a batch of probability rows."""
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     picked = np.clip(p[np.arange(p.shape[0]), labels], 1e-12, None)
     return float(-np.log(picked).mean())
-
-
-def dropout_apply(x, rate: float, mode: str = "train", rng=None):
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
-
-    Eval mode (and rate 0) is the identity; expected value is preserved in
-    train mode, so no rescaling happens at inference.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must lie in [0, 1), got {rate}")
-    x = np.asarray(x)
-    if mode == "eval" or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
-    mask = _dropout_mask(x.shape, rate, rng, x.dtype)
-    return x * mask
 
 
 def _dropout_mask(shape, rate, rng, dtype):
@@ -301,6 +253,10 @@ class RecurrentLayer(_ParamLayer):
     but BLAS gives each row of a GEMM the same bits whatever the row count
     (only a lone row, computed as a GEMV, rounds differently, and no block
     has one unless the whole pass has one), so the outputs do not change.
+
+    Large scans split their slots over two threads (module docstring,
+    "Threads"): :meth:`_scan` and :meth:`_scan_backward` each run over one
+    contiguous slot range of buffers the caller allocated for all slots.
     """
 
     def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
@@ -344,13 +300,24 @@ class RecurrentLayer(_ParamLayer):
         n_batch, n_time = xs[0].shape[:2]
         n_dir = head.n_dir
         wh = np.stack([layer.params[f"{d}_wh"] for layer in layers for d in layer.directions])
+        groups = _slot_groups(len(wh), n_batch, head.spec.size, head.n_gates)
+        buf = head._scan_buffers(wh, n_time, n_batch, training)
         if training:
-            steps = n_time
+            _, zx = next(_input_projections(layers, xs, slice(None), n_time))
+            blocks = [[(0, zx[slots])] for slots in groups]
         else:
-            step_bytes = wh.shape[0] * n_batch * wh.shape[2] * head.dtype.itemsize
-            steps = EVAL_BLOCK_BYTES // max(1, step_bytes)
-        blocks = _input_projections(layers, xs, max(1, steps))
-        h_stack, scan = head._scan(blocks, wh, n_time, n_batch, keep_cache=training)
+            # each worker projects its own slots, in blocks of an equal share
+            # of EVAL_BLOCK_BYTES
+            blocks = []
+            slot_step_bytes = n_batch * wh.shape[2] * head.dtype.itemsize
+            for slots in groups:
+                step_bytes = (slots.stop - slots.start) * slot_step_bytes
+                steps = EVAL_BLOCK_BYTES // len(groups) // max(1, step_bytes)
+                blocks.append(_input_projections(layers, xs, slots, max(1, steps)))
+        _run_scans([(head._scan, (b, buf, slots, training)) for b, slots in zip(blocks, groups)])
+        h_stack = buf["h"]
+        if training:
+            scan = {"wh": wh, "act": zx, **{k: buf[k] for k in ("h", "c", "rh") if k in buf}}
         outputs = []
         for m, (layer, x) in enumerate(zip(layers, xs)):
             outputs.append(layer._merge(h_stack[:, m * n_dir : (m + 1) * n_dir]))
@@ -374,29 +341,43 @@ class RecurrentLayer(_ParamLayer):
             return np.concatenate([fw, bw], axis=-1)
         return fw + bw
 
-    def _scan(self, blocks, wh, n_time, n_batch, keep_cache: bool):
-        # blocks yields (t0, zx): the input projections of scan steps t0,
-        # t0 + 1, ... as (slots, steps, B, G*H), see _input_projections; wh
-        # is (slots, H, G*H). Each step's gate activations overwrite that
-        # step's input projections in zx. In training the one block spans
-        # the whole sequence and the cache keeps it as "act"; inference
-        # (keep_cache=False) rotates small per-step buffers instead of
-        # materializing T-length state stacks, so only the state sequence
-        # itself and one block of projections are held
+    def _scan_buffers(self, wh, n_time, n_batch, keep_cache: bool):
+        """Every array a forward scan over the slots of ``wh`` (slots, H, G*H)
+        writes or reads besides its input projections, for all slots."""
+        n_slots, h_size, gh = wh.shape
+        state = (n_slots, n_batch, h_size)
+        empty = functools.partial(np.empty, dtype=self.dtype)
+        # "zeros" is the initial state; "c" (LSTM cell states) and "rh" (GRU
+        # reset-gated states) span the sequence in training, for the
+        # backward pass, and otherwise rotate through 2 and 1 steps
+        buf = {"h": empty((n_time, *state)), "zeros": np.zeros(state, self.dtype),
+               "tmp": empty(state)}
+        if self.cell == "lstm":
+            buf.update(wh=wh, hw=empty((n_slots, n_batch, gh)), tc=empty(state),
+                       c=empty((n_time if keep_cache else 2, *state)))
+        else:
+            two = 2 * h_size
+            buf.update(wh_zr=np.ascontiguousarray(wh[:, :, :two]),
+                       wh_n=np.ascontiguousarray(wh[:, :, two:]),
+                       zr=empty((n_slots, n_batch, two)), n=empty(state),
+                       rh=empty((n_time if keep_cache else 1, *state)))
+        return buf
+
+    def _scan(self, blocks, buf, slots, keep_cache: bool):
+        # the scan of the slots ``slots`` (a slice), on those slots' views of
+        # the buffers in ``buf`` (see _scan_buffers). blocks yields (t0, zx):
+        # the input projections of scan steps t0, t0 + 1, ... as
+        # (slots, steps, B, G*H), see _input_projections. Each step's gate
+        # activations overwrite that step's input projections in zx; in
+        # training the one block spans the whole sequence and the cache
+        # keeps it as "act". Fills buf["h"] (T, slots, B, H)
         h_size = self.spec.size
-        state_shape = (wh.shape[0], n_batch, h_size)
-        h = np.zeros(state_shape, dtype=self.dtype)
-        h_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
-        tmp = np.empty(state_shape, dtype=self.dtype)
+        h_stack, h, tmp = buf["h"][:, slots], buf["zeros"][slots], buf["tmp"][slots]
         if self.cell == "lstm":
             three = 3 * h_size
-            hw = np.empty(state_shape[:2] + (wh.shape[2],), dtype=self.dtype)
-            tc = np.empty(state_shape, dtype=self.dtype)
-            if keep_cache:
-                c_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
-            else:
-                c_spare = np.empty(state_shape, dtype=self.dtype)
-            c = np.zeros(state_shape, dtype=self.dtype)
+            wh, hw, tc = buf["wh"][slots], buf["hw"][slots], buf["tc"][slots]
+            c_ring = buf["c"][:, slots]
+            c = h  # the zero initial state
             for t0, zx in blocks:
                 for t in range(t0, t0 + zx.shape[1]):
                     z = zx[:, t - t0]
@@ -404,36 +385,25 @@ class RecurrentLayer(_ParamLayer):
                     z += hw
                     sigmoid(z[..., :three], out=z[..., :three])
                     np.tanh(z[..., three:], out=z[..., three:])
-                    c_new = c_stack[t] if keep_cache else c_spare
+                    c_new = c_ring[t % len(c_ring)]
                     np.multiply(z[..., h_size : 2 * h_size], c, out=c_new)  # f * c_prev
                     np.multiply(z[..., :h_size], z[..., three:], out=tmp)  # i * g
                     c_new += tmp
                     np.tanh(c_new, out=tc)
                     h = h_stack[t]
                     np.multiply(z[..., 2 * h_size : three], tc, out=h)  # o * tanh(c)
-                    if keep_cache:
-                        c = c_new
-                    else:
-                        c, c_spare = c_new, c
-            if not keep_cache:
-                return h_stack, {}
-            return h_stack, {"wh": wh, "h": h_stack, "act": zx, "c": c_stack}
+                    c = c_new
+            return
         two = 2 * h_size
-        wh_zr = np.ascontiguousarray(wh[:, :, :two])
-        wh_n = np.ascontiguousarray(wh[:, :, two:])
-        if keep_cache:
-            rh_stack = np.empty((n_time,) + state_shape, dtype=self.dtype)
-        else:
-            rh_buf = np.empty(state_shape, dtype=self.dtype)
-        zr_buf = np.empty(state_shape[:2] + (two,), dtype=self.dtype)
-        n_buf = np.empty(state_shape, dtype=self.dtype)
+        wh_zr, wh_n = buf["wh_zr"][slots], buf["wh_n"][slots]
+        zr_buf, n_buf, rh_ring = buf["zr"][slots], buf["n"][slots], buf["rh"][:, slots]
         for t0, zx in blocks:
             for t in range(t0, t0 + zx.shape[1]):
                 z = zx[:, t - t0]
                 np.matmul(h, wh_zr, out=zr_buf)
                 np.add(zr_buf, z[..., :two], out=zr_buf)
                 sigmoid(zr_buf, out=zr_buf)
-                rh = rh_stack[t] if keep_cache else rh_buf
+                rh = rh_ring[t % len(rh_ring)]
                 np.multiply(zr_buf[..., h_size:], h, out=rh)  # r * h_prev
                 np.matmul(rh, wh_n, out=n_buf)
                 n_buf += z[..., two:]
@@ -446,9 +416,6 @@ class RecurrentLayer(_ParamLayer):
                 tmp *= zr_buf[..., :h_size]
                 np.add(h, tmp, out=h_new)  # h + z * (n - h_prev)
                 h = h_new
-        if not keep_cache:
-            return h_stack, {}
-        return h_stack, {"wh": wh, "h": h_stack, "act": zx, "rh": rh_stack}
 
     # -- backward
 
@@ -479,7 +446,10 @@ class RecurrentLayer(_ParamLayer):
         for m, (layer, dout) in enumerate(zip(layers, douts)):
             layer._route(dout, dh_out[:, m * n_dir : (m + 1) * n_dir])
 
-        dz = head._scan_backward(scan, dh_out)
+        groups = _slot_groups(n_slots, n_batch, h_size, head.n_gates)
+        buf = head._backward_buffers(scan["wh"], n_batch)
+        _run_scans([(head._scan_backward, (scan, dh_out, buf, slots)) for slots in groups])
+        dz = scan["act"]  # now the gate gradients
         dxs = []
         for m, layer in enumerate(layers):
             dxs.append(layer._param_grads(dz, scan, m, need_input_grad))
@@ -537,26 +507,40 @@ class RecurrentLayer(_ParamLayer):
                 self.grads[f"{direction}_b"] = dz_flat.sum(axis=0)
         return dx
 
-    def _scan_backward(self, cache, dh_out):
-        # each step's gate gradients overwrite that step's activations in
-        # the cached "act" buffer, read from a one-step copy; returns that
-        # buffer, now holding the gate gradients dz (slots, T, B, G*H)
-        h_stack = cache["h"]
+    def _backward_buffers(self, wh, n_batch):
+        """Every array a backward scan writes or reads besides the forward
+        scan's cache and the output gradients, for all slots of ``wh``."""
+        n_slots, h_size, gh = wh.shape
+        state = (n_slots, n_batch, h_size)
+        empty = functools.partial(np.empty, dtype=self.dtype)
+        buf = {"a": empty((n_slots, n_batch, gh)), "dh_next": np.zeros(state, self.dtype),
+               "tmp": empty(state)}
+        if self.cell == "lstm":
+            buf.update(tc=empty(state), dc=np.zeros(state, self.dtype),
+                       wh_t=np.ascontiguousarray(wh.transpose(0, 2, 1)))
+        else:
+            two = 2 * h_size
+            buf.update(dh_acc=empty(state), tmp2=empty(state), zeros=np.zeros(state, self.dtype),
+                       wh_zr_t=np.ascontiguousarray(wh[:, :, :two].transpose(0, 2, 1)),
+                       wh_n_t=np.ascontiguousarray(wh[:, :, two:].transpose(0, 2, 1)))
+        return buf
+
+    def _scan_backward(self, cache, dh_out, buf, slots):
+        # BPTT over the slots ``slots`` (a slice), on those slots' views of
+        # the forward cache, the output gradients dh_out (T, slots, B, H)
+        # and the buffers in ``buf`` (see _backward_buffers). Each step's
+        # gate gradients overwrite that step's activations in the cached
+        # "act" buffer, read from a one-step copy, so "act" ends up holding
+        # the gate gradients dz (slots, T, B, G*H)
+        h_stack, dz, dh_out = cache["h"][:, slots], cache["act"][slots], dh_out[:, slots]
         n_time = h_stack.shape[0]
         h_size = self.spec.size
-        state_shape = h_stack.shape[1:]
-        wh = cache["wh"]
-        dz = cache["act"]
-        a = np.empty(dz[:, 0].shape, dtype=self.dtype)
-        dh_next = np.zeros(state_shape, dtype=self.dtype)
-        tmp = np.empty(state_shape, dtype=self.dtype)
+        a, dh_next, tmp = buf["a"][slots], buf["dh_next"][slots], buf["tmp"][slots]
 
         if self.cell == "lstm":
-            c_stack = cache["c"]
-            tc = np.empty(state_shape, dtype=self.dtype)
+            c_stack = cache["c"][:, slots]
+            tc, dc, wh_t = buf["tc"][slots], buf["dc"][slots], buf["wh_t"][slots]
             three = 3 * h_size
-            wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
-            dc = np.zeros(state_shape, dtype=self.dtype)
             i = a[..., :h_size]
             f = a[..., h_size : 2 * h_size]
             o = a[..., 2 * h_size : three]
@@ -597,14 +581,11 @@ class RecurrentLayer(_ParamLayer):
                 zg *= i
                 np.matmul(dzt, wh_t, out=dh_next)
                 dc *= f
-            return dz
+            return
 
         two = 2 * h_size
-        wh_zr_t = np.ascontiguousarray(wh[:, :, :two].transpose(0, 2, 1))
-        wh_n_t = np.ascontiguousarray(wh[:, :, two:].transpose(0, 2, 1))
-        dh_acc = np.empty(state_shape, dtype=self.dtype)
-        tmp2 = np.empty(state_shape, dtype=self.dtype)
-        zeros_h = np.zeros(state_shape, dtype=self.dtype)
+        wh_zr_t, wh_n_t = buf["wh_zr_t"][slots], buf["wh_n_t"][slots]
+        dh_acc, tmp2, zeros_h = buf["dh_acc"][slots], buf["tmp2"][slots], buf["zeros"][slots]
         z = a[..., :h_size]
         r = a[..., h_size:two]
         n = a[..., two:]
@@ -637,21 +618,21 @@ class RecurrentLayer(_ParamLayer):
             np.matmul(dzt[..., :two], wh_zr_t, out=tmp)
             dh_acc += tmp
             dh_next, dh_acc = dh_acc, dh_next
-        return dz
 
 
-def _input_projections(layers, xs, steps):
-    """Yield ``(t0, zx)`` blocks of the input projections ``x @ wx + b``.
+def _input_projections(layers, xs, slots, steps):
+    """Blocks ``(t0, zx)`` of the input projections ``x @ wx + b`` of the
+    slots ``slots`` (a slice of the slot axis).
 
-    ``zx`` is (slots, n, B, G*H): scan steps t0 .. t0 + n - 1 of every slot.
+    ``zx`` is (slots, n, B, G*H): scan steps t0 .. t0 + n - 1 of each slot.
     The sequence is cut evenly into as few blocks of at most ``steps`` scan
     steps as it allows, but never into blocks whose GEMMs would have a
     single row: BLAS computes those as a GEMV, which rounds differently from
     the GEMM of a longer pass. Each slot's slab is one GEMM written in place
     from a time-major copy of the block's inputs (time-reversed for the
     backward direction), which is D wide; the bias is then added in place.
-    One buffer serves every block, so a block must be consumed before the
-    next is asked for.
+    The buffers are allocated here and the returned iterator fills them as
+    it is consumed, so a block must be used before the next is asked for.
     """
     head = layers[0]
     n_batch, n_time, d_in = xs[0].shape
@@ -659,24 +640,102 @@ def _input_projections(layers, xs, steps):
     n_blocks = max(1, min(-(-n_time // steps), n_time * n_batch // 2))
     bounds = [n_time * i // n_blocks for i in range(n_blocks + 1)]
     longest = -(-n_time // n_blocks)
-    zx = np.empty((len(layers) * head.n_dir, longest, n_batch, gh), dtype=head.dtype)
+    slot_ids = range(len(layers) * head.n_dir)[slots]
+    zx = np.empty((len(slot_ids), longest, n_batch, gh), dtype=head.dtype)
     x_t = np.empty((longest, n_batch, d_in), dtype=head.dtype)
-    for t0, t1 in zip(bounds, bounds[1:]):
-        n = t1 - t0
-        seq = x_t[:n]
-        slot = 0
-        for layer, x in zip(layers, xs):
-            for direction in layer.directions:
+
+    def blocks():
+        for t0, t1 in zip(bounds, bounds[1:]):
+            n = t1 - t0
+            seq = x_t[:n]
+            for k, slot in enumerate(slot_ids):
+                layer, x = layers[slot // head.n_dir], xs[slot // head.n_dir]
+                direction = layer.directions[slot % head.n_dir]
                 if direction == "fw":
                     np.copyto(seq, x[:, t0:t1].transpose(1, 0, 2))
                 else:
                     np.copyto(seq, x[:, n_time - t1 : n_time - t0].transpose(1, 0, 2)[::-1])
-                slab = zx[slot, :n]
+                slab = zx[k, :n]
                 np.matmul(seq.reshape(-1, d_in), layer.params[f"{direction}_wx"],
                           out=slab.reshape(-1, gh))
                 slab += layer.params[f"{direction}_b"]
-                slot += 1
-        yield t0, zx[:, :n]
+            yield t0, zx[:, :n]
+
+    return blocks()
+
+
+def _slot_groups(n_slots, n_batch, h_size, n_gates):
+    """Contiguous slot ranges, one per scan worker: one range unless one
+    step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS."""
+    step_flops = 2 * n_batch * h_size * n_gates * h_size
+    workers = _scan_workers(n_slots) if step_flops >= SCAN_THREAD_FLOPS else 1
+    return [slice(n_slots * i // workers, n_slots * (i + 1) // workers) for i in range(workers)]
+
+
+def _scan_workers(n_slots):
+    """How many threads a scan of ``n_slots`` slots may use: at most
+    MAX_SCAN_WORKERS, one per slot, core and BLAS thread; 1 when numpy's
+    OpenBLAS thread calls cannot be found."""
+    blas = _blas_thread_calls()
+    if blas is None:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(MAX_SCAN_WORKERS, n_slots, cores or 1, blas[0]()))
+
+
+@functools.cache
+def _blas_thread_calls():
+    """numpy's OpenBLAS ``(get, set)`` thread-count functions, or None.
+
+    Looked up on first use, not at import, through numpy's extension module,
+    whose symbol scope holds the OpenBLAS it links.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+_scan_pool = None
+
+
+def _run_scans(calls):
+    """Run ``calls``, (function, args) pairs over disjoint slot ranges, at
+    once: the first in this thread, the others in the scan pool, with
+    OpenBLAS on one thread until every call has returned. An exception in
+    any call is raised here, after all have finished."""
+    if len(calls) == 1:
+        fn, args = calls[0]
+        fn(*args)
+        return
+    import concurrent.futures
+
+    global _scan_pool
+    if _scan_pool is None:
+        _scan_pool = concurrent.futures.ThreadPoolExecutor(
+            MAX_SCAN_WORKERS - 1, thread_name_prefix="scan")
+    get_threads, set_threads = _blas_thread_calls()
+    saved = get_threads()
+    set_threads(1)
+    try:
+        futures = [_scan_pool.submit(fn, *args) for fn, args in calls[1:]]
+        try:
+            fn, args = calls[0]
+            fn(*args)
+        finally:
+            concurrent.futures.wait(futures)
+    finally:
+        set_threads(saved)
+    for future in futures:
+        future.result()
 
 
 def _shifted_states(h):

@@ -374,3 +374,70 @@ def test_zero_trial_file_is_data_error(tmp_path, capsys, command):
     assert "no trials" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _run_expecting_data_error(argv, out, capsys, message):
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "transfer"])
+def test_zero_timestep_file_is_data_error(tmp_path, capsys, command):
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    feats = _features_file(tmp_path / "flat.ften", np.repeat(np.arange(5), 10), t_len=0)
+    assert main(["validate", str(feats)]) == 0  # a well-formed file, just empty
+    capsys.readouterr()
+    argv = {
+        "evaluate": ["evaluate", "--model", str(model), "--features", str(feats)],
+        "train": ["train", "--features", str(feats), "--cv", "2", *TRAIN_OVERRIDES],
+        "transfer": ["transfer", "--source", str(model), "--covert", str(feats),
+                     "--budgets", "0.3", "--seeds", "2"],
+    }[command]
+    _run_expecting_data_error(argv, tmp_path / f"{command}.json", capsys, "no timesteps")
+
+
+@pytest.mark.parametrize("per_class, cv, message", [
+    (2, "0", "produced an empty test set"),  # 10 trials of 5 classes
+    (3, "5", "class 0 has only 3 trials; needs at least k=5"),
+])
+def test_file_too_small_to_train_is_data_error(tmp_path, capsys, per_class, cv, message):
+    feats = _features_file(tmp_path / "small.ften", np.repeat(np.arange(5), per_class))
+    argv = ["train", "--features", str(feats), "--cv", cv, *TRAIN_OVERRIDES]
+    _run_expecting_data_error(argv, tmp_path / "train.json", capsys, message)
+
+
+@pytest.mark.parametrize("per_class, budget, message", [
+    (4, "0.1", "budget 0.1 leaves class 0 with no fine-tune trials"),
+    (2, "0.8", "budget 0.8 needs 2 trials of class 0, only 1 outside the test set"),
+])
+def test_file_too_small_for_transfer_budget_is_data_error(tmp_path, capsys, per_class,
+                                                          budget, message):
+    source = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    feats = _features_file(tmp_path / "small.ften", np.repeat(np.arange(5), per_class))
+    argv = ["transfer", "--source", str(source), "--covert", str(feats),
+            "--budgets", budget, "--seeds", "2"]
+    _run_expecting_data_error(argv, tmp_path / "transfer.json", capsys, message)
+
+
+@pytest.mark.parametrize("budgets", ["0.3,0.2", "0.9", "abc"])
+def test_bad_transfer_budgets_are_config_errors(tmp_path, capsys, budgets):
+    source = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    out = tmp_path / "transfer.json"
+    assert main(["transfer", "--source", str(source), "--covert", str(feats),
+                 "--budgets", budgets, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_test_fraction_is_config_error(tmp_path, capsys):
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    out = tmp_path / "train.json"
+    assert main(["train", "--features", str(feats), "--cv", "0", "--set", "test_fraction=1.5",
+                 "--out", str(out)]) == 2
+    assert "test_fraction must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+

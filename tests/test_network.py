@@ -11,20 +11,80 @@ from covert_decode import network
 from covert_decode.network import (
     LayerSpec,
     RecurrentLayer,
+    _dropout_mask,
     backward_models,
     build_model,
     classifier_specs,
-    cross_entropy,
     cross_entropy_mean,
-    dense_softmax_forward,
-    dropout_apply,
     forward_models,
-    gru_step,
-    lstm_step,
+    sigmoid,
     softmax,
     validate_chain,
 )
 from covert_decode.rng import substream
+
+# ---------------------------------------------------------------------------
+# one-step cells, the head and dropout written out directly: tolerance
+# references for the layers and the training pass
+
+
+def lstm_step(x_t, h_prev, c_prev, params):
+    """One LSTM step. ``params`` maps wx (D,4H), wh (H,4H), b (4H,)."""
+    x_t, h_prev, c_prev = np.asarray(x_t), np.asarray(h_prev), np.asarray(c_prev)
+    z = x_t @ params["wx"] + h_prev @ params["wh"] + params["b"]
+    h_size = z.shape[-1] // 4
+    i = sigmoid(z[..., :h_size])
+    f = sigmoid(z[..., h_size : 2 * h_size])
+    o = sigmoid(z[..., 2 * h_size : 3 * h_size])
+    g = np.tanh(z[..., 3 * h_size :])
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
+
+
+def gru_step(x_t, h_prev, params):
+    """One GRU step: update/reset gates, then the candidate blended by update.
+
+    h_t = (1 - z) * h_prev + z * tanh(x wx_n + (r * h_prev) wh_n + b_n)
+    """
+    x_t, h_prev = np.asarray(x_t), np.asarray(h_prev)
+    h_size = h_prev.shape[-1]
+    zx = x_t @ params["wx"] + params["b"]
+    z_zr = zx[..., : 2 * h_size] + h_prev @ params["wh"][:, : 2 * h_size]
+    z = sigmoid(z_zr[..., :h_size])
+    r = sigmoid(z_zr[..., h_size:])
+    n = np.tanh(zx[..., 2 * h_size :] + (r * h_prev) @ params["wh"][:, 2 * h_size :])
+    return (1.0 - z) * h_prev + z * n
+
+
+def dense_softmax_forward(h, w, b) -> np.ndarray:
+    """Dense projection followed by softmax; rows sum to 1."""
+    return softmax(np.asarray(h) @ w + b)
+
+
+def cross_entropy(probs, label) -> float:
+    """Negative log probability of the true label (probabilities clamped at 1e-12)."""
+    p = np.asarray(probs, dtype=np.float64)
+    return float(-np.log(max(float(p[int(label)]), 1e-12)))
+
+
+def dropout_apply(x, rate: float, mode: str = "train", rng=None):
+    """Inverted dropout: zero with probability ``rate``, scale survivors.
+
+    Eval mode (and rate 0) is the identity; expected value is preserved in
+    train mode, so no rescaling happens at inference.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be train or eval, got {mode!r}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"rate must lie in [0, 1), got {rate}")
+    x = np.asarray(x)
+    if mode == "eval" or rate == 0.0:
+        return x
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float64)
+    return x * _dropout_mask(x.shape, rate, rng, x.dtype)
 
 
 def lstm_reference(x, h, c, wx, wh, b):
@@ -521,11 +581,36 @@ class TestEvalMemory:
         gate_buffer = n_time * gate_step
         states = n_time * layer.n_dir * n_batch * spec.size * 4
         x = np.zeros((n_batch, n_time, spec.input_size), dtype=np.float32)
+        out, peak = self.traced_forward(layer, x)
+        assert out.shape == (n_batch, n_time, spec.output_size)
+        assert states <= peak < gate_buffer
+
+    @staticmethod
+    def traced_forward(layer, x):
         tracemalloc.start()
         try:
             out = layer.forward(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.shape == (n_batch, n_time, spec.output_size)
-        assert states <= peak < gate_buffer
+        return out, peak
+
+    @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
+    def test_two_worker_eval_holds_the_same_blocks(self, kind, monkeypatch):
+        # with its directions on two threads, each projects its own slot in
+        # blocks of half of EVAL_BLOCK_BYTES, so the pass peaks where the
+        # one-thread pass does, give or take a few small per-block input
+        # copies and Python objects (a full block per thread would add
+        # 256 KiB); the layer returns its final state, so the peak is the
+        # state sequence plus the blocks
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 2**18)
+        monkeypatch.setattr(network, "SCAN_THREAD_FLOPS", 0)
+        spec = LayerSpec(kind=kind, input_size=8, size=32, return_sequences=False)
+        layer = RecurrentLayer(spec, substream(0, "init"))
+        x = np.zeros((8, 512, spec.input_size), dtype=np.float32)
+        peaks, outs = {}, {}
+        for workers in (2, 1, 2):  # the first pass starts the thread pool
+            monkeypatch.setattr(network, "_scan_workers", lambda n_slots, w=workers: w)
+            outs[workers], peaks[workers] = self.traced_forward(layer, x)
+        np.testing.assert_array_equal(outs[1], outs[2])
+        assert peaks[2] < peaks[1] + network.EVAL_BLOCK_BYTES // 4
