@@ -27,24 +27,27 @@ Scan buffers:
   eval passes    project their inputs EVAL_BLOCK_BYTES of gates at a time
                  into one reused block and keep only the state sequence
 
-Threads: a layer's forward and backward scans split their slots into two
-contiguous groups, one per thread (the calling thread and one pool thread),
-when one step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS
-(2*B*H*G*H; at paper width that is the first layer's training scans and
-every eval scan, never a desk-scale one). A bidirectional layer's directions
-thus run on separate cores; so do stacked fits. While the threads run,
-OpenBLAS is held to one thread, so the scans need as many cores as threads;
-the worker count is min(2, slots, usable cores, BLAS threads at call time),
-so OPENBLAS_NUM_THREADS=1 keeps every scan on one thread, and so does a
-numpy whose OpenBLAS thread calls cannot be found. Training projections and
-the weight-gradient GEMMs stay in the calling thread on every BLAS thread;
-an eval thread projects its own slots, in blocks of an equal share of
-EVAL_BLOCK_BYTES. Each slot keeps its GEMM shapes and the gate math is
-elementwise, so the split changes no bits (as long as BLAS gives a GEMM row
-the same bits on one thread as on several, which the merged eval chunks
-already rely on). The calling thread allocates every buffer the threads
-touch; they only write into them, so no memory lands in a per-thread
-malloc arena. The threads call only the scan internals and ``sigmoid``.
+Threads: an eval pass splits a layer's slots into two contiguous groups, one
+per thread (the calling thread and one pool thread), when one step's
+recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS (2*B*H*G*H); each thread
+projects its own slots' inputs, in blocks of an equal share of
+EVAL_BLOCK_BYTES, and scans them. A bidirectional layer's directions thus run
+on separate cores; so do stacked fits. The gate is measured on one
+bidirectional layer's eval scan (T = 100, B 8..256, H 64..512, 2 cores): two
+threads were faster in 16 of 19 shapes at or above it (median -10 %), about
+even between 2**23 FLOP and it, and slower in 21 of 23 below 2**23. At paper
+width every eval scan (batch 128) reaches it, no desk-scale one does.
+Training scans stay in the calling thread, since at batch 32 the split gained
+nothing. While the threads run, OpenBLAS is held to one thread, so the scans
+need as many cores as threads; the worker count is min(2, slots, usable
+cores, BLAS threads at call time), so OPENBLAS_NUM_THREADS=1 keeps every scan
+on one thread, and so does a numpy whose OpenBLAS thread calls cannot be
+found. Each slot keeps its GEMM shapes and the gate math is elementwise, so
+the split changes no bits (as long as BLAS gives a GEMM row the same bits on
+one thread as on several, which the merged eval chunks already rely on). The
+calling thread allocates every buffer the threads touch; they only write into
+them, so no memory lands in a per-thread malloc arena. The threads call only
+the scan internals and ``sigmoid``.
 """
 
 import copy
@@ -77,9 +80,9 @@ RECURRENT_KINDS = ("lstm", "gru", "bilstm", "bigru")
 # timesteps at a time, instead of the whole sequence, unless one timestep
 # alone is larger
 EVAL_BLOCK_BYTES = 4 * 2**20
-# a scan splits its slots over at most this many threads (see "Threads"),
-# and only when one step's recurrent GEMM of one slot, 2*B*H*G*H FLOP,
-# reaches SCAN_THREAD_FLOPS
+# an eval scan splits its slots over at most this many threads (see
+# "Threads"), and only when one step's recurrent GEMM of one slot,
+# 2*B*H*G*H FLOP, reaches SCAN_THREAD_FLOPS
 MAX_SCAN_WORKERS = 2
 SCAN_THREAD_FLOPS = 2**25
 LAYER_KINDS = RECURRENT_KINDS + ("dense", "dropout", "softmax")
@@ -254,9 +257,9 @@ class RecurrentLayer(_ParamLayer):
     (only a lone row, computed as a GEMV, rounds differently, and no block
     has one unless the whole pass has one), so the outputs do not change.
 
-    Large scans split their slots over two threads (module docstring,
-    "Threads"): :meth:`_scan` and :meth:`_scan_backward` each run over one
-    contiguous slot range of buffers the caller allocated for all slots.
+    Large eval scans split their slots over two threads (module docstring,
+    "Threads"): :meth:`_scan` runs over one contiguous slot range of buffers
+    the caller allocated for all slots.
     """
 
     def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
@@ -300,24 +303,25 @@ class RecurrentLayer(_ParamLayer):
         n_batch, n_time = xs[0].shape[:2]
         n_dir = head.n_dir
         wh = np.stack([layer.params[f"{d}_wh"] for layer in layers for d in layer.directions])
-        groups = _slot_groups(len(wh), n_batch, head.spec.size, head.n_gates)
         buf = head._scan_buffers(wh, n_time, n_batch, training)
         if training:
-            _, zx = next(_input_projections(layers, xs, slice(None), n_time))
-            blocks = [[(0, zx[slots])] for slots in groups]
+            # one scan over every slot, in this thread (module docstring, "Threads")
+            block = next(_input_projections(layers, xs, slice(None), n_time))
+            head._scan([block], buf, slice(None), keep_cache=True)
+            scan = {"wh": wh, "act": block[1], **{k: buf[k] for k in ("h", "c", "rh") if k in buf}}
         else:
             # each worker projects its own slots, in blocks of an equal share
             # of EVAL_BLOCK_BYTES
-            blocks = []
+            groups = _slot_groups(len(wh), n_batch, head.spec.size, head.n_gates)
+            calls = []
             slot_step_bytes = n_batch * wh.shape[2] * head.dtype.itemsize
             for slots in groups:
                 step_bytes = (slots.stop - slots.start) * slot_step_bytes
                 steps = EVAL_BLOCK_BYTES // len(groups) // max(1, step_bytes)
-                blocks.append(_input_projections(layers, xs, slots, max(1, steps)))
-        _run_scans([(head._scan, (b, buf, slots, training)) for b, slots in zip(blocks, groups)])
+                blocks = _input_projections(layers, xs, slots, max(1, steps))
+                calls.append((head._scan, (blocks, buf, slots, False)))
+            _run_scans(calls)
         h_stack = buf["h"]
-        if training:
-            scan = {"wh": wh, "act": zx, **{k: buf[k] for k in ("h", "c", "rh") if k in buf}}
         outputs = []
         for m, (layer, x) in enumerate(zip(layers, xs)):
             outputs.append(layer._merge(h_stack[:, m * n_dir : (m + 1) * n_dir]))
@@ -446,10 +450,7 @@ class RecurrentLayer(_ParamLayer):
         for m, (layer, dout) in enumerate(zip(layers, douts)):
             layer._route(dout, dh_out[:, m * n_dir : (m + 1) * n_dir])
 
-        groups = _slot_groups(n_slots, n_batch, h_size, head.n_gates)
-        buf = head._backward_buffers(scan["wh"], n_batch)
-        _run_scans([(head._scan_backward, (scan, dh_out, buf, slots)) for slots in groups])
-        dz = scan["act"]  # now the gate gradients
+        dz = head._scan_backward(scan, dh_out)
         dxs = []
         for m, layer in enumerate(layers):
             dxs.append(layer._param_grads(dz, scan, m, need_input_grad))
@@ -507,40 +508,26 @@ class RecurrentLayer(_ParamLayer):
                 self.grads[f"{direction}_b"] = dz_flat.sum(axis=0)
         return dx
 
-    def _backward_buffers(self, wh, n_batch):
-        """Every array a backward scan writes or reads besides the forward
-        scan's cache and the output gradients, for all slots of ``wh``."""
-        n_slots, h_size, gh = wh.shape
-        state = (n_slots, n_batch, h_size)
-        empty = functools.partial(np.empty, dtype=self.dtype)
-        buf = {"a": empty((n_slots, n_batch, gh)), "dh_next": np.zeros(state, self.dtype),
-               "tmp": empty(state)}
-        if self.cell == "lstm":
-            buf.update(tc=empty(state), dc=np.zeros(state, self.dtype),
-                       wh_t=np.ascontiguousarray(wh.transpose(0, 2, 1)))
-        else:
-            two = 2 * h_size
-            buf.update(dh_acc=empty(state), tmp2=empty(state), zeros=np.zeros(state, self.dtype),
-                       wh_zr_t=np.ascontiguousarray(wh[:, :, :two].transpose(0, 2, 1)),
-                       wh_n_t=np.ascontiguousarray(wh[:, :, two:].transpose(0, 2, 1)))
-        return buf
-
-    def _scan_backward(self, cache, dh_out, buf, slots):
-        # BPTT over the slots ``slots`` (a slice), on those slots' views of
-        # the forward cache, the output gradients dh_out (T, slots, B, H)
-        # and the buffers in ``buf`` (see _backward_buffers). Each step's
-        # gate gradients overwrite that step's activations in the cached
-        # "act" buffer, read from a one-step copy, so "act" ends up holding
-        # the gate gradients dz (slots, T, B, G*H)
-        h_stack, dz, dh_out = cache["h"][:, slots], cache["act"][slots], dh_out[:, slots]
+    def _scan_backward(self, cache, dh_out):
+        # each step's gate gradients overwrite that step's activations in
+        # the cached "act" buffer, read from a one-step copy; returns that
+        # buffer, now holding the gate gradients dz (slots, T, B, G*H)
+        h_stack = cache["h"]
         n_time = h_stack.shape[0]
         h_size = self.spec.size
-        a, dh_next, tmp = buf["a"][slots], buf["dh_next"][slots], buf["tmp"][slots]
+        state_shape = h_stack.shape[1:]
+        wh = cache["wh"]
+        dz = cache["act"]
+        a = np.empty(dz[:, 0].shape, dtype=self.dtype)
+        dh_next = np.zeros(state_shape, dtype=self.dtype)
+        tmp = np.empty(state_shape, dtype=self.dtype)
 
         if self.cell == "lstm":
-            c_stack = cache["c"][:, slots]
-            tc, dc, wh_t = buf["tc"][slots], buf["dc"][slots], buf["wh_t"][slots]
+            c_stack = cache["c"]
+            tc = np.empty(state_shape, dtype=self.dtype)
             three = 3 * h_size
+            wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
+            dc = np.zeros(state_shape, dtype=self.dtype)
             i = a[..., :h_size]
             f = a[..., h_size : 2 * h_size]
             o = a[..., 2 * h_size : three]
@@ -581,11 +568,14 @@ class RecurrentLayer(_ParamLayer):
                 zg *= i
                 np.matmul(dzt, wh_t, out=dh_next)
                 dc *= f
-            return
+            return dz
 
         two = 2 * h_size
-        wh_zr_t, wh_n_t = buf["wh_zr_t"][slots], buf["wh_n_t"][slots]
-        dh_acc, tmp2, zeros_h = buf["dh_acc"][slots], buf["tmp2"][slots], buf["zeros"][slots]
+        wh_zr_t = np.ascontiguousarray(wh[:, :, :two].transpose(0, 2, 1))
+        wh_n_t = np.ascontiguousarray(wh[:, :, two:].transpose(0, 2, 1))
+        dh_acc = np.empty(state_shape, dtype=self.dtype)
+        tmp2 = np.empty(state_shape, dtype=self.dtype)
+        zeros_h = np.zeros(state_shape, dtype=self.dtype)
         z = a[..., :h_size]
         r = a[..., h_size:two]
         n = a[..., two:]
@@ -618,6 +608,7 @@ class RecurrentLayer(_ParamLayer):
             np.matmul(dzt[..., :two], wh_zr_t, out=tmp)
             dh_acc += tmp
             dh_next, dh_acc = dh_acc, dh_next
+        return dz
 
 
 def _input_projections(layers, xs, slots, steps):

@@ -595,6 +595,8 @@ class TestEvalMemory:
             tracemalloc.stop()
         return out, peak
 
+    @pytest.mark.skipif(network._blas_thread_calls() is None,
+                        reason="numpy's OpenBLAS thread calls not found")
     @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
     def test_two_worker_eval_holds_the_same_blocks(self, kind, monkeypatch):
         # with its directions on two threads, each projects its own slot in

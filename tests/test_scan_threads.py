@@ -1,15 +1,17 @@
 """The two-thread scan path against the one-thread path, bit for bit.
 
-A layer's scan splits its slots over two threads when one step's recurrent
-GEMM is large enough (``network.SCAN_THREAD_FLOPS``) and numpy's OpenBLAS
-lets it pin BLAS to one thread meanwhile. Here both gates are forced:
-SCAN_THREAD_FLOPS is 0 and the worker count is patched, so small shapes take
-the threaded path. Every output, loss, gradient and Adam-updated parameter
-must match the one-worker run exactly (``assert_array_equal``). CI also runs
-this file on two OpenBLAS threads, where the one-worker reference runs its
-GEMMs on two BLAS threads and each worker on one.
+A layer's eval scan splits its slots over two threads when one step's
+recurrent GEMM is large enough (``network.SCAN_THREAD_FLOPS``) and numpy's
+OpenBLAS lets it pin BLAS to one thread meanwhile; training scans stay in the
+calling thread. Here both gates are forced: SCAN_THREAD_FLOPS is 0 and the
+worker count is patched, so small shapes take the threaded path. Every
+output, loss, gradient and Adam-updated parameter must match the one-worker
+run exactly (``assert_array_equal``). CI also runs this file on two OpenBLAS
+threads, where the one-worker reference runs its GEMMs on two BLAS threads
+and each worker on one.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -30,8 +32,17 @@ from covert_decode.optim import init_adam
 from covert_decode.rng import substream
 from covert_decode.training import _predict_proba_models, predict_proba, train_step
 
-pytestmark = pytest.mark.skipif(
+needs_blas_calls = pytest.mark.skipif(
     network._blas_thread_calls() is None, reason="numpy's OpenBLAS thread calls not found")
+
+
+@pytest.mark.skipif("OPENBLAS_NUM_THREADS" not in os.environ,
+                    reason="runs where the BLAS thread count is set")
+def test_blas_thread_calls_found():
+    # where OPENBLAS_NUM_THREADS is set (as in CI), a numpy whose OpenBLAS
+    # thread calls are not found fails here instead of skipping every test
+    # below, which would also leave every scan on one thread unnoticed
+    assert network._blas_thread_calls() is not None
 
 
 @pytest.fixture
@@ -92,6 +103,7 @@ def assert_runs_equal(one, two):
         assert_array_equal(one[key], two[key], err_msg=key)
 
 
+@needs_blas_calls
 class TestModelsMatchOneWorker:
     @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
     @pytest.mark.parametrize("n_batch", [1, 5])
@@ -115,7 +127,8 @@ class TestModelsMatchOneWorker:
         xs = [rng.standard_normal((4, 6, 3)).astype(np.float32) for _ in range(n_models)]
         ys = [rng.integers(0, 3, 4) for _ in range(n_models)]
         x_eval = rng.standard_normal((9, 6, 3)).astype(np.float32)
-        subsets = [np.arange(9)[m:] for m in range(n_models)]
+        # equally many trials, so every model's eval pass shares one scan
+        subsets = [rng.permutation(9)[:8] for _ in range(n_models)]
 
         def run():
             models = [build_model(specs, seed=m) for m in range(n_models)]
@@ -140,37 +153,45 @@ class TestModelsMatchOneWorker:
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
     @pytest.mark.parametrize("return_sequences", [True, False])
-    def test_layer_input_gradients(self, workers, kind, return_sequences):
+    def test_layer_outputs(self, workers, kind, return_sequences):
         spec = LayerSpec(kind=kind, input_size=3, size=4, return_sequences=return_sequences)
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((5, 8, 3)).astype(np.float32) for _ in range(3)]
-
-        def run():
-            layers = [RecurrentLayer(spec, substream(m, "init")) for m in range(3)]
-            outs = RecurrentLayer.forward_slots(layers, xs, training=True)
-            douts = [np.random.default_rng(6).standard_normal(o.shape).astype(np.float32)
-                     for o in outs]
-            dxs = RecurrentLayer.backward_slots(layers, douts)
-            out = {f"out{m}": o for m, o in enumerate(outs)}
-            out.update({f"dx{m}": dx for m, dx in enumerate(dxs)})
-            for m, layer in enumerate(layers):
-                out.update({f"{m}.{k}": g for k, g in layer.grads.items()})
-            return out
-
+        layers = [RecurrentLayer(spec, substream(m, "init")) for m in range(3)]
         workers(1)
-        one = run()
+        one = RecurrentLayer.forward_slots(layers, xs)
+        splits = workers(2)
+        two = RecurrentLayer.forward_slots(layers, xs)
+        n_slots = 3 * layers[0].n_dir  # 3 + 3 or 1 + 2
+        assert splits == [[(0, n_slots // 2), (n_slots // 2, n_slots)]]
+        for a, b in zip(one, two):
+            assert_array_equal(a, b)
+
+    def test_training_scans_stay_in_the_calling_thread(self, workers, monkeypatch):
+        threads = []
+        scan = RecurrentLayer._scan
+
+        def recording(self, blocks, buf, slots, keep_cache):
+            threads.append((keep_cache, threading.current_thread() is threading.main_thread()))
+            return scan(self, blocks, buf, slots, keep_cache)
+
+        monkeypatch.setattr(RecurrentLayer, "_scan", recording)
         workers(2)
-        assert_runs_equal(one, run())
+        model_run("bilstm", 5, frozen=False)
+        assert (True, True) in threads and (False, False) in threads
+        assert all(main for keep_cache, main in threads if keep_cache)
 
 
+@needs_blas_calls
 class TestWorkerCount:
     def test_small_scans_stay_on_one_thread(self, monkeypatch):
         monkeypatch.setattr(network, "_scan_workers", lambda n_slots: 2)
-        # a desk-scale step (H = 32) is far below the gate; paper_train's
-        # first layer (H = 512, batch 32) reaches it, its second does not
+        # a desk-scale step (H = 32) is far below the gate; both layers of
+        # paper_train's eval passes (batch 128, H = 512 and 256) reach it
         assert len(network._slot_groups(8, 128, 32, 4)) == 1
-        assert len(network._slot_groups(2, 32, 512, 4)) == 2
-        assert len(network._slot_groups(2, 32, 512, 3)) == 2
+        assert len(network._slot_groups(2, 128, 512, 4)) == 2
+        assert len(network._slot_groups(2, 128, 256, 3)) == 2
+        assert len(network._slot_groups(2, 128, 128, 4)) == 1
         assert len(network._slot_groups(2, 32, 256, 4)) == 1
 
     def test_bounded_by_slots_cores_and_blas_threads(self, monkeypatch):
@@ -186,6 +207,7 @@ class TestWorkerCount:
         assert network._scan_workers(4) == 1
 
 
+@needs_blas_calls
 class TestWorkerThreads:
     def test_blas_on_one_thread_while_workers_run(self, workers, monkeypatch):
         get_threads, set_threads = network._blas_thread_calls()
