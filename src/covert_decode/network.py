@@ -912,16 +912,16 @@ def backward_models(models, dlogits):
     ds = [np.asarray(d, dtype=model.dtype) for model, d in zip(models, dlogits)]
     head = models[0]
     param_indices = [i for i, layer in enumerate(head.layers) if layer is not None]
-    lowest = param_indices[0] if param_indices else -1
-    for i in range(len(head.specs) - 1, -1, -1):
+    # nothing below the bottom parameterized layer needs a gradient: the walk
+    # ends there, without that layer's input-gradient GEMM
+    lowest = param_indices[0] if param_indices else 0
+    for i in range(len(head.specs) - 1, lowest - 1, -1):
         if head.specs[i].kind == "softmax":
             continue
         ds = [d * model._masks[i] if i in model._masks else d for model, d in zip(models, ds)]
         layers = [model.layers[i] for model in models]
         if layers[0] is None:
             continue
-        # the bottom parameterized layer has nothing below that needs its
-        # input gradient, so skip that GEMM
         need_input_grad = i != lowest
         if head.specs[i].kind in RECURRENT_KINDS and len(models) > 1:
             ds = RecurrentLayer.backward_slots(layers, ds, need_input_grad)

@@ -8,6 +8,7 @@ of trials share one stacked forward/backward pass over the network's slot
 axis (see ``network.RecurrentLayer``). A partial last batch runs in its own
 group and stopped fits drop out; nothing is padded, so every fit ends
 bit-identical to training it alone. ``train_model`` is the one-fit case.
+Transfer heads are fits too: head-only models over cached body features.
 
 Evaluation (``predict``, ``predict_proba``, ``predict_models``,
 ``evaluate_accuracy``, validation and ``transfer.head_input_features``) cuts
@@ -272,8 +273,8 @@ class _Fit:
 
 def _start_fit(model, y, rows, config: TrainConfig, seed: int) -> _Fit:
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size < 2:
-        raise ValueError("need at least two training samples")
+    if rows.size < 1:
+        raise ValueError("need at least one training sample")
     train_idx, val_idx = rows, rows[:0]
     if config.validation_fraction > 0.0 and config.patience > 0:
         local_train, local_val = _stratified_validation_split(

@@ -2,30 +2,26 @@
 
 The recurrent body of a source model is frozen and only the dense head is
 re-trained on small covert budgets. Because the body never changes, its
-features for the whole covert set are computed once and cached; head
-training on cached features is mathematically identical to running the full
-network with frozen layers (body dropout is disabled during fine-tuning, the
-head-input dropout still applies), and orders of magnitude faster.
+features for the whole covert set are computed once and cached. Each head is
+then a head-only model over those features (the dropout feeding the source's
+head, a copy of its dense layer, softmax), trained by
+``training.train_models`` like any other fit; a sweep trains all its heads
+in lockstep in one call. This is mathematically identical to running the
+full network with frozen layers (body dropout is disabled during
+fine-tuning, the head-input dropout still applies), and orders of magnitude
+faster.
 """
 
+import copy
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .containers import FeatureTensor
-from .errors import NumericError
 from .evaluation import bonferroni, paired_t_test
 from .experiments import train_holdout
-from .network import (
-    RECURRENT_KINDS,
-    RecurrentModel,
-    _dropout_mask,
-    build_model,
-    cross_entropy_mean,
-    softmax,
-)
-from .optim import adam_step, init_adam
+from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model
 from .rng import substream
 
 # train_model stays importable here: perfbench/recorder.py wraps
@@ -136,45 +132,43 @@ def head_input_features(model: RecurrentModel, x: np.ndarray, batch_size: int = 
                                  upto=dense_idx)[0]
 
 
-def _train_head_on_cached(
-    model: RecurrentModel,
-    cached: np.ndarray,
-    labels: np.ndarray,
-    config: TrainConfig,
-    seed: int,
-    head_dropout: float,
-):
-    """Train only the dense head on cached body features."""
-    dense_idx, _ = _head_layers(model)
-    dense = model.layers[dense_idx]
-    w, b = dense.params["w"], dense.params["b"]
-    params = {"w": w, "b": b}
-    state = init_adam(
-        params,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
-    shuffle_rng = substream(seed, "shuffle")
-    dropout_rng = substream(seed, "dropout")
-    labels = np.asarray(labels, dtype=np.int64)
-    n = cached.shape[0]
-    for _ in range(config.max_epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb = cached[idx]
-            if head_dropout > 0.0:
-                xb = xb * _dropout_mask(xb.shape, head_dropout, dropout_rng, xb.dtype)
-            probs = softmax(xb @ w + b)
-            loss = cross_entropy_mean(probs, labels[idx])
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite fine-tune loss: {loss}")
-            d = probs.astype(w.dtype, copy=True)
-            d[np.arange(len(idx)), labels[idx]] -= 1.0
-            d /= len(idx)
-            adam_step(params, {"w": xb.T @ d, "b": d.sum(axis=0)}, state)
+def _head_model(source: RecurrentModel, seed: int, reinit_head: bool) -> RecurrentModel:
+    """A head-only model over cached body features: the dropout feeding the
+    source's head, a trainable copy of its dense layer, softmax. With
+    ``reinit_head`` the copy is re-drawn from the ``head_reinit`` substream
+    of ``seed``; otherwise it warm-starts from the source weights."""
+    dense_idx, head_dropout = _head_layers(source)
+    dense = copy.deepcopy(source.layers[dense_idx])
+    dense.frozen = False
+    if reinit_head:
+        rng = substream(seed, "head_reinit")
+        limit = np.sqrt(6.0 / sum(dense.params["w"].shape))
+        dense.params["w"][...] = rng.uniform(-limit, limit, size=dense.params["w"].shape)
+        dense.params["b"][...] = 0.0
+    width, n_classes = dense.params["w"].shape
+    specs = [
+        LayerSpec("dropout", width, width, dropout_rate=head_dropout),
+        LayerSpec("dense", width, n_classes),
+        LayerSpec("softmax", n_classes, n_classes),
+    ]
+    return RecurrentModel(specs, [None, dense, None], source.rng_seed, source.dtype)
+
+
+def _train_heads(frozen, cached, labels, seeds, subsets, tests, config, reinit_head):
+    """Fine-tune one head per seed on ``cached[subsets[i]]``, all in lockstep,
+    and score each on ``cached[tests[i]]``.
+
+    Returns the heads, their test accuracies and the frozen body's hash
+    before and after training.
+    """
+    heads = [_head_model(frozen, seed, reinit_head) for seed in seeds]
+    hash_before = frozen.recurrent_param_hash()
+    ft_config = replace(config, patience=0, validation_fraction=0.0)
+    train_models(heads, cached, labels, subsets, ft_config, seeds)
+    hash_after = frozen.recurrent_param_hash()
+    accuracies = [float((head.forward(cached[rows]).argmax(axis=1) == labels[rows]).mean())
+                  for head, rows in zip(heads, tests)]
+    return heads, accuracies, (hash_before, hash_after)
 
 
 @dataclass
@@ -204,50 +198,15 @@ def fine_tune(
     test_idx, budget_sets = nested_budget_indices(
         covert.labels, [budget], test_fraction, seed
     )
-    return _fine_tune_with_indices(
-        source, covert, budget_sets[budget], test_idx, config, seed, reinit_head
-    )
-
-
-def _fine_tune_with_indices(
-    source, covert, finetune_idx, test_idx, config, seed, reinit_head, cached_features=None
-):
-    if np.intersect1d(finetune_idx, test_idx).size:
-        raise ValueError("fine-tune and test subsets overlap")
     model = freeze_recurrent(source.clone())
-    dense_idx, head_dropout = _head_layers(model)
-    if reinit_head:
-        rng = substream(seed, "head_reinit")
-        dense = model.layers[dense_idx]
-        limit = np.sqrt(6.0 / sum(dense.params["w"].shape))
-        dense.params["w"][...] = rng.uniform(-limit, limit, size=dense.params["w"].shape)
-        dense.params["b"][...] = 0.0
-
-    hash_before = model.recurrent_param_hash()
-    if cached_features is None:
-        cached_features = head_input_features(model, covert.data, config.batch_size)
-    ft_config = replace(config, patience=0, validation_fraction=0.0)
-    _train_head_on_cached(
-        model,
-        cached_features[finetune_idx],
-        covert.labels[finetune_idx],
-        ft_config,
-        seed,
-        head_dropout,
+    cached = head_input_features(model, covert.data, config.batch_size)
+    (head,), (accuracy,), hashes = _train_heads(
+        model, cached, covert.labels, [seed], [budget_sets[budget]], [test_idx], config,
+        reinit_head,
     )
-    hash_after = model.recurrent_param_hash()
-
-    dense = model.layers[dense_idx]
-    probs = softmax(cached_features[test_idx] @ dense.params["w"] + dense.params["b"])
-    accuracy = float((probs.argmax(axis=1) == covert.labels[test_idx]).mean())
-    return FineTuneResult(
-        model=model,
-        accuracy=accuracy,
-        n_finetune=int(finetune_idx.size),
-        n_test=int(test_idx.size),
-        recurrent_hash_before=hash_before,
-        recurrent_hash_after=hash_after,
-    )
+    model.layers[_head_layers(model)[0]] = head.layers[1]
+    return FineTuneResult(model, accuracy, int(budget_sets[budget].size), int(test_idx.size),
+                          *hashes)
 
 
 def transfer_sweep(
@@ -283,46 +242,36 @@ def transfer_sweep(
 
     frozen = freeze_recurrent(source_model.clone())
     cached = head_input_features(frozen, covert.data, train_config.batch_size)
-    ft_config = replace(
-        train_config,
-        max_epochs=plan.fine_tune_max_epochs,
-        patience=0,
-        validation_fraction=0.0,
-    )
-
-    runs = []
-    cells = {budget: [] for budget in plan.budgets}  # (run, fine-tune and test trials)
+    grid = []  # (seed, budget, fine-tune trials, test trials), one per run
     for seed in plan.seeds:
         test_idx, budget_sets = nested_budget_indices(
             covert.labels, plan.budgets, plan.test_fraction, seed
         )
-        for budget in plan.budgets:
-            ft = _fine_tune_with_indices(
-                frozen,
-                covert,
-                budget_sets[budget],
-                test_idx,
-                ft_config,
-                seed,
-                plan.reinit_head,
-                cached_features=cached,
-            )
-            if ft.recurrent_hash_before != ft.recurrent_hash_after:
-                raise RuntimeError("freeze contract violated: recurrent parameters changed")
-            run = {
-                "budget": budget,
-                "seed": seed,
-                "transfer_accuracy": ft.accuracy,
-                "n_finetune": ft.n_finetune,
-                "n_test": ft.n_test,
-                "recurrent_hash_before": ft.recurrent_hash_before,
-                "recurrent_hash_after": ft.recurrent_hash_after,
-            }
-            cells[budget].append((run, budget_sets[budget], test_idx))
-            runs.append(run)
+        grid += [(seed, budget, budget_sets[budget], test_idx) for budget in plan.budgets]
+    seeds, _, subsets, tests = zip(*grid)
+    _, accuracies, (hash_before, hash_after) = _train_heads(
+        frozen, cached, covert.labels, seeds, subsets, tests,
+        replace(train_config, max_epochs=plan.fine_tune_max_epochs), plan.reinit_head,
+    )
+    if hash_before != hash_after:
+        raise RuntimeError("freeze contract violated: recurrent parameters changed")
+    runs = [
+        {
+            "budget": budget,
+            "seed": seed,
+            "transfer_accuracy": accuracy,
+            "n_finetune": int(finetune_idx.size),
+            "n_test": int(test_idx.size),
+            "recurrent_hash_before": hash_before,
+            "recurrent_hash_after": hash_after,
+        }
+        for (seed, budget, finetune_idx, test_idx), accuracy in zip(grid, accuracies)
+    ]
     if include_scratch_baseline:
-        for budget, budget_cells in cells.items():
-            _scratch_baselines(budget, budget_cells, covert, layer_specs, train_config)
+        for budget in plan.budgets:
+            cells = [(run, finetune_idx, test_idx)
+                     for run, (_, b, finetune_idx, test_idx) in zip(runs, grid) if b == budget]
+            _scratch_baselines(budget, cells, covert, layer_specs, train_config)
     payload["runs"] = runs
 
     summary = []

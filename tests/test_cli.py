@@ -441,3 +441,44 @@ def test_bad_test_fraction_is_config_error(tmp_path, capsys):
     assert "test_fraction must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+def test_train_on_one_training_trial(tmp_path, capsys):
+    # one class of 2 trials: the holdout split leaves a single training trial
+    feats = _features_file(tmp_path / "pair.ften", [0, 0])
+    out = tmp_path / "train.json"
+    assert main(["train", "--features", str(feats), "--cv", "0",
+                 "--set", "test_fraction=0.5", "--out", str(out), *TRAIN_OVERRIDES]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["holdout"]["n_test"] == 1
+
+
+@pytest.mark.parametrize("scratch", [[], ["--no-scratch"]])
+def test_transfer_on_one_trial_budget(tmp_path, capsys, scratch):
+    # one class of 10 trials: budget 0.1 fine-tunes (and trains scratch
+    # baselines) on a single trial
+    source = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    feats = _features_file(tmp_path / "one.ften", np.zeros(10, dtype=np.int64))
+    out = tmp_path / "transfer.json"
+    assert main(["transfer", "--source", str(source), "--covert", str(feats),
+                 "--budgets", "0.1", "--seeds", "2", "--out", str(out),
+                 "--set", "max_epochs=2", "--set", "fine_tune_max_epochs=2", *scratch]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    runs = json.loads(out.read_text())["runs"]
+    assert [run["n_finetune"] for run in runs] == [1, 1]
+    assert all(("scratch_accuracy" in run) == (not scratch) for run in runs)
+
+
+def test_non_finite_fine_tune_loss_is_numeric_error(tmp_path, capsys):
+    model = build_model(classifier_specs("gru", 4, hidden=(3,), dropout=(0.0,), n_classes=5),
+                        seed=0)
+    model.layers[1].params["w"][0, 0] = np.nan
+    source = fileio.save_model(model, tmp_path / "nan.rmdl")
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    out = tmp_path / "transfer.json"
+    assert main(["transfer", "--source", str(source), "--covert", str(feats),
+                 "--budgets", "0.4", "--seeds", "2", "--no-scratch", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -499,6 +499,38 @@ class TestBackward:
         assert not any(key.startswith("layer0.") for key in grads)
         assert any(key.startswith("layer1.") for key in grads)
 
+    def test_leading_dropout_layer_trains(self, monkeypatch):
+        # a head-only model: the backward walk ends at the dense layer, whose
+        # input gradient is never formed, so the dropout below has none to mask
+        from covert_decode import training
+        from covert_decode.optim import init_adam
+
+        specs = [LayerSpec("dropout", 5, 5, dropout_rate=0.3), LayerSpec("dense", 5, 3),
+                 LayerSpec("softmax", 3, 3)]
+        model = build_model(specs, seed=23)
+        x = np.random.default_rng(24).standard_normal((4, 5)).astype(np.float32)
+        y = np.array([0, 2, 1, 2])
+        w, b = model.layers[1].params["w"].copy(), model.layers[1].params["b"].copy()
+        seen, adam_step = [], training.adam_step
+
+        def recording_adam_step(params, grads, state):
+            seen.append({k: g.copy() for k, g in grads.items()})
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        state = init_adam(model.trainable_params())
+        loss, _ = training.train_step(model, x, y, state, substream(25, "dropout"))
+
+        xm = x * _dropout_mask(x.shape, 0.3, substream(25, "dropout"), np.float32)
+        probs = softmax(xm @ w + b)
+        d = probs.copy()
+        d[np.arange(4), y] -= 1.0
+        d /= 4
+        assert loss == cross_entropy_mean(probs, y)
+        assert sorted(seen[0]) == ["layer1.b", "layer1.w"]
+        np.testing.assert_array_equal(seen[0]["layer1.w"], xm.T @ d)
+        np.testing.assert_array_equal(seen[0]["layer1.b"], d.sum(axis=0))
+
 
 class TestForwardDeterminism:
     def test_eval_independent_of_batch_composition(self):

@@ -1,12 +1,21 @@
 """Freeze contract, budget nesting, fine-tuning, and the sweep bookkeeping."""
 
 import json
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from covert_decode.containers import Condition, FeatureTensor
-from covert_decode.network import build_model, classifier_specs
+from covert_decode.network import (
+    _dropout_mask,
+    build_model,
+    classifier_specs,
+    cross_entropy_mean,
+    softmax,
+)
+from covert_decode.optim import adam_step, init_adam
 from covert_decode.rng import substream
 from covert_decode.evaluation import bonferroni, paired_t_test
 from covert_decode.training import TrainConfig, evaluate_accuracy, train_model
@@ -67,6 +76,81 @@ def reference_scratch_payload(plan, covert, source, config):
     for v, p_corr in zip(versus, bonferroni([v["p_raw"] for v in versus], len(versus))):
         v["p_corrected"] = p_corr
     payload["transfer_vs_scratch_t_tests"] = versus
+    return payload
+
+
+def reference_fine_tune(frozen, covert, finetune_idx, test_idx, config, seed, reinit_head,
+                        cached):
+    """One transfer cell as it was computed before heads became fits of
+    train_models: a clone of the frozen source whose dense head trains on
+    the cached features in a minibatch loop of its own. Frozen as the oracle
+    for the heads. Returns (model, test accuracy)."""
+    model = freeze_recurrent(frozen.clone())
+    i = [spec.kind for spec in model.specs].index("dense")
+    head_dropout = model.specs[i - 1].dropout_rate if i > 0 else 0.0
+    w, b = model.layers[i].params["w"], model.layers[i].params["b"]
+    if reinit_head:
+        rng = substream(seed, "head_reinit")
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+        b[...] = 0.0
+    params = {"w": w, "b": b}
+    state = init_adam(params, learning_rate=config.learning_rate, beta1=config.beta1,
+                      beta2=config.beta2, epsilon=config.epsilon)
+    shuffle_rng, dropout_rng = substream(seed, "shuffle"), substream(seed, "dropout")
+    x, y = cached[finetune_idx], covert.labels[finetune_idx]
+    for _ in range(config.max_epochs):
+        order = shuffle_rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb = x[idx]
+            if head_dropout > 0.0:
+                xb = xb * _dropout_mask(xb.shape, head_dropout, dropout_rng, xb.dtype)
+            probs = softmax(xb @ w + b)
+            assert np.isfinite(cross_entropy_mean(probs, y[idx]))
+            d = probs.astype(w.dtype, copy=True)
+            d[np.arange(len(idx)), y[idx]] -= 1.0
+            d /= len(idx)
+            adam_step(params, {"w": xb.T @ d, "b": d.sum(axis=0)}, state)
+    probs = softmax(cached[test_idx] @ w + b)
+    return model, float((probs.argmax(axis=1) == covert.labels[test_idx]).mean())
+
+
+def reference_transfer_payload(plan, covert, source, config):
+    """The sweep payload without scratch baselines, one reference_fine_tune
+    per (seed, budget) cell."""
+    frozen = freeze_recurrent(source.clone())
+    cached = head_input_features(frozen, covert.data, config.batch_size)
+    ft_config = replace(config, max_epochs=plan.fine_tune_max_epochs, patience=0,
+                        validation_fraction=0.0)
+    runs = []
+    for seed in plan.seeds:
+        test_idx, budget_sets = nested_budget_indices(covert.labels, plan.budgets,
+                                                      plan.test_fraction, seed)
+        for budget in plan.budgets:
+            model, accuracy = reference_fine_tune(frozen, covert, budget_sets[budget], test_idx,
+                                                  ft_config, seed, plan.reinit_head, cached)
+            runs.append({"budget": budget, "seed": seed, "transfer_accuracy": accuracy,
+                         "n_finetune": int(budget_sets[budget].size),
+                         "n_test": int(test_idx.size),
+                         "recurrent_hash_before": frozen.recurrent_param_hash(),
+                         "recurrent_hash_after": model.recurrent_param_hash()})
+    summary = []
+    for budget in plan.budgets:
+        accs = [r["transfer_accuracy"] for r in runs if r["budget"] == budget]
+        summary.append({"budget": budget, "transfer_mean": float(np.mean(accs)),
+                        "transfer_stdev": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0})
+    payload = {"budgets": list(plan.budgets), "seeds": list(plan.seeds), "runs": runs,
+               "summary": summary}
+    if len(plan.seeds) >= 2 and len(plan.budgets) >= 2:
+        tests = []
+        for b1, b2 in combinations(plan.budgets, 2):
+            t, p = paired_t_test([r["transfer_accuracy"] for r in runs if r["budget"] == b1],
+                                 [r["transfer_accuracy"] for r in runs if r["budget"] == b2])
+            tests.append({"budget_a": b1, "budget_b": b2, "t": t, "p_raw": p})
+        for test, p_corr in zip(tests, bonferroni([t["p_raw"] for t in tests], len(tests))):
+            test["p_corrected"] = p_corr
+        payload["budget_t_tests"] = {"family_size": len(tests), "tests": tests}
     return payload
 
 
@@ -155,8 +239,6 @@ class TestFineTune:
         tensor = toy_tensor(n_per_class=4)
         cached = head_input_features(model, tensor.data, batch_size=8)
         dense = model.layers[2]
-        from covert_decode.network import softmax
-
         probs_cached = softmax(cached @ dense.params["w"] + dense.params["b"])
         probs_full = model.forward(tensor.data, training=False)
         np.testing.assert_allclose(probs_cached, probs_full, atol=1e-6)
@@ -279,3 +361,65 @@ class TestTransferSweep:
         for test in payload["budget_t_tests"]["tests"]:
             assert test["p_corrected"] >= test["p_raw"]
             assert test["p_corrected"] <= 1.0
+
+
+class TestHeadsMatchReference:
+    """Heads trained as lockstep fits of train_models are bit-identical to
+    the frozen per-cell head loop (reference_fine_tune)."""
+
+    @staticmethod
+    def source(kind, head_dropout):
+        # seed 21 is no sweep seed, so a mask drawn from the head's rng_seed
+        # instead of the sweep seed would show
+        specs = classifier_specs(kind, 6, hidden=(5, 4), dropout=(0.2, head_dropout),
+                                 n_classes=5)
+        return build_model(specs, seed=21)
+
+    @pytest.mark.parametrize("kind", ["bilstm", "gru"])
+    @pytest.mark.parametrize("head_dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("reinit_head", [False, True])
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    def test_sweep_payload(self, kind, head_dropout, reinit_head, batch_size):
+        # fine-tune sets of 8 and 20 trials: unequal budgets in one call
+        covert = toy_tensor(n_per_class=8, t_len=5)
+        source = self.source(kind, head_dropout)
+        plan = TransferPlan(budgets=(0.2, 0.5), seeds=(3, 4), reinit_head=reinit_head,
+                            fine_tune_max_epochs=3)
+        config = TrainConfig(learning_rate=1e-2, batch_size=batch_size, max_epochs=9)
+        payload = transfer_sweep(plan, covert, source_model=source, train_config=config,
+                                 include_scratch_baseline=False)
+        expected = reference_transfer_payload(plan, covert, source, config)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_one_trial_budget(self):
+        # one class of 10 trials: budget 0.1 fine-tunes on a single trial
+        covert = toy_tensor(n_per_class=10, t_len=5, n_classes=1)
+        source = self.source("bilstm", 0.2)
+        plan = TransferPlan(budgets=(0.1, 0.3), seeds=(0, 1), fine_tune_max_epochs=4)
+        config = TrainConfig(learning_rate=1e-2, batch_size=4)
+        payload = transfer_sweep(plan, covert, source_model=source, train_config=config,
+                                 include_scratch_baseline=False)
+        assert [run["n_finetune"] for run in payload["runs"]] == [1, 3, 1, 3]
+        expected = reference_transfer_payload(plan, covert, source, config)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("kind", ["bilstm", "gru"])
+    @pytest.mark.parametrize("reinit_head", [False, True])
+    def test_fine_tune_weights(self, kind, reinit_head):
+        covert = toy_tensor(n_per_class=8, t_len=5)
+        source = self.source(kind, 0.2)
+        config = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3)
+        result = fine_tune(source, covert, 0.3, 0.2, config, seed=5, reinit_head=reinit_head)
+        test_idx, budget_sets = nested_budget_indices(covert.labels, [0.3], 0.2, 5)
+        frozen = freeze_recurrent(source.clone())
+        cached = head_input_features(frozen, covert.data, config.batch_size)
+        model, accuracy = reference_fine_tune(
+            frozen, covert, budget_sets[0.3], test_idx,
+            replace(config, patience=0, validation_fraction=0.0), 5, reinit_head, cached)
+        assert result.accuracy == accuracy
+        assert result.model.freeze_flags() == model.freeze_flags()
+        assert [k for k, _ in result.model.param_blocks()] == [k for k, _ in model.param_blocks()]
+        for (_, got), (_, want) in zip(result.model.param_blocks(), model.param_blocks()):
+            np.testing.assert_array_equal(got, want)
+        assert result.recurrent_hash_before == result.recurrent_hash_after
+        assert result.recurrent_hash_after == source.recurrent_param_hash()
