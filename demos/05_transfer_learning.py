@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Freeze-then-fine-tune transfer from overt to covert data.
 
-Trains a small bidirectional LSTM on the overt half of a synthetic subject,
-freezes its recurrent layers, re-trains only the dense head on growing
-covert budgets, and compares against training the same architecture from
+Trains a small bidirectional LSTM on an 80:20 split of the overt half of a
+synthetic subject (``train_holdout``), then hands it to ``transfer_sweep``,
+which freezes its recurrent layers, re-trains only the dense head on growing
+covert budgets, and compares against training the source's architecture from
 scratch on each budget. Paired t-tests (Bonferroni-corrected) compare the
 budgets.
 """
 
 import numpy as np
 
+from covert_decode.experiments import train_holdout
 from covert_decode.features import extract_features
 from covert_decode.network import classifier_specs
 from covert_decode.synth import SynthSpec, generate_paired
@@ -39,8 +41,9 @@ def main():
     plan = TransferPlan(budgets=(0.15, 0.20, 0.25, 0.30), seeds=(0, 1, 2),
                         fine_tune_max_epochs=25)
 
-    payload = transfer_sweep(plan, fc, overt=fo, layer_specs=specs, train_config=config)
-    src = payload["source"]
+    source, src = train_holdout(fo, specs, config, test_fraction=plan.test_fraction,
+                                seed=plan.seeds[0])
+    payload = transfer_sweep(plan, fc, source, train_config=config)
     print(f"source model: holdout accuracy {src['holdout_accuracy']:.3f} "
           f"after {src['epochs_run']} epochs\n")
 

@@ -49,7 +49,7 @@ from .preprocessing import (
     epoch_and_baseline,
     filter_zero_phase,
 )
-from .synth import SynthSpec, default_subject, generate_paired, write_manifest
+from .synth import SynthSpec, generate_paired, write_manifest
 from .training import TrainConfig, train_model
 from .transfer import TransferPlan, fine_tune, freeze_recurrent, transfer_sweep
 
@@ -84,7 +84,6 @@ __all__ = [
     "build_model",
     "classifier_specs",
     "confusion_matrix",
-    "default_subject",
     "design_butterworth_bandpass",
     "design_notch",
     "envelope",

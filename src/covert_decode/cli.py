@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from .config import (
     RunConfig,
     load_kv_file,
 )
-from .containers import Condition, EegRecording, default_class_names
-from .errors import ConfigError, CovertDecodeError, DataError
+from .containers import Condition, default_class_names
+from .errors import ConfigError, CovertDecodeError, DataError, FileFormatError
 from .evaluation import (
     accuracy_from_confusion,
     confusion_matrix,
@@ -78,19 +79,9 @@ def _require_file(path) -> Path:
     return path
 
 
-def _train_config(cfg: RunConfig, **overrides) -> TrainConfig:
-    kwargs = dict(
-        learning_rate=cfg["learning_rate"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        epsilon=cfg["epsilon"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        validation_fraction=cfg["validation_fraction"],
-    )
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    """TrainConfig from the config keys named after its fields."""
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
 def _model_specs(cfg: RunConfig, kind: str, input_size: int, n_classes: int):
@@ -151,21 +142,9 @@ def cmd_synth(args) -> int:
     if args.spec:
         cfg.update(load_kv_file(args.spec))
     seed = _resolve_seed(args.seed, cfg["seed"])
-    spec = synth.SynthSpec(
-        n_classes=cfg["n_classes"],
-        trials_per_class=cfg["trials_per_class"],
-        n_channels=cfg["n_channels"],
-        sample_rate_hz=cfg["sample_rate_hz"],
-        epoch_seconds=cfg["epoch_seconds"],
-        components_per_class=cfg["components_per_class"],
-        cross_condition_rho=cfg["cross_condition_rho"],
-        attenuation=cfg["attenuation"],
-        noise_sigma=cfg["noise_sigma"],
-        envelope_bandwidth_hz=cfg["envelope_bandwidth_hz"],
-        envelope_jitter=cfg["envelope_jitter"],
-        phase_jitter=cfg["phase_jitter"],
-        seed=seed,
-    )
+    # every synth key but gap_seconds is a SynthSpec field
+    params = {k: v for k, v in cfg.effective().items() if k != "gap_seconds"}
+    spec = synth.SynthSpec(**{**params, "seed": seed})
     overt, covert, manifest = synth.generate_paired(spec)
     if args.emit == "epochs":
         datasets = {"overt": overt, "covert": covert}
@@ -206,12 +185,7 @@ def cmd_preprocess(args) -> int:
 
     data = filter_zero_phase(recording.data, notch)
     data = filter_zero_phase(data, bandpass)
-    filtered = EegRecording(
-        data=data,
-        sample_rate_hz=recording.sample_rate_hz,
-        channel_labels=recording.channel_labels,
-        markers=recording.markers,
-    )
+    filtered = replace(recording, data=data)
     if cfg["ica_enabled"]:
         n_components = cfg["ica_components"] or filtered.n_channels
         decomp = fastica_decompose(
@@ -223,12 +197,7 @@ def cmd_preprocess(args) -> int:
         )
         excluded = cfg.int_list("ica_exclude")
         cleaned = ica_reconstruct(decomp, excluded)
-        filtered = EegRecording(
-            data=cleaned,
-            sample_rate_hz=recording.sample_rate_hz,
-            channel_labels=recording.channel_labels,
-            markers=recording.markers,
-        )
+        filtered = replace(recording, data=cleaned)
     epochs, skipped = epoch_and_baseline(
         filtered,
         cfg["epoch_seconds"],
@@ -434,8 +403,11 @@ def cmd_report(args) -> int:
 
     if args.transfer_report:
         report = fileio.load_json(_require_file(args.transfer_report))
+        summary = report.get("summary")
+        if not isinstance(summary, list) or not all(isinstance(e, dict) for e in summary):
+            raise DataError(f"{args.transfer_report}: no summary list of budget entries")
         budget_path = out_dir / "transfer_budgets.csv"
-        _write_transfer_csv(report["summary"], budget_path)
+        _write_transfer_csv(summary, budget_path)
         wrote.append(budget_path)
 
     if args.overt_features and args.covert_features:
@@ -493,7 +465,11 @@ def cmd_validate(args) -> int:
             failures += 1
             continue
         if path.suffix == ".json":
-            ok = _validate_manifest(path)
+            try:
+                ok = _validate_manifest(path)
+            except CovertDecodeError as exc:
+                print(f"{path}: INVALID ({exc})")
+                ok = False
             failures += 0 if ok else 1
             continue
         reader = readers.get(path.suffix)
@@ -514,20 +490,26 @@ def cmd_validate(args) -> int:
 
 
 def _validate_manifest(path) -> bool:
-    manifest = fileio.load_json(path)
+    files = fileio.load_json(path).get("files", [])
+    if not isinstance(files, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
+        for e in files
+    ):
+        raise FileFormatError(f"{path}: 'files' must list objects with string path and sha256")
     ok = True
-    for entry in manifest.get("files", []):
-        target = path.parent / entry["path"]
-        if not target.exists():
-            print(f"{path}: missing listed file {entry['path']}")
+    for entry in files:
+        name = entry["path"]
+        if name in ("", ".", "..") or Path(name).name != name:
+            print(f"{path}: listed path {name!r} is not a bare file name")
             ok = False
-            continue
-        digest = fileio.sha256_file(target)
-        if digest != entry.get("sha256"):
-            print(f"{path}: checksum mismatch for {entry['path']}")
+        elif not (path.parent / name).is_file():
+            print(f"{path}: missing listed file {name}")
+            ok = False
+        elif fileio.sha256_file(path.parent / name) != entry["sha256"]:
+            print(f"{path}: checksum mismatch for {name}")
             ok = False
     if ok:
-        print(f"{path}: ok (manifest, {len(manifest.get('files', []))} files)")
+        print(f"{path}: ok (manifest, {len(files)} files)")
     return ok
 
 

@@ -68,10 +68,6 @@ class EegRecording:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
 
 @dataclass
 class EpochSet:

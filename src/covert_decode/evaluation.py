@@ -46,27 +46,32 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
 
-def holdout_split(labels, test_fraction: float, seed: int):
-    """Stratified train/test split; |test| = round(test_fraction * N) up to
-    per-class rounding. Returns (train_indices, test_indices), both sorted."""
+def stratified_split(labels, fraction: float, rng):
+    """Per class, permute the trials with ``rng`` and hold out the first
+    round(fraction * n), at most n - 1. Returns (kept, held_out), both sorted."""
     labels = np.asarray(labels, dtype=np.int64)
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    rng = substream(seed, "holdout")
-    train_idx, test_idx = [], []
+    kept, held_out = [], []
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
-        n_test = int(round(test_fraction * members.size))
-        n_test = min(max(n_test, 0), members.size - 1)
-        test_idx.extend(members[:n_test])
-        train_idx.extend(members[n_test:])
-    if not test_idx:
-        raise ValueError(f"test_fraction {test_fraction} produced an empty test set")
+        n_out = min(int(round(fraction * members.size)), members.size - 1)
+        held_out.extend(members[:n_out])
+        kept.extend(members[n_out:])
     return (
-        np.sort(np.asarray(train_idx, dtype=np.int64)),
-        np.sort(np.asarray(test_idx, dtype=np.int64)),
+        np.sort(np.asarray(kept, dtype=np.int64)),
+        np.sort(np.asarray(held_out, dtype=np.int64)),
     )
+
+
+def holdout_split(labels, test_fraction: float, seed: int):
+    """Stratified train/test split; |test| = round(test_fraction * N) up to
+    per-class rounding. Returns (train_indices, test_indices), both sorted."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    train_idx, test_idx = stratified_split(labels, test_fraction, substream(seed, "holdout"))
+    if not test_idx.size:
+        raise ValueError(f"test_fraction {test_fraction} produced an empty test set")
+    return train_idx, test_idx
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:

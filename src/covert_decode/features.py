@@ -114,10 +114,6 @@ class EnvelopeCorrelation:
     zero_variance: np.ndarray
     best_lag: np.ndarray
 
-    @property
-    def best_channel(self) -> int:
-        return int(np.argmax(self.per_channel_r))
-
 
 def _pearson_columns(a: np.ndarray, b: np.ndarray):
     a = a - a.mean(axis=0)

@@ -309,7 +309,14 @@ def dump_json(obj, path) -> Path:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """A JSON object from a UTF-8 file; FileFormatError for anything else."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FileFormatError(f"{path}: not a UTF-8 JSON file ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}: top level is not a JSON object")
+    return obj
 
 
 def input_record(path) -> dict:

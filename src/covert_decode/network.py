@@ -872,22 +872,21 @@ class RecurrentModel:
         return digest.hexdigest()
 
 
-def forward_models(models, xs, training: bool = False, rngs=None, upto=None):
+def forward_models(models, xs, training: bool = False, rngs=None):
     """Class probabilities of models of one architecture, one batch each.
 
     The models' recurrent layers share one scan per layer
     (:meth:`RecurrentLayer.forward_slots`); dense layers, dropout masks and
     softmax stay per model, and ``rngs`` holds one dropout generator per
     model. The batches must share one shape. A lone model goes through each
-    layer's own ``forward``. With ``upto``, only the layers below that index
-    run, and their output is returned instead of the probabilities.
+    layer's own ``forward``.
     """
     if rngs is None:
         rngs = [None] * len(models)
     outs = [np.asarray(x, dtype=model.dtype) for model, x in zip(models, xs)]
     for model in models:
         model._masks = {}
-    for i, spec in enumerate(models[0].specs[:upto]):
+    for i, spec in enumerate(models[0].specs):
         layers = [model.layers[i] for model in models]
         if spec.kind == "softmax":
             outs = [softmax(out) for out in outs]

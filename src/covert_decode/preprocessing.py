@@ -33,10 +33,6 @@ class FilterCoefficients:
             self.numerator = self.numerator / self.denominator[0]
             self.denominator = self.denominator / self.denominator[0]
 
-    @property
-    def order(self) -> int:
-        return max(self.numerator.size, self.denominator.size) - 1
-
     def is_stable(self) -> bool:
         """True when every pole lies strictly inside the unit circle."""
         if self.denominator.size <= 1:

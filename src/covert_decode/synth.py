@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import Condition, EegRecording, EpochSet, default_class_names
-from .features import extract_features, _pearson_columns
+from .features import envelope_correlation, extract_features
 from .rng import substream
 
 
@@ -62,15 +62,6 @@ class SynthSpec:
     @property
     def n_trials(self) -> int:
         return self.n_classes * self.trials_per_class
-
-
-def default_subject(
-    n_channels: int = 16, cross_condition_rho: float = 0.8, seed: int = 0, **overrides
-) -> SynthSpec:
-    """The desk-scale reference subject used by the demos and acceptance runs."""
-    return SynthSpec(
-        n_channels=n_channels, cross_condition_rho=cross_condition_rho, seed=seed, **overrides
-    )
 
 
 def _smooth_standardized(rng, n: int, sigma_samples: float) -> np.ndarray:
@@ -259,7 +250,8 @@ def measure_cross_condition_envelope_correlation(overt: EpochSet, covert: EpochS
     for cls in np.unique(overt.labels):
         sel_o = env_o[overt.labels == cls].mean(axis=0)
         sel_c = env_c[covert.labels == cls].mean(axis=0)
-        r, zero = _pearson_columns(sel_o, sel_c)
+        corr = envelope_correlation(sel_o, sel_c)
+        r, zero = corr.per_channel_r, corr.zero_variance
         var_o = sel_o.var(axis=0)
         var_c = sel_c.var(axis=0)
         weights = np.sqrt(var_o * var_c)

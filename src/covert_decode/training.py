@@ -11,12 +11,12 @@ bit-identical to training it alone. ``train_model`` is the one-fit case.
 Transfer heads are fits too: head-only models over cached body features.
 
 Evaluation (``predict``, ``predict_proba``, ``predict_models``,
-``evaluate_accuracy``, validation and ``transfer.head_input_features``) cuts
-each model's trials into chunks of its batch size and runs up to
-``_merge_cap`` consecutive full chunks of one model as one scan, stacked on
-the batch axis: as many as keep the pass within one training step's scan
-buffers (7 for LSTM, 6 for GRU). The partial last chunk runs alone. The
-outputs equal those of one pass per chunk.
+``evaluate_accuracy``, validation, and ``transfer.head_input_features``:
+``predict_proba`` on a body-only model) cuts each model's trials into chunks
+of its batch size and runs up to ``_merge_cap`` consecutive full chunks of
+one model as one scan, stacked on the batch axis: as many as keep the pass
+within one training step's scan buffers (7 for LSTM, 6 for GRU). The partial
+last chunk runs alone. The outputs equal those of one pass per chunk.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
+from .evaluation import stratified_split
 from .network import (
     RecurrentLayer,
     RecurrentModel,
@@ -59,33 +60,10 @@ class TrainResult:
     best_epoch: int
     history: list = field(default_factory=list)
 
-    @property
-    def final_train_accuracy(self) -> float:
-        return self.history[-1]["train_accuracy"] if self.history else 0.0
-
-    @property
-    def best_train_accuracy(self) -> float:
-        return max(h["train_accuracy"] for h in self.history) if self.history else 0.0
-
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
-
-
-def _stratified_validation_split(labels: np.ndarray, fraction: float, rng):
-    """Per-class tail split; returns (train_idx, val_idx)."""
-    train_idx, val_idx = [], []
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        members = members[rng.permutation(members.size)]
-        n_val = int(round(fraction * members.size))
-        n_val = min(n_val, members.size - 1)  # keep at least one training sample
-        val_idx.extend(members[:n_val])
-        train_idx.extend(members[n_val:])
-    return np.sort(np.asarray(train_idx, dtype=np.int64)), np.sort(
-        np.asarray(val_idx, dtype=np.int64)
-    )
 
 
 def predict_proba(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
@@ -110,9 +88,8 @@ def predict_models(models, x, subsets, batch_size: int = 32):
     return [p.argmax(axis=1) for p in probs]
 
 
-def _predict_proba_models(models, x, subsets, batch_size, upto=None):
-    """Eval-mode probabilities of each model ``i`` on ``x[subsets[i]]``, or
-    with ``upto`` the activations entering layer ``upto``.
+def _predict_proba_models(models, x, subsets, batch_size):
+    """Eval-mode probabilities of each model ``i`` on ``x[subsets[i]]``.
 
     Each model's trials are cut into chunks of ``batch_size``. Up to
     :func:`_merge_cap` consecutive full chunks of one model run as one pass,
@@ -141,11 +118,11 @@ def _predict_proba_models(models, x, subsets, batch_size, upto=None):
             sizes = [n for _, _, n in pieces]
             for group in _stack_groups(pieces, sizes, head, n_time, keep_cache=False):
                 batch = [x[subsets[j][lo : lo + n]] for j, lo, n in group]
-                results = forward_models([models[j] for j, _, _ in group], batch, upto=upto)
+                results = forward_models([models[j] for j, _, _ in group], batch)
                 for (j, _, _), out in zip(group, results):
                     outs[j].append(out)
     # a model without trials gets an empty result of its output's shape
-    return [np.concatenate(o, axis=0) if o else forward_models([m], [x[:0]], upto=upto)[0]
+    return [np.concatenate(o, axis=0) if o else forward_models([m], [x[:0]])[0]
             for m, o in zip(models, outs)]
 
 
@@ -277,7 +254,7 @@ def _start_fit(model, y, rows, config: TrainConfig, seed: int) -> _Fit:
         raise ValueError("need at least one training sample")
     train_idx, val_idx = rows, rows[:0]
     if config.validation_fraction > 0.0 and config.patience > 0:
-        local_train, local_val = _stratified_validation_split(
+        local_train, local_val = stratified_split(
             y[rows], config.validation_fraction, substream(seed, "val_split")
         )
         if local_val.size:

@@ -10,6 +10,9 @@ in lockstep in one call. This is mathematically identical to running the
 full network with frozen layers (body dropout is disabled during
 fine-tuning, the head-input dropout still applies), and orders of magnitude
 faster.
+
+The source arrives trained (by the CLI's ``train`` step or
+``experiments.train_holdout``); scratch baselines use its specs.
 """
 
 import copy
@@ -20,7 +23,6 @@ import numpy as np
 
 from .containers import FeatureTensor
 from .evaluation import bonferroni, paired_t_test
-from .experiments import train_holdout
 from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model
 from .rng import substream
 
@@ -28,8 +30,8 @@ from .rng import substream
 # transfer.train_model by name
 from .training import (  # noqa: F401
     TrainConfig,
-    _predict_proba_models,
     predict_models,
+    predict_proba,
     train_model,
     train_models,
 )
@@ -124,12 +126,12 @@ def _head_layers(model: RecurrentModel):
 
 
 def head_input_features(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
-    """Eval-mode activations feeding the dense head, batched as
-    :func:`training.predict_proba` batches."""
+    """Eval-mode activations feeding the dense head: the output of a
+    body-only model that shares ``model``'s layers below the head."""
     dense_idx, _ = _head_layers(model)
-    x = np.asarray(x)
-    return _predict_proba_models([model], x, [np.arange(x.shape[0])], batch_size,
-                                 upto=dense_idx)[0]
+    body = RecurrentModel(model.specs[:dense_idx], model.layers[:dense_idx], model.rng_seed,
+                          model.dtype)
+    return predict_proba(body, x, batch_size)
 
 
 def _head_model(source: RecurrentModel, seed: int, reinit_head: bool) -> RecurrentModel:
@@ -212,34 +214,21 @@ def fine_tune(
 def transfer_sweep(
     plan: TransferPlan,
     covert: FeatureTensor,
-    source_model: RecurrentModel = None,
-    overt: FeatureTensor = None,
-    layer_specs=None,
+    source_model: RecurrentModel,
     train_config: TrainConfig = None,
     include_scratch_baseline: bool = True,
 ) -> dict:
-    """Run the budget x seed transfer grid, optionally with scratch baselines.
+    """Run the budget x seed transfer grid from a trained ``source_model``,
+    optionally with scratch baselines of the source's architecture
+    (``source_model.specs``).
 
-    Either pass a trained ``source_model`` or provide ``overt`` features plus
-    ``layer_specs`` so the source is trained here on an 80:20 split. Returns
-    a report fragment: per-run accuracies, per-budget summaries, pairwise
-    budget t-tests (Bonferroni family = number of budget pairs), and
+    Returns a report fragment: per-run accuracies, per-budget summaries,
+    pairwise budget t-tests (Bonferroni family = number of budget pairs), and
     transfer-vs-scratch t-tests per budget when baselines are included.
     """
     if train_config is None:
         train_config = TrainConfig()
     payload = {"budgets": list(plan.budgets), "seeds": list(plan.seeds)}
-
-    if source_model is None:
-        if overt is None or layer_specs is None:
-            raise ValueError("need either source_model or (overt features + layer_specs)")
-        source_model, source_fragment = train_holdout(
-            overt, layer_specs, train_config, test_fraction=plan.test_fraction, seed=plan.seeds[0]
-        )
-        payload["source"] = source_fragment
-    if layer_specs is None:
-        layer_specs = source_model.specs
-
     frozen = freeze_recurrent(source_model.clone())
     cached = head_input_features(frozen, covert.data, train_config.batch_size)
     grid = []  # (seed, budget, fine-tune trials, test trials), one per run
@@ -271,7 +260,7 @@ def transfer_sweep(
         for budget in plan.budgets:
             cells = [(run, finetune_idx, test_idx)
                      for run, (_, b, finetune_idx, test_idx) in zip(runs, grid) if b == budget]
-            _scratch_baselines(budget, cells, covert, layer_specs, train_config)
+            _scratch_baselines(budget, cells, covert, source_model.specs, train_config)
     payload["runs"] = runs
 
     summary = []

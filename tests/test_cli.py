@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,11 @@ import pytest
 import covert_decode
 from covert_decode import fileio
 from covert_decode.cli import main
+from covert_decode.config import PIPELINE_DEFAULTS, SYNTH_DEFAULTS
 from covert_decode.containers import Condition, FeatureTensor
 from covert_decode.network import build_model, classifier_specs
+from covert_decode.synth import SynthSpec
+from covert_decode.training import TrainConfig
 
 SYNTH_SPEC = """
 # miniature subject: fast enough for tests
@@ -57,6 +61,7 @@ def test_synth_emits_manifest_and_recordings(workspace):
     assert "synthetic_covert.eegr" in files
     manifest = json.loads((data / "synthetic_manifest.json").read_text())
     assert len(manifest["files"]) == 2
+    assert all(Path(entry["path"]).name == entry["path"] for entry in manifest["files"])
 
 
 def test_preprocess_and_features_chain(workspace):
@@ -482,3 +487,72 @@ def test_non_finite_fine_tune_loss_is_numeric_error(tmp_path, capsys):
     assert "non-finite" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_config_keys_name_dataclass_fields():
+    # the CLI builds TrainConfig and SynthSpec from the config keys named
+    # after their fields
+    for field in fields(TrainConfig):
+        assert field.name in PIPELINE_DEFAULTS
+        assert PIPELINE_DEFAULTS[field.name] == field.default
+    spec_fields = {field.name for field in fields(SynthSpec)}
+    assert set(SYNTH_DEFAULTS) - {"gap_seconds"} <= spec_fields
+
+
+def _expect_exit_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return captured
+
+
+MALFORMED_JSON = {
+    "not_json": b"{not json",
+    "not_utf8": b'{"files": []}\xff',
+    "not_an_object": b"[1, 2]",
+    "file_without_path": b'{"files": [{"sha256": "00"}]}',
+    "file_without_sha256": b'{"files": [{"path": "a.eegr"}]}',
+    "path_not_a_string": b'{"files": [{"path": 3, "sha256": "00"}]}',
+    "files_not_a_list": b'{"files": "a.eegr"}',
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+def test_validate_malformed_manifest_is_invalid(tmp_path, capsys, content):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(content)
+    captured = _expect_exit_3(["validate", str(manifest)], capsys)
+    assert f"{manifest}: INVALID" in captured.out
+
+
+@pytest.mark.parametrize("name", ["../outside.bin", "absolute", "sub/inner.bin", ".."])
+def test_validate_hashes_only_bare_file_names(tmp_path, capsys, monkeypatch, name):
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(b"listed")
+    (tmp_path / "d" / "sub").mkdir(parents=True)
+    (tmp_path / "d" / "sub" / "inner.bin").write_bytes(b"listed")
+    name = str(outside) if name == "absolute" else name
+    manifest = tmp_path / "d" / "m.json"
+    manifest.write_text(json.dumps({"files": [{"path": name,
+                                               "sha256": fileio.sha256_file(outside)}]}))
+    hashed = []
+    monkeypatch.setattr(fileio, "sha256_file", hashed.append)
+    captured = _expect_exit_3(["validate", str(manifest)], capsys)
+    assert "is not a bare file name" in captured.out
+    assert hashed == []
+
+
+@pytest.mark.parametrize("flag,content", [
+    ("--transfer-report", b"{not json"),
+    ("--transfer-report", b'{"runs": []}'),
+    ("--transfer-report", b'{"summary": {"budget": 0.3}}'),
+    ("--transfer-report", b'{"summary": [0.3]}'),
+    ("--train-report", b"[]"),
+    ("--train-report", b"\xff"),
+])
+def test_report_on_malformed_json_is_data_error(tmp_path, capsys, flag, content):
+    report = tmp_path / "in.json"
+    report.write_bytes(content)
+    captured = _expect_exit_3(["report", flag, str(report), "--out-dir", str(tmp_path / "t")],
+                              capsys)
+    assert str(report) in captured.err

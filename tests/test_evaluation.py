@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 from covert_decode.evaluation import (
     accuracy_from_confusion,
@@ -10,7 +13,9 @@ from covert_decode.evaluation import (
     holdout_split,
     paired_t_test,
     stratified_kfold,
+    stratified_split,
 )
+from covert_decode.rng import substream
 
 
 def t_sf_oracle(t, df):
@@ -101,6 +106,38 @@ class TestHoldoutSplit:
         train, test = holdout_split(labels, 0.25, seed=3)
         assert np.intersect1d(train, test).size == 0
         assert train.size + test.size == labels.size
+
+
+class TestStratifiedSplit:
+    LABELS = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40)
+    SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(LABELS, st.floats(min_value=0.0, max_value=0.99), SEEDS)
+    def test_partition_counts_and_determinism(self, labels, fraction, seed):
+        labels = np.asarray(labels)
+        kept, held_out = stratified_split(labels, fraction, substream(seed, "split"))
+        assert_array_equal(np.sort(np.concatenate([kept, held_out])), np.arange(labels.size))
+        assert np.all(np.diff(kept) > 0) and np.all(np.diff(held_out) > 0)
+        for cls in np.unique(labels):
+            n = int(np.count_nonzero(labels == cls))
+            expected = min(int(round(fraction * n)), n - 1)
+            assert np.count_nonzero(labels[held_out] == cls) == expected
+        again = stratified_split(labels, fraction, substream(seed, "split"))
+        assert_array_equal(again[0], kept)
+        assert_array_equal(again[1], held_out)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(LABELS, st.floats(min_value=0.01, max_value=0.99), SEEDS)
+    def test_holdout_split_uses_the_holdout_substream(self, labels, fraction, seed):
+        kept, held_out = stratified_split(labels, fraction, substream(seed, "holdout"))
+        if not held_out.size:
+            with pytest.raises(ValueError, match="empty test set"):
+                holdout_split(labels, fraction, seed)
+            return
+        train, test = holdout_split(labels, fraction, seed)
+        assert_array_equal(train, kept)
+        assert_array_equal(test, held_out)
 
 
 class TestConfusion:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covert_decode.errors import NumericError
+from covert_decode.evaluation import stratified_split
 from covert_decode.network import build_model, classifier_specs, cross_entropy_mean
 from covert_decode.optim import adam_step, init_adam
 from covert_decode.rng import substream
@@ -197,7 +198,7 @@ def reference_train_model(model, x, y, config, seed):
     x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
     train_idx, val_idx = np.arange(x.shape[0]), np.arange(0)
     if config.validation_fraction > 0.0 and config.patience > 0:
-        split = training._stratified_validation_split(
+        split = stratified_split(
             y, config.validation_fraction, substream(seed, "val_split"))
         if split[1].size:
             train_idx, val_idx = split

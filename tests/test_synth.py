@@ -11,7 +11,6 @@ from covert_decode.errors import FileFormatError
 from covert_decode.features import extract_features
 from covert_decode.synth import (
     SynthSpec,
-    default_subject,
     generate_paired,
     measure_cross_condition_envelope_correlation,
     to_recording,
@@ -150,11 +149,3 @@ class TestManifest:
         victim.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match=victim.name):
             fileio.read_epochs(victim)
-
-
-class TestDefaultSubject:
-    def test_reduced_channels(self):
-        spec = default_subject()
-        assert spec.n_channels == 16
-        assert spec.cross_condition_rho == 0.8
-        assert spec.n_trials == 400
