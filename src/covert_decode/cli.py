@@ -4,7 +4,8 @@ Subcommands: synth, preprocess, features, train, evaluate, transfer,
 report, validate. Every command is deterministic given its config and seed;
 the COVERT_DECODE_SEED environment variable overrides the config seed and an
 explicit --seed flag overrides both. Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric failure.
+3 data error, 4 numeric failure. The library raises typed errors where it
+checks its inputs; the CLI maps errors to exit codes only in ``main``.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .config import (
     SYNTH_DEFAULTS,
     RunConfig,
     load_kv_file,
+    parse_list,
 )
 from .containers import Condition, default_class_names
 from .errors import ConfigError, CovertDecodeError, DataError, FileFormatError
@@ -34,7 +36,7 @@ from .evaluation import (
 from .experiments import make_report, run_cv, train_holdout
 from .features import envelope_correlation, extract_features
 from .ica import fastica_decompose, ica_reconstruct
-from .network import classifier_specs
+from .network import RECURRENT_KINDS, classifier_specs
 from .preprocessing import (
     design_butterworth_bandpass,
     design_notch,
@@ -43,8 +45,6 @@ from .preprocessing import (
 )
 from .training import TrainConfig, predict
 from .transfer import TransferPlan, nested_budget_indices, transfer_sweep
-
-MODEL_KINDS = ("lstm", "gru", "bilstm", "bigru")
 
 
 def _resolve_seed(arg_seed, config_seed: int) -> int:
@@ -74,7 +74,7 @@ def _load_config(args, defaults=PIPELINE_DEFAULTS) -> RunConfig:
 
 def _require_file(path) -> Path:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"input file not found: {path}")
     return path
 
@@ -84,38 +84,11 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
-def _model_specs(cfg: RunConfig, kind: str, input_size: int, n_classes: int):
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
-    hidden = cfg.int_list("hidden_units")
-    dropout = cfg.float_list("dropout_rates")
-    if len(hidden) != len(dropout):
-        raise ConfigError("hidden_units and dropout_rates must have the same length")
-    return classifier_specs(
-        kind,
-        input_size,
-        hidden=hidden,
-        dropout=dropout,
-        n_classes=n_classes,
-        merge_mode=cfg["merge_mode"],
-    )
-
-
 def _check_not_empty(features):
     if not features.n_trials:
         raise DataError("feature file holds no trials")
     if not features.n_timesteps:
         raise DataError("feature file holds no timesteps")
-
-
-def _check_split(split, labels, *args):
-    """Run a split function on a file's labels up front, so that a file too
-    small for it ends in a DataError instead of a traceback mid-run; the
-    split functions themselves raise ValueError."""
-    try:
-        split(labels, *args)
-    except ValueError as exc:
-        raise DataError(f"feature file too small: {exc}") from exc
 
 
 def _check_model_fits(model, features, role: str = "model"):
@@ -238,15 +211,16 @@ def cmd_train(args) -> int:
     feat_path = _require_file(args.features)
     features = fileio.read_features(feat_path)
     kind = args.model or cfg["model"]
-    specs = _model_specs(cfg, kind, features.n_features, features.n_classes)
+    specs = classifier_specs(kind, features.n_features, hidden=cfg.int_list("hidden_units"),
+                             dropout=cfg.float_list("dropout_rates"),
+                             n_classes=features.n_classes, merge_mode=cfg["merge_mode"])
     train_config = _train_config(cfg)
     k = args.cv if args.cv is not None else cfg["cv_folds"]
-    if not 0.0 < cfg["test_fraction"] < 1.0:
-        raise ConfigError(f"test_fraction must lie in (0, 1), got {cfg['test_fraction']}")
     _check_not_empty(features)
+    # draw the splits up front: a file too small for them fails before training
     if k >= 2:
-        _check_split(stratified_kfold, features.labels, k, seed)
-    _check_split(holdout_split, features.labels, cfg["test_fraction"], seed)
+        stratified_kfold(features.labels, k, seed)
+    holdout_split(features.labels, cfg["test_fraction"], seed)
 
     payload = {"model": kind, "n_trials": features.n_trials}
     if k >= 2:
@@ -283,7 +257,7 @@ def cmd_evaluate(args) -> int:
     _check_model_fits(model, features)
     # one prediction pass; the matrix is sized by the model, so classes the
     # file lacks get a row of zeros and a default name
-    y_pred = predict(model, features.data, cfg["batch_size"])
+    y_pred = predict(model, features.data, _train_config(cfg).batch_size)
     cm = confusion_matrix(features.labels, y_pred, model.n_classes)
     accuracy = accuracy_from_confusion(cm)
     names = features.class_names + default_class_names(model.n_classes)[features.n_classes :]
@@ -317,23 +291,16 @@ def cmd_transfer(args) -> int:
     covert = fileio.read_features(covert_path)
     _check_model_fits(source, covert, role="source model")
     n_seeds = args.seeds if args.seeds is not None else cfg["transfer_seeds"]
-    try:
-        budgets = (
-            [float(b) for b in args.budgets.split(",")] if args.budgets
-            else cfg.float_list("budgets")
-        )
-        plan = TransferPlan(
-            budgets=tuple(budgets),
-            test_fraction=cfg["test_fraction"],
-            reinit_head=cfg["reinit_head"],
-            seeds=tuple(seed + i for i in range(n_seeds)),
-            fine_tune_max_epochs=cfg["fine_tune_max_epochs"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    plan = TransferPlan(
+        budgets=tuple(parse_list(args.budgets or cfg["budgets"], float, "budgets")),
+        test_fraction=cfg["test_fraction"],
+        reinit_head=cfg["reinit_head"],
+        seeds=tuple(seed + i for i in range(n_seeds)),
+        fine_tune_max_epochs=cfg["fine_tune_max_epochs"],
+    )
+    # draw every seed's split up front: a file too small fails before training
     for sweep_seed in plan.seeds:
-        _check_split(nested_budget_indices, covert.labels, plan.budgets, plan.test_fraction,
-                     sweep_seed)
+        nested_budget_indices(covert.labels, plan.budgets, plan.test_fraction, sweep_seed)
     payload = transfer_sweep(
         plan,
         covert,
@@ -383,13 +350,9 @@ def cmd_report(args) -> int:
         rows = {}
         models = []
         for path in args.train_report:
-            report = fileio.load_json(_require_file(path))
-            model = report.get("model", "model")
-            subject = report.get("subject", Path(path).stem)
+            subject, model, acc = _train_report_row(path)
             if model not in models:
                 models.append(model)
-            source = report.get("cv") or report.get("holdout") or {}
-            acc = source.get("mean_accuracy", source.get("holdout_accuracy"))
             rows.setdefault(subject, {})[model] = acc
         table_path = out_dir / "accuracy_table.csv"
         with open(table_path, "w", newline="") as fh:
@@ -444,6 +407,22 @@ def cmd_report(args) -> int:
     for path in wrote:
         print(f"wrote {path}")
     return 0
+
+
+def _train_report_row(path):
+    """(subject, model, CV mean or else holdout accuracy) of a train report."""
+    report = fileio.load_json(_require_file(path))
+    subject = report.get("subject", Path(path).stem)
+    model = report.get("model", "model")
+    if not (isinstance(subject, str) and isinstance(model, str)):
+        raise DataError(f"{path}: 'subject' and 'model' must be strings")
+    if not all(isinstance(report[key], dict) for key in ("cv", "holdout") if key in report):
+        raise DataError(f"{path}: 'cv' and 'holdout' must be objects")
+    source = report.get("cv") or report.get("holdout") or {}
+    acc = source.get("mean_accuracy", source.get("holdout_accuracy"))
+    if not (acc is None or type(acc) in (int, float) and abs(acc) <= sys.float_info.max):
+        raise DataError(f"{path}: accuracy {acc!r} is not a finite number")
+    return subject, model, acc
 
 
 def _fmt(value):
@@ -568,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="cross-validate and train a classifier")
     p.add_argument("--features", required=True, help="feature file (.ften)")
-    p.add_argument("--model", choices=MODEL_KINDS, default=None)
+    p.add_argument("--model", choices=RECURRENT_KINDS, default=None)
     p.add_argument("--cv", type=int, default=None, help="number of folds (>= 2; 0 skips CV)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--checkpoint", help="model checkpoint path (.rmdl)")

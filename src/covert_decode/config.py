@@ -5,9 +5,12 @@ silently fall back to defaults. The effective configuration (defaults plus
 overrides) is embedded verbatim in every report.
 """
 
+import math
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .training import TrainConfig
 
 PIPELINE_DEFAULTS = {
     "seed": 0,
@@ -33,15 +36,8 @@ PIPELINE_DEFAULTS = {
     "dropout_rates": "0.3,0.2",
     "merge_mode": "concat",
     "n_classes": 5,
-    # training
-    "learning_rate": 1e-4,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "batch_size": 32,
-    "max_epochs": 60,
-    "patience": 10,
-    "validation_fraction": 0.1,
+    # training: TrainConfig's fields, with its defaults
+    **{f.name: f.default for f in fields(TrainConfig)},
     "cv_folds": 5,
     "test_fraction": 0.2,
     # transfer
@@ -71,6 +67,13 @@ SYNTH_DEFAULTS = {
 }
 
 
+def _parse_number(kind, text: str):
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_value(key: str, raw, default):
     if isinstance(raw, type(default)) and not isinstance(raw, str):
         return raw
@@ -83,10 +86,8 @@ def _parse_value(key: str, raw, default):
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
+        if isinstance(default, (int, float)):
+            return _parse_number(type(default), text)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
@@ -118,22 +119,19 @@ class RunConfig:
         return dict(self._values)
 
     def float_list(self, key: str):
-        text = str(self[key]).strip()
-        if not text:
-            return []
-        try:
-            return [float(part) for part in text.split(",") if part.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad float list for {key}: {text!r}") from exc
+        return parse_list(self[key], float, key)
 
     def int_list(self, key: str):
-        text = str(self[key]).strip()
-        if not text:
-            return []
-        try:
-            return [int(part) for part in text.split(",") if part.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad int list for {key}: {text!r}") from exc
+        return parse_list(self[key], int, key)
+
+
+def parse_list(text, kind, key: str) -> list:
+    """Comma-separated finite numbers of ``kind`` (int or float); "" is []."""
+    text = str(text).strip()
+    try:
+        return [_parse_number(kind, part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind.__name__} list for {key}: {text!r}") from exc
 
 
 def parse_kv_text(text: str) -> dict:

@@ -1,7 +1,13 @@
 """Exception hierarchy for the pipeline.
 
-The CLI maps exception classes to exit codes: configuration problems exit
-with 2, data problems with 3, numeric failures (non-finite loss) with 4.
+Errors are typed where they are raised: a range check raises ``ConfigError``
+when a parameter is out of range and ``DataError`` when the data is too small
+for the request. Both are also ``ValueError``s, so callers that catch
+``ValueError`` keep working. Internal invariants stay plain ``ValueError``.
+
+The CLI maps exception classes to exit codes, only in ``cli.main``:
+configuration problems exit with 2, data problems with 3, numeric failures
+(non-finite loss) with 4.
 """
 
 
@@ -11,7 +17,7 @@ class CovertDecodeError(Exception):
     exit_code = 1
 
 
-class ConfigError(CovertDecodeError):
+class ConfigError(CovertDecodeError, ValueError):
     """Invalid configuration: unknown keys, bad values, impossible requests."""
 
     exit_code = 2
@@ -21,7 +27,7 @@ class FilterDesignError(ConfigError):
     """The requested filter cannot be realized (bad cutoffs, unstable design)."""
 
 
-class DataError(CovertDecodeError):
+class DataError(CovertDecodeError, ValueError):
     """Input data violates a precondition or is malformed."""
 
     exit_code = 3

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, DataError
 from .rng import substream
 
 
@@ -32,13 +33,13 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     across folds."""
     labels = np.asarray(labels, dtype=np.int64)
     if k < 2:
-        raise ValueError(f"cross-validation needs k >= 2, got k={k}")
+        raise ConfigError(f"cross-validation needs k >= 2, got k={k}")
     rng = substream(seed, "kfold")
     assignments = np.full(labels.shape[0], -1, dtype=np.int64)
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         if members.size < k:
-            raise ValueError(
+            raise DataError(
                 f"class {cls} has only {members.size} trials; needs at least k={k}"
             )
         members = members[rng.permutation(members.size)]
@@ -67,10 +68,10 @@ def holdout_split(labels, test_fraction: float, seed: int):
     """Stratified train/test split; |test| = round(test_fraction * N) up to
     per-class rounding. Returns (train_indices, test_indices), both sorted."""
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     train_idx, test_idx = stratified_split(labels, test_fraction, substream(seed, "holdout"))
     if not test_idx.size:
-        raise ValueError(f"test_fraction {test_fraction} produced an empty test set")
+        raise DataError(f"test_fraction {test_fraction} produced an empty test set")
     return train_idx, test_idx
 
 

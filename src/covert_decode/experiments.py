@@ -35,7 +35,6 @@ def run_cv(
     train_config: TrainConfig,
     k: int = 5,
     seed: int = 0,
-    dtype=np.float32,
 ) -> dict:
     """Stratified k-fold cross-validation of one architecture.
 
@@ -50,7 +49,7 @@ def run_cv(
     seeds = [_fold_seed(seed, fold) for fold in range(k)]
     train_sets = [plan.train_indices(fold) for fold in range(k)]
     test_sets = [plan.test_indices(fold) for fold in range(k)]
-    models = [build_model(layer_specs, seed=fold_seed, dtype=dtype) for fold_seed in seeds]
+    models = [build_model(layer_specs, seed=fold_seed) for fold_seed in seeds]
     results = train_models(
         models, features.data, features.labels, train_sets, train_config, seeds
     )
@@ -93,13 +92,12 @@ def train_holdout(
     train_config: TrainConfig,
     test_fraction: float = 0.2,
     seed: int = 0,
-    dtype=np.float32,
 ):
     """Train one model on a stratified holdout split; returns (model, fragment)."""
     from .evaluation import holdout_split
 
     train_idx, test_idx = holdout_split(features.labels, test_fraction, seed)
-    model = build_model(layer_specs, seed=seed, dtype=dtype)
+    model = build_model(layer_specs, seed=seed)
     result = train_model(
         model, features.data[train_idx], features.labels[train_idx], train_config, seed=seed
     )

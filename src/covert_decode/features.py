@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import EpochSet, FeatureTensor
+from .errors import ConfigError, DataError
 
 DEFAULT_ENV_FLOOR_REL = 1e-12
 ABSOLUTE_ENV_FLOOR = 1e-20
@@ -82,11 +83,11 @@ def extract_features(epochs: EpochSet, env_floor_rel: float = DEFAULT_ENV_FLOOR_
     channels map to zeros instead of noise blow-ups.
     """
     if env_floor_rel <= 0:
-        raise ValueError(f"env_floor_rel must be positive, got {env_floor_rel}")
+        raise ConfigError(f"env_floor_rel must be positive, got {env_floor_rel}")
     if epochs.n_trials == 0:
-        raise ValueError("cannot extract features from an empty epoch set")
+        raise DataError("cannot extract features from an empty epoch set")
     if epochs.n_timesteps < 4:
-        raise ValueError("epochs too short for the analytic transform (need >= 4 samples)")
+        raise DataError("epochs too short for the analytic transform (need >= 4 samples)")
 
     x = epochs.data  # (trials, time, channels)
     out = np.empty((epochs.n_trials, epochs.n_timesteps, 2 * epochs.n_channels))

@@ -280,17 +280,17 @@ def load_model(path) -> RecurrentModel:
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "parameter ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "parameter shape"))
             raw = _read_exact(fh, 4 * math.prod(shape), path, f"parameter {name}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            params[name] = shape, np.frombuffer(raw, dtype="<f4")
     expected = {name for name, _ in model.param_blocks()}
     if set(params) != expected:
         raise FileFormatError(f"{path}: parameter blocks do not match the layer specs")
     for name, arr in model.param_blocks():
-        if params[name].shape != arr.shape:
-            raise FileFormatError(
-                f"{path}: parameter {name} has shape {params[name].shape}, "
-                f"expected {arr.shape}"
-            )
-        arr[...] = params[name]
+        shape, flat = params[name]
+        # compared before reshaping: a corrupt ndim may exceed numpy's limit
+        if shape != arr.shape:
+            raise FileFormatError(f"{path}: parameter {name} has shape {shape}, "
+                                  f"expected {arr.shape}")
+        arr[...] = flat.reshape(shape)
     for layer, frozen in zip(model.layers, freeze_flags):
         if layer is not None:
             layer.frozen = frozen

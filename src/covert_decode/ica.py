@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import EegRecording
-from .errors import DataError, DegenerateInputError
+from .errors import ConfigError, DataError, DegenerateInputError
 from .rng import substream
 
 _RANK_TOL = 1e-10
@@ -76,13 +76,13 @@ def fastica_decompose(
     x = recording.data
     n_channels, n_samples = x.shape
     if not 1 <= n_components <= n_channels:
-        raise ValueError(
+        raise ConfigError(
             f"n_components must lie in [1, {n_channels}], got {n_components}"
         )
     if n_channels > n_samples:
-        raise ValueError(f"need at least as many samples ({n_samples}) as channels ({n_channels})")
+        raise DataError(f"need at least as many samples ({n_samples}) as channels ({n_channels})")
     if max_iter < 1 or tol <= 0:
-        raise ValueError("max_iter must be >= 1 and tol positive")
+        raise ConfigError("max_iter must be >= 1 and tol positive")
 
     means = x.mean(axis=1)
     centered = x - means[:, np.newaxis]
@@ -155,7 +155,7 @@ def ica_reconstruct(decomp: IcaDecomposition, excluded=()) -> np.ndarray:
     excluded = set(int(i) for i in excluded)
     for i in excluded:
         if not 0 <= i < decomp.n_components:
-            raise ValueError(
+            raise ConfigError(
                 f"component index {i} out of range [0, {decomp.n_components})"
             )
     kept = [i for i in range(decomp.n_components) if i not in excluded]

@@ -58,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def sigmoid(x, out=None):
     """Logistic function built from in-place SIMD ufuncs.
@@ -106,15 +108,15 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+            raise ConfigError(f"unknown layer kind {self.kind!r}")
         if self.input_size < 1 or self.size < 1:
-            raise ValueError(f"layer sizes must be positive: {self}")
+            raise ConfigError(f"layer sizes must be positive: {self}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.merge_mode not in ("concat", "sum"):
-            raise ValueError(f"merge_mode must be concat or sum, got {self.merge_mode!r}")
+            raise ConfigError(f"merge_mode must be concat or sum, got {self.merge_mode!r}")
         if self.kind == "dropout" and self.size != self.input_size:
-            raise ValueError("dropout layers cannot change width")
+            raise ConfigError("dropout layers cannot change width")
 
     @property
     def bidirectional(self) -> bool:
@@ -164,9 +166,11 @@ def classifier_specs(
 ):
     """Stacked recurrent classifier: recurrent layers, dense head, softmax."""
     if kind not in RECURRENT_KINDS:
-        raise ValueError(f"model kind must be one of {RECURRENT_KINDS}, got {kind!r}")
+        raise ConfigError(f"model kind must be one of {RECURRENT_KINDS}, got {kind!r}")
+    if not hidden:
+        raise ConfigError("need at least one recurrent layer")
     if len(dropout) != len(hidden):
-        raise ValueError("need one dropout rate per recurrent layer")
+        raise ConfigError("need one dropout rate per recurrent layer")
     specs = []
     width = input_size
     for i, (h, rate) in enumerate(zip(hidden, dropout)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import Condition, EegRecording, EpochSet, default_class_names
-from .errors import EpochingError, FilterDesignError
+from .errors import ConfigError, EpochingError, FilterDesignError
 
 
 @dataclass
@@ -157,12 +157,12 @@ def epoch_and_baseline(
     Returns (EpochSet, SkippedTrialReport).
     """
     if epoch_seconds <= 0 or baseline_ms <= 0:
-        raise ValueError("epoch_seconds and baseline_ms must be positive")
+        raise ConfigError("epoch_seconds and baseline_ms must be positive")
     fs = recording.sample_rate_hz
     n_timesteps = int(round(epoch_seconds * fs))
     n_baseline = int(round(baseline_ms / 1000.0 * fs))
     if n_timesteps < 1 or n_baseline < 1:
-        raise ValueError("epoch and baseline windows must each span at least one sample")
+        raise ConfigError("epoch and baseline windows must each span at least one sample")
 
     data = recording.data
     n_samples = recording.n_samples

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import Condition, EegRecording, EpochSet, default_class_names
+from .errors import ConfigError
 from .features import envelope_correlation, extract_features
 from .rng import substream
 
@@ -43,17 +44,21 @@ class SynthSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.cross_condition_rho <= 1.0:
-            raise ValueError("cross_condition_rho must lie in [0, 1]")
+            raise ConfigError("cross_condition_rho must lie in [0, 1]")
         if not 0.0 < self.attenuation <= 1.0:
-            raise ValueError("attenuation must lie in (0, 1]")
+            raise ConfigError("attenuation must lie in (0, 1]")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+            raise ConfigError("noise_sigma must be non-negative")
         if min(self.n_classes, self.trials_per_class, self.n_channels) < 1:
-            raise ValueError("n_classes, trials_per_class, n_channels must be positive")
+            raise ConfigError("n_classes, trials_per_class, n_channels must be positive")
+        if self.n_timesteps < 1:
+            raise ConfigError("epoch_seconds * sample_rate_hz must round to at least one sample")
+        if self.envelope_bandwidth_hz <= 0:
+            raise ConfigError("envelope_bandwidth_hz must be positive")
         if not self.class_names:
             self.class_names = default_class_names(self.n_classes)
         if len(self.class_names) != self.n_classes:
-            raise ValueError("class_names length must equal n_classes")
+            raise ConfigError("class_names length must equal n_classes")
 
     @property
     def n_timesteps(self) -> int:
@@ -270,7 +275,7 @@ def to_recording(epochs: EpochSet, gap_seconds: float = 0.25, seed: int = 0) -> 
     fs = epochs.sample_rate_hz
     gap = int(round(gap_seconds * fs))
     if gap < 1:
-        raise ValueError("gap_seconds must cover at least one sample")
+        raise ConfigError("gap_seconds must cover at least one sample")
     t = epochs.n_timesteps
     n_samples = gap + epochs.n_trials * (t + gap)
     rng = substream(seed, "gaps", int(epochs.condition))
@@ -301,6 +306,8 @@ def write_manifest(
 
     from . import fileio
 
+    if subject in ("", ".", "..") or Path(subject).name != subject:
+        raise ConfigError(f"subject must be a bare file-name stem, got {subject!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = []

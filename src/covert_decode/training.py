@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .evaluation import stratified_split
 from .network import (
     RecurrentLayer,
@@ -49,9 +49,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
+            raise ConfigError("batch_size and max_epochs must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in [0, 1)")
+            raise ConfigError("validation_fraction must lie in [0, 1)")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if self.learning_rate <= 0 or self.epsilon <= 0:
+            raise ConfigError("learning_rate and epsilon must be positive")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .containers import FeatureTensor
+from .errors import ConfigError, DataError
 from .evaluation import bonferroni, paired_t_test
 from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model
 from .rng import substream
@@ -49,18 +50,18 @@ class TransferPlan:
         self.budgets = tuple(float(b) for b in self.budgets)
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.budgets:
-            raise ValueError("need at least one budget")
+            raise ConfigError("need at least one budget")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
-            raise ValueError(f"budgets must be strictly increasing, got {self.budgets}")
+            raise ConfigError(f"budgets must be strictly increasing, got {self.budgets}")
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in (0, 1)")
+            raise ConfigError("test_fraction must lie in (0, 1)")
         for b in self.budgets:
             if b <= 0 or b + self.test_fraction > 1.0:
-                raise ValueError(
+                raise ConfigError(
                     f"budget {b} plus test fraction {self.test_fraction} exceeds the dataset"
                 )
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise ConfigError("need at least one seed")
 
 
 def freeze_recurrent(model: RecurrentModel) -> RecurrentModel:
@@ -102,11 +103,11 @@ def nested_budget_indices(labels, budgets, test_fraction: float, seed: int):
             n_cls = int(np.count_nonzero(labels == cls))
             n_take = int(round(budget * n_cls))
             if n_take < 1:
-                raise ValueError(
+                raise DataError(
                     f"budget {budget} leaves class {cls} with no fine-tune trials"
                 )
             if n_take > pool.size:
-                raise ValueError(
+                raise DataError(
                     f"budget {budget} needs {n_take} trials of class {cls}, "
                     f"only {pool.size} outside the test set"
                 )

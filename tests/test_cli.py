@@ -15,7 +15,7 @@ import covert_decode
 from covert_decode import fileio
 from covert_decode.cli import main
 from covert_decode.config import PIPELINE_DEFAULTS, SYNTH_DEFAULTS
-from covert_decode.containers import Condition, FeatureTensor
+from covert_decode.containers import Condition, EpochSet, FeatureTensor
 from covert_decode.network import build_model, classifier_specs
 from covert_decode.synth import SynthSpec
 from covert_decode.training import TrainConfig
@@ -231,6 +231,13 @@ def test_missing_input_exit_code_and_message(workspace, capsys):
     assert "nope.epoc" in capsys.readouterr().err
 
 
+def test_directory_input_is_data_error(workspace, capsys):
+    code = main(["features", "--input", str(workspace / "data"),
+                 "--out", str(workspace / "x.ften")])
+    assert code == 3
+    assert f"input file not found: {workspace / 'data'}" in capsys.readouterr().err
+
+
 def test_non_finite_recording_is_data_error(workspace, tmp_path, capsys):
     recording = fileio.read_recording(workspace / "data" / "synthetic_overt.eegr")
     data = recording.data.copy()
@@ -438,6 +445,81 @@ def test_bad_transfer_budgets_are_config_errors(tmp_path, capsys, budgets):
     assert not out.exists()
 
 
+TINY_SPEC = ("n_classes = 2\ntrials_per_class = 2\nn_channels = 3\n"
+             "sample_rate_hz = 250\nepoch_seconds = 0.2\n")
+
+# (command, --set overrides or synth spec lines): each value is out of range
+OUT_OF_RANGE = [
+    ("train", ["batch_size=0"]),
+    ("train", ["max_epochs=0"]),
+    ("train", ["validation_fraction=1.5"]),
+    ("train", ["merge_mode=avg"]),
+    ("train", ["dropout_rates=1.0,0.1"]),
+    ("train", ["hidden_units=0,4"]),
+    ("train", ["hidden_units=", "dropout_rates="]),
+    ("transfer", ["fine_tune_max_epochs=0"]),
+    ("preprocess", ["ica_components=99"]),
+    ("preprocess", ["ica_exclude=40"]),
+    ("preprocess", ["ica_max_iter=0"]),
+    ("preprocess", ["ica_tol=0"]),
+    ("preprocess", ["epoch_seconds=0"]),
+    ("preprocess", ["baseline_ms=0"]),
+    ("features", ["env_floor_rel=0"]),
+    ("evaluate", ["batch_size=0"]),
+    ("evaluate", ["batch_size=-3"]),
+    ("synth", ["n_classes=0"]),
+    ("synth", ["gap_seconds=0"]),
+    ("synth", ["epoch_seconds=0"]),
+    ("synth", ["cross_condition_rho=2"]),
+    # found by tests/test_fuzz_cli.py
+    ("train", ["beta1=1"]),
+    ("train", ["epsilon=0"]),
+    ("preprocess", ["epoch_seconds=nan"]),
+    ("synth", ["envelope_bandwidth_hz=0"]),
+]
+
+
+@pytest.mark.parametrize("command, values", OUT_OF_RANGE,
+                         ids=[f"{c}-{'-'.join(v)}" for c, v in OUT_OF_RANGE])
+def test_out_of_range_value_is_config_error(workspace, tmp_path, capsys, command, values):
+    out = tmp_path / "out"
+    if command == "synth":
+        spec = tmp_path / "s.kv"
+        spec.write_text(TINY_SPEC + "\n".join(values) + "\n")
+        argv = ["synth", "--spec", str(spec), "--out", str(out)]
+    else:
+        feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+        model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+        epochs = EpochSet(data=np.ones((2, 8, 2)), labels=[0, 1], condition=Condition.OVERT,
+                          sample_rate_hz=100.0, class_names=["a", "b"])
+        inputs = {
+            "train": ["--features", str(feats), "--cv", "0", *TRAIN_OVERRIDES],
+            "transfer": ["--source", str(model), "--covert", str(feats), "--budgets", "0.3",
+                         "--seeds", "2"],
+            "preprocess": ["--input", str(workspace / "data" / "synthetic_overt.eegr"),
+                           *TRAIN_OVERRIDES],
+            "features": ["--input", str(fileio.write_epochs(epochs, tmp_path / "e.epoc"))],
+            "evaluate": ["--model", str(model), "--features", str(feats)],
+        }[command]
+        argv = [command, *inputs, "--out", str(out)]
+        for value in values:
+            argv += ["--set", value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+def test_synth_subject_must_be_a_bare_name(tmp_path, capsys):
+    spec = tmp_path / "s.kv"
+    spec.write_text(TINY_SPEC)
+    before = set(tmp_path.iterdir())
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d"),
+                 "--subject", "../esc"]) == 2
+    assert "bare file-name stem" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_bad_test_fraction_is_config_error(tmp_path, capsys):
     feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
     out = tmp_path / "train.json"
@@ -549,6 +631,11 @@ def test_validate_hashes_only_bare_file_names(tmp_path, capsys, monkeypatch, nam
     ("--transfer-report", b'{"summary": [0.3]}'),
     ("--train-report", b"[]"),
     ("--train-report", b"\xff"),
+    ("--train-report", b'{"cv": 5}'),
+    ("--train-report", b'{"holdout": [0.5]}'),
+    ("--train-report", b'{"cv": {"mean_accuracy": "high"}}'),
+    ("--train-report", b'{"holdout": {"holdout_accuracy": 1e999}}'),
+    ("--train-report", b'{"model": ["gru"], "cv": {}}'),
 ])
 def test_report_on_malformed_json_is_data_error(tmp_path, capsys, flag, content):
     report = tmp_path / "in.json"

@@ -305,6 +305,15 @@ def _label_beyond_names(raw):
     return raw
 
 
+def _ndim_beyond_numpy(raw):
+    # the first parameter keeps its size but declares 65 dims, past numpy's 64
+    offset = _rmdl_offset(raw, "parameter ndim")
+    ndim = raw[offset]
+    raw[offset] = 65
+    dims_end = offset + 1 + 4 * ndim
+    return raw[:dims_end] + struct.pack(f"<{65 - ndim}I", *[1] * (65 - ndim)) + raw[dims_end:]
+
+
 # (suffix, how the written sample file is damaged); every case once escaped
 # the reader as an untyped exception
 BAD_VALUES = [
@@ -312,12 +321,13 @@ BAD_VALUES = [
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _zero_size)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _unknown_spec_key)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _extra_freeze_flag)),
+    (".rmdl", _ndim_beyond_numpy),
     (".ften", _condition_seven),
     (".epoc", _condition_seven),
     (".epoc", _label_beyond_names),
 ]
 BAD_VALUE_IDS = ["rmdl-no-layer-specs", "rmdl-size-zero", "rmdl-unknown-spec-key",
-                 "rmdl-freeze-flags-too-long", "ften-condition-7", "epoc-condition-7",
+                 "rmdl-freeze-flags-too-long", "rmdl-ndim-beyond-numpy", "ften-condition-7", "epoc-condition-7",
                  "epoc-label-beyond-class-names"]
 
 
