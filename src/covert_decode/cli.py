@@ -156,13 +156,13 @@ def cmd_preprocess(args) -> int:
             recording.sample_rate_hz,
         )
 
-    data = filter_zero_phase(recording.data, notch)
-    data = filter_zero_phase(data, bandpass)
-    filtered = replace(recording, data=data)
+    # rebinding frees the raw and the pre-ICA arrays as soon as nothing reads them
+    recording = replace(recording, data=filter_zero_phase(recording.data, notch))
+    recording = replace(recording, data=filter_zero_phase(recording.data, bandpass))
     if cfg["ica_enabled"]:
-        n_components = cfg["ica_components"] or filtered.n_channels
+        n_components = cfg["ica_components"] or recording.n_channels
         decomp = fastica_decompose(
-            filtered,
+            recording,
             n_components=n_components,
             max_iter=cfg["ica_max_iter"],
             tol=cfg["ica_tol"],
@@ -170,9 +170,10 @@ def cmd_preprocess(args) -> int:
         )
         excluded = cfg.int_list("ica_exclude")
         cleaned = ica_reconstruct(decomp, excluded)
-        filtered = replace(recording, data=cleaned)
+        del decomp
+        recording = replace(recording, data=cleaned)
     epochs, skipped = epoch_and_baseline(
-        filtered,
+        recording,
         cfg["epoch_seconds"],
         cfg["baseline_ms"],
         condition=Condition.parse(args.condition),

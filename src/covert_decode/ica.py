@@ -60,15 +60,17 @@ def fastica_decompose(
     data. Deterministic for a fixed seed; the descriptor records whether the
     fixed-point iteration converged and after how many sweeps.
 
-    Memory: besides the centered input, the fixed-point sweep holds two
-    k x N float64 arrays, the whitened data ``z`` and the contrast buffer
-    ``g`` (k components, N samples), plus one scratch block of about 1 MiB.
-    Nothing is allocated per sweep beyond k x k matrices: ``w @ z`` is
-    written into ``g``, and tanh and the mean of its derivative run over row
-    blocks of ``g`` in place. The block height follows from N alone
-    (``max(1, 2**20 // (8 * N))`` rows) and is not a setting; every row is
-    reduced exactly as over the whole array, so the result does not depend
-    on it.
+    Memory: beyond the input, the sweep holds two k x N float64 arrays, the
+    whitened data ``z`` and the contrast buffer ``g`` (k components, N
+    samples), and one scratch block of about 1 MiB; the centered input is
+    freed once ``z`` is whitened. Nothing is allocated per sweep beyond k x k
+    matrices: ``w @ z`` is written into ``g``, and tanh and the mean of its
+    derivative run over row blocks of ``g`` in place. The block height
+    follows from N alone (``max(1, 2**20 // (8 * N))`` rows) and is not a
+    setting; every row is reduced exactly as over the whole array, so the
+    result does not depend on it. ``z``, ``g`` and the block are freed before
+    the sources, so the call ends holding the sources and a transient
+    centered input.
 
     Raises DataError if the input holds NaN or infinite samples, and
     DegenerateInputError if the channel covariance is rank-deficient.
@@ -103,6 +105,7 @@ def fastica_decompose(
     sel = slice(0, n_components)
     whitening = (eigvecs[:, sel] / np.sqrt(eigvals[sel])).T  # (k, n_channels)
     z = whitening @ centered
+    del centered
 
     rng = substream(seed, "ica_init")
     w = _symmetric_decorrelation(rng.standard_normal((n_components, n_components)))
@@ -130,7 +133,9 @@ def fastica_decompose(
             break
 
     unmixing = w @ whitening
-    sources = unmixing @ centered
+    # the loop views blk and sq would otherwise keep g and scratch alive
+    del g, z, scratch, blk, sq
+    sources = unmixing @ (x - means[:, np.newaxis])
     mixing = np.linalg.pinv(unmixing)
     descriptor = (
         f"fastica(symmetric, tanh, n_components={n_components}, "

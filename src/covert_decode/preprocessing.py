@@ -15,6 +15,9 @@ import numpy as np
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .errors import ConfigError, EpochingError, FilterDesignError
 
+# target size of one block of signals; sosfiltfilt holds a few padded copies of it
+_FILTER_BLOCK_BYTES = 2**22
+
 
 @dataclass
 class FilterCoefficients:
@@ -109,6 +112,10 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
     Application runs on second-order sections internally; narrow band-passes
     put poles close to the unit circle, where the direct (b, a) form loses
     several digits.
+
+    Memory: the signals along the other axes are filtered in blocks of about
+    4 MiB into one preallocated output, so the call holds the input, the
+    output and a few block-sized buffers; each signal is filtered on its own.
     """
     x = np.asarray(x, dtype=np.float64)
     n_taps = max(coeffs.numerator.size, coeffs.denominator.size)
@@ -121,7 +128,14 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
 
     padlen = 3 * (n_taps - 1)
     sos = sp_signal.tf2sos(coeffs.numerator, coeffs.denominator)
-    return sp_signal.sosfiltfilt(sos, x, axis=axis, padtype="even", padlen=padlen)
+    moved = np.moveaxis(x, axis, -1)
+    signals = moved.reshape(-1, moved.shape[-1])
+    out = np.empty_like(signals)
+    rows = max(1, _FILTER_BLOCK_BYTES // (out.itemsize * out.shape[1]))
+    for r0 in range(0, len(out), rows):
+        out[r0 : r0 + rows] = sp_signal.sosfiltfilt(sos, signals[r0 : r0 + rows],
+                                                    padtype="even", padlen=padlen)
+    return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 
 @dataclass

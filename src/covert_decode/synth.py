@@ -55,6 +55,10 @@ class SynthSpec:
             raise ConfigError("epoch_seconds * sample_rate_hz must round to at least one sample")
         if self.envelope_bandwidth_hz <= 0:
             raise ConfigError("envelope_bandwidth_hz must be positive")
+        # the smoothing kernel spans about 8 sigma whatever the epoch length
+        if _envelope_sigma_samples(self) > 100 * self.n_timesteps:
+            raise ConfigError(f"envelope_bandwidth_hz={self.envelope_bandwidth_hz} smooths over "
+                              f"more than 100 epochs of {self.n_timesteps} samples")
         if not self.class_names:
             self.class_names = default_class_names(self.n_classes)
         if len(self.class_names) != self.n_classes:

@@ -62,6 +62,8 @@ class TransferPlan:
                 )
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if self.fine_tune_max_epochs < 1:
+            raise ConfigError(f"fine_tune_max_epochs must be >= 1, got {self.fine_tune_max_epochs}")
 
 
 def freeze_recurrent(model: RecurrentModel) -> RecurrentModel:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import covert_decode
-from covert_decode import fileio
+from covert_decode import fileio, transfer
 from covert_decode.cli import main
 from covert_decode.config import PIPELINE_DEFAULTS, SYNTH_DEFAULTS
-from covert_decode.containers import Condition, EpochSet, FeatureTensor
+from covert_decode.containers import Condition, EegRecording, EpochSet, FeatureTensor
 from covert_decode.network import build_model, classifier_specs
 from covert_decode.synth import SynthSpec
 from covert_decode.training import TrainConfig
@@ -476,6 +477,7 @@ OUT_OF_RANGE = [
     ("train", ["epsilon=0"]),
     ("preprocess", ["epoch_seconds=nan"]),
     ("synth", ["envelope_bandwidth_hz=0"]),
+    ("synth", ["envelope_bandwidth_hz=1e-4"]),  # a Gaussian kernel of about 30 MB
 ]
 
 
@@ -508,6 +510,47 @@ def test_out_of_range_value_is_config_error(workspace, tmp_path, capsys, command
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+
+
+def test_fine_tune_epochs_checked_before_the_body_pass(tmp_path, capsys, monkeypatch):
+    body_passes = []
+    monkeypatch.setattr(transfer, "head_input_features",
+                        lambda *args, **kwargs: body_passes.append(args))
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    out = tmp_path / "transfer.json"
+    assert main(["transfer", "--source", str(model), "--covert", str(feats), "--budgets", "0.3",
+                 "--seeds", "2", "--out", str(out), "--set", "fine_tune_max_epochs=0"]) == 2
+    assert "fine_tune_max_epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert body_passes == []
+    assert not out.exists()
+
+
+def test_preprocess_peak_memory(tmp_path, capsys):
+    # each stage's input is freed once the next stage has read it, so the
+    # peak is FastICA's: the filtered recording plus two arrays of its size
+    import scipy.signal  # noqa: F401  (imported lazily by preprocess; not part of its peak)
+
+    n_channels, n_samples = 24, 60_000
+    rng = np.random.default_rng(0)
+    recording = EegRecording(data=rng.laplace(size=(n_channels, n_samples)),
+                             sample_rate_hz=250.0,
+                             channel_labels=[f"ch{i}" for i in range(n_channels)],
+                             markers=[(500 + 2000 * i, i % 2) for i in range(29)])
+    array = recording.data.nbytes
+    fileio.write_recording(recording, tmp_path / "r.eegr")
+    del recording
+    argv = ["preprocess", "--input", str(tmp_path / "r.eegr"), "--out", str(tmp_path / "r.epoc"),
+            "--set", "sample_rate_hz=250", "--set", "epoch_seconds=0.4",
+            "--set", "bandpass_high_hz=60", "--set", "ica_max_iter=3"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "wrote 29 epochs" in capsys.readouterr().out
+    assert peak < 3.5 * array
 
 
 def test_synth_subject_must_be_a_bare_name(tmp_path, capsys):

@@ -181,7 +181,7 @@ SMALL = {
     "hidden_units": ["", "0", "2", "3,2", "-1"],
     "max_epochs": ["-1", "0", "1", "2"],
     "fine_tune_max_epochs": ["0", "1", "2"],
-    "envelope_bandwidth_hz": ["-1", "0", "0.5", "2"],
+    "envelope_bandwidth_hz": ["-1", "0", "1e-4", "0.5", "2"],
     "ica_max_iter": ["0", "1", "5"],
     "bandpass_order": ["-1", "0", "1", "2"],
 }

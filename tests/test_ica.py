@@ -1,5 +1,7 @@
 """FastICA decomposition, reconstruction, and the artifact heuristic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -144,6 +146,24 @@ class TestBlockedSweepMatchesReference:
         np.testing.assert_array_equal(
             ica_reconstruct(decomp, {0}), reference_reconstruct(mixing, sources, means, everything[1:])
         )
+
+
+class TestDecomposeMemory:
+    def test_peaks_at_two_arrays_and_a_block_above_the_input(self):
+        # z and g during the sweep, a centered copy and the sources at the end;
+        # k x k matrices and Python objects fit in the 64 KiB of slack
+        n_channels, n_samples = 8, 40000
+        recording = make_recording(mixed_non_gaussian(n_channels, n_samples, seed=2))
+        array = recording.data.nbytes
+        block = min(block_rows(n_samples), n_channels) * n_samples * 8
+        tracemalloc.start()
+        try:
+            decomp = fastica_decompose(recording, n_channels, max_iter=3, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decomp.sources.shape == (n_channels, n_samples)
+        assert peak < 2 * array + block + 2**16
 
 
 class TestFastIca:

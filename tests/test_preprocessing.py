@@ -1,8 +1,12 @@
 """Filter design, zero-phase filtering, and epoching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+from covert_decode import preprocessing
 from covert_decode.containers import EegRecording
 from covert_decode.errors import EpochingError, FilterDesignError
 from covert_decode.preprocessing import (
@@ -125,6 +129,39 @@ class TestZeroPhaseFilter:
         out = filter_zero_phase(x, coeffs)
         assert out.shape == x.shape
         np.testing.assert_allclose(out[1], filter_zero_phase(x[1], coeffs), rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape, axis, block_bytes",
+        [
+            ((7, 900), -1, 3 * 900 * 8),  # 3-row blocks: 3 + 3 + 1
+            ((5, 900), -1, 1),  # one signal per block
+            ((900,), -1, 2**22),  # 1-D: a single signal
+            ((900, 6), 0, 4 * 900 * 8),  # filtered along the first axis: 4 + 2
+            ((3, 900, 4), 1, 5 * 900 * 8),  # 12 signals across two other axes: 5 + 5 + 2
+        ],
+    )
+    def test_blocked_matches_one_sosfiltfilt_call(self, monkeypatch, shape, axis, block_bytes):
+        monkeypatch.setattr(preprocessing, "_FILTER_BLOCK_BYTES", block_bytes)
+        coeffs = design_butterworth_bandpass(4, 0.5, 80, 500)
+        x = np.random.default_rng(2).standard_normal(shape)
+        sos = sp_signal.tf2sos(coeffs.numerator, coeffs.denominator)
+        padlen = 3 * (max(coeffs.numerator.size, coeffs.denominator.size) - 1)
+        want = sp_signal.sosfiltfilt(sos, x, axis=axis, padtype="even", padlen=padlen)
+        np.testing.assert_array_equal(filter_zero_phase(x, coeffs, axis=axis), want)
+
+    def test_peaks_at_output_plus_blocks(self):
+        # sosfiltfilt holds about three padded copies of what it is given, so
+        # filtering in blocks bounds the peak by a few blocks above the output
+        coeffs = design_butterworth_bandpass(4, 0.5, 80, 500)
+        x = np.random.default_rng(3).standard_normal((16, 250_000))
+        tracemalloc.start()
+        try:
+            out = filter_zero_phase(x, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < x.nbytes + 4 * preprocessing._FILTER_BLOCK_BYTES
 
 
 def make_recording(n_channels=2, n_samples=3000, markers=(), fs=500.0, data=None):

@@ -1,13 +1,14 @@
 """Synthetic paired-subject generator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from covert_decode import fileio
 from covert_decode.containers import Condition
-from covert_decode.errors import FileFormatError
+from covert_decode.errors import ConfigError, FileFormatError
 from covert_decode.features import extract_features
 from covert_decode.synth import (
     SynthSpec,
@@ -80,6 +81,19 @@ class TestGeneratePaired:
             SynthSpec(cross_condition_rho=1.5)
         with pytest.raises(ValueError):
             SynthSpec(attenuation=0.0)
+
+    def test_smoothing_wider_than_100_epochs_rejected(self):
+        # sigma is about 18,700 epochs of 50 samples; the kernel would be
+        # about 7.5e6 float64 values per smoothed series
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="envelope_bandwidth_hz"):
+                SynthSpec(n_classes=1, trials_per_class=1, n_channels=1,
+                          epoch_seconds=0.1, envelope_bandwidth_hz=1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_nearest_centroid_floor_low_noise(self):
         spec = SynthSpec(n_channels=16, trials_per_class=20, noise_sigma=0.1, seed=1)
