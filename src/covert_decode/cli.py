@@ -44,7 +44,7 @@ from .preprocessing import (
     filter_zero_phase,
 )
 from .training import TrainConfig, predict
-from .transfer import TransferPlan, nested_budget_indices, transfer_sweep
+from .transfer import TransferPlan, transfer_sweep
 
 
 def _resolve_seed(arg_seed, config_seed: int) -> int:
@@ -133,28 +133,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _filters(cfg: RunConfig, rate: float):
+    """The configured notch and band-pass filters at ``rate``."""
+    notch = design_notch(cfg["notch_hz"], cfg["notch_q"], rate)
+    bandpass = design_butterworth_bandpass(
+        cfg["bandpass_order"], cfg["bandpass_low_hz"], cfg["bandpass_high_hz"], rate
+    )
+    return notch, bandpass
+
+
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args.seed, cfg["seed"])
     # design both filters before touching any input so config mistakes
     # surface immediately
-    notch = design_notch(cfg["notch_hz"], cfg["notch_q"], cfg["sample_rate_hz"])
-    bandpass = design_butterworth_bandpass(
-        cfg["bandpass_order"],
-        cfg["bandpass_low_hz"],
-        cfg["bandpass_high_hz"],
-        cfg["sample_rate_hz"],
-    )
+    notch, bandpass = _filters(cfg, cfg["sample_rate_hz"])
     in_path = _require_file(args.input)
     recording = fileio.read_recording(in_path)
     if recording.sample_rate_hz != cfg["sample_rate_hz"]:
-        notch = design_notch(cfg["notch_hz"], cfg["notch_q"], recording.sample_rate_hz)
-        bandpass = design_butterworth_bandpass(
-            cfg["bandpass_order"],
-            cfg["bandpass_low_hz"],
-            cfg["bandpass_high_hz"],
-            recording.sample_rate_hz,
-        )
+        notch, bandpass = _filters(cfg, recording.sample_rate_hz)
 
     # rebinding frees the raw and the pre-ICA arrays as soon as nothing reads them
     recording = replace(recording, data=filter_zero_phase(recording.data, notch))
@@ -299,9 +296,6 @@ def cmd_transfer(args) -> int:
         seeds=tuple(seed + i for i in range(n_seeds)),
         fine_tune_max_epochs=cfg["fine_tune_max_epochs"],
     )
-    # draw every seed's split up front: a file too small fails before training
-    for sweep_seed in plan.seeds:
-        nested_budget_indices(covert.labels, plan.budgets, plan.test_fraction, sweep_seed)
     payload = transfer_sweep(
         plan,
         covert,

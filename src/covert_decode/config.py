@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .synth import SynthSpec
 from .training import TrainConfig
 
 PIPELINE_DEFAULTS = {
@@ -49,20 +50,15 @@ PIPELINE_DEFAULTS = {
     "jobs": 1,
 }
 
+# SynthSpec's fields with its defaults, but for two values the CLI has
+# always synthesized with: changing either would change every subject the
+# CLI writes, or else paper_train's inputs, which come from SynthSpec itself.
+# component_amplitude and class_names are not keys.
 SYNTH_DEFAULTS = {
-    "seed": 0,
-    "n_classes": 5,
-    "trials_per_class": 80,
-    "n_channels": 64,
-    "sample_rate_hz": 500.0,
-    "epoch_seconds": 2.0,
+    **{f.name: f.default for f in fields(SynthSpec)
+       if f.name not in ("component_amplitude", "class_names")},
     "components_per_class": 2,
-    "cross_condition_rho": 0.8,
-    "attenuation": 0.6,
-    "noise_sigma": 0.5,
-    "envelope_bandwidth_hz": 2.0,
     "envelope_jitter": 0.2,
-    "phase_jitter": 0.6,
     "gap_seconds": 0.25,
 }
 

@@ -11,22 +11,11 @@ import datetime
 import numpy as np
 
 from .containers import FeatureTensor
-from .evaluation import accuracy_from_confusion, confusion_matrix, stratified_kfold
+from .evaluation import accuracy_from_confusion, confusion_matrix, holdout_split, stratified_kfold
 from .network import build_model
 from .training import TrainConfig, predict, predict_models, train_model, train_models
 
 REPORT_SCHEMA = 1
-
-
-def evaluate_on(model, features: FeatureTensor, indices=None, batch_size: int = 32):
-    """Accuracy and confusion matrix of a model on (a subset of) a tensor."""
-    if indices is None:
-        indices = np.arange(features.n_trials)
-    x = features.data[indices]
-    y = features.labels[indices]
-    y_pred = predict(model, x, batch_size)
-    cm = confusion_matrix(y, y_pred, features.n_classes)
-    return accuracy_from_confusion(cm), cm
 
 
 def run_cv(
@@ -94,19 +83,18 @@ def train_holdout(
     seed: int = 0,
 ):
     """Train one model on a stratified holdout split; returns (model, fragment)."""
-    from .evaluation import holdout_split
-
     train_idx, test_idx = holdout_split(features.labels, test_fraction, seed)
     model = build_model(layer_specs, seed=seed)
     result = train_model(
         model, features.data[train_idx], features.labels[train_idx], train_config, seed=seed
     )
-    accuracy, cm = evaluate_on(model, features, test_idx, train_config.batch_size)
+    y_pred = predict(model, features.data[test_idx], train_config.batch_size)
+    cm = confusion_matrix(features.labels[test_idx], y_pred, features.n_classes)
     fragment = {
         "test_fraction": test_fraction,
         "n_train": int(train_idx.size),
         "n_test": int(test_idx.size),
-        "holdout_accuracy": accuracy,
+        "holdout_accuracy": accuracy_from_confusion(cm),
         "confusion": cm.tolist(),
         "epochs_run": result.epochs_run,
         "best_epoch": result.best_epoch,

@@ -113,29 +113,13 @@ class EnvelopeCorrelation:
     per_channel_r: np.ndarray
     max_r: float
     zero_variance: np.ndarray
-    best_lag: np.ndarray
 
 
-def _pearson_columns(a: np.ndarray, b: np.ndarray):
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    na = np.linalg.norm(a, axis=0)
-    nb = np.linalg.norm(b, axis=0)
-    zero = (na == 0) | (nb == 0)
-    denom = np.where(zero, 1.0, na * nb)
-    r = np.einsum("tc,tc->c", a, b) / denom
-    r = np.clip(np.where(zero, 0.0, r), -1.0, 1.0)
-    return r, zero
+def envelope_correlation(env_a: np.ndarray, env_b: np.ndarray) -> EnvelopeCorrelation:
+    """Column-wise Pearson correlation at zero lag between two (time x
+    channel) matrices.
 
-
-def envelope_correlation(
-    env_a: np.ndarray, env_b: np.ndarray, max_lag_samples: int = 0
-) -> EnvelopeCorrelation:
-    """Column-wise Pearson correlation between two (time x channel) matrices.
-
-    Zero-variance columns get r = 0 and a flag instead of NaN. By default
-    correlation is at zero lag; ``max_lag_samples`` > 0 sweeps integer lags
-    in [-L, L] and keeps each channel's maximum (with the winning lag).
+    Zero-variance columns get r = 0 and a flag instead of NaN.
     """
     env_a = np.asarray(env_a, dtype=np.float64)
     env_b = np.asarray(env_b, dtype=np.float64)
@@ -143,27 +127,12 @@ def envelope_correlation(
         raise ValueError(f"shape mismatch: {env_a.shape} vs {env_b.shape}")
     if env_a.ndim != 2 or env_a.shape[0] < 2:
         raise ValueError("need a (time x channels) matrix with at least 2 samples")
-
-    if max_lag_samples == 0:
-        r, zero = _pearson_columns(env_a, env_b)
-        best_lag = np.zeros(env_a.shape[1], dtype=np.int64)
-    else:
-        n_time, n_channels = env_a.shape
-        if max_lag_samples >= n_time - 1:
-            raise ValueError(f"max_lag_samples {max_lag_samples} too large for {n_time} samples")
-        r = np.full(n_channels, -np.inf)
-        best_lag = np.zeros(n_channels, dtype=np.int64)
-        zero = np.zeros(n_channels, dtype=bool)
-        for lag in range(-max_lag_samples, max_lag_samples + 1):
-            if lag >= 0:
-                a_part, b_part = env_a[: n_time - lag], env_b[lag:]
-            else:
-                a_part, b_part = env_a[-lag:], env_b[: n_time + lag]
-            r_lag, zero_lag = _pearson_columns(a_part, b_part)
-            better = r_lag > r
-            r = np.where(better, r_lag, r)
-            best_lag = np.where(better, lag, best_lag)
-            zero |= zero_lag
-    return EnvelopeCorrelation(
-        per_channel_r=r, max_r=float(r.max()), zero_variance=zero, best_lag=best_lag
-    )
+    a = env_a - env_a.mean(axis=0)
+    b = env_b - env_b.mean(axis=0)
+    na = np.linalg.norm(a, axis=0)
+    nb = np.linalg.norm(b, axis=0)
+    zero = (na == 0) | (nb == 0)
+    denom = np.where(zero, 1.0, na * nb)
+    r = np.einsum("tc,tc->c", a, b) / denom
+    r = np.clip(np.where(zero, 0.0, r), -1.0, 1.0)
+    return EnvelopeCorrelation(per_channel_r=r, max_r=float(r.max()), zero_variance=zero)

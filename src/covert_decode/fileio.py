@@ -22,9 +22,15 @@ Checkpoint (.rmdl):  magic "RMDL", u32 version=1, u32 JSON header length,
     per parameter: u32 name length + name, u8 ndim, u32 dims, f32 data.
     Save/load round-trips are bit-exact.
 
-Readers compare every size a header declares with the bytes left in the file
-before reading, so a corrupt or hostile header raises FileFormatError rather
-than attempting a huge read.
+``.epoc`` and ``.ften`` share one layout, written by ``_write_trials``: the
+``<IIIIB`` header (version, the three data dimensions, condition), a block
+only ``.epoc`` has (sample rate and class names), then labels and data.
+Every reader goes through ``_Reader``, which checks the magic and version
+and sizes each read from what it reads: ``unpack`` from the struct format,
+``array`` from the dtype and shape, ``string`` from its length prefix. Each
+size is compared with the bytes left in the file before the read, so a
+corrupt or hostile header raises FileFormatError rather than attempting a
+huge read; ``_build`` turns a container's ValueError into one as well.
 """
 
 import hashlib
@@ -36,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .containers import Condition, EegRecording, EpochSet, FeatureTensor, default_class_names
+from .containers import EegRecording, EpochSet, FeatureTensor, default_class_names
 from .errors import FileFormatError
 from .network import LayerSpec, RecurrentModel, build_model
 
@@ -44,6 +50,7 @@ RECORDING_MAGIC = b"EEGR"
 EPOCHS_MAGIC = b"EPOC"
 FEATURES_MAGIC = b"FTEN"
 MODEL_MAGIC = b"RMDL"
+_MARKER = struct.Struct("<QH")
 
 
 def sha256_file(path) -> str:
@@ -54,59 +61,72 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_string(fh, text: str):
+def _pack_string(text: str) -> bytes:
     raw = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
+    return struct.pack("<I", len(raw)) + raw
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    # every size comes from the file's own header: compare it with the bytes
-    # left before reading, so a corrupt size fails here instead of asking
-    # for gigabytes
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise FileFormatError(
-            f"{path}: truncated while reading {what} ({n} bytes declared, {left} left)"
-        )
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise FileFormatError(f"{path}: truncated while reading {what}")
-    return raw
+class _Reader:
+    """Reads one open file whose every size comes from its own header."""
+
+    def __init__(self, fh, path, magic: bytes):
+        self.fh = fh
+        self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
+        got = fh.read(4)
+        if got != magic:
+            raise FileFormatError(
+                f"{path}: bad magic {got!r}, expected {magic.decode('ascii')!r}"
+            )
+        (version,) = self.unpack("<I", "version")
+        if version != 1:
+            raise FileFormatError(f"{path}: unsupported version {version}")
+
+    def take(self, n: int, what: str) -> bytes:
+        left = self.size - self.fh.tell()
+        if n > left:
+            raise FileFormatError(
+                f"{self.path}: truncated while reading {what} ({n} bytes declared, {left} left)"
+            )
+        raw = self.fh.read(n)
+        if len(raw) != n:
+            raise FileFormatError(f"{self.path}: truncated while reading {what}")
+        return raw
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def string(self, what: str) -> str:
+        (length,) = self.unpack("<I", f"{what} length")
+        raw = self.take(length, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{self.path}: {what} is not valid UTF-8") from exc
+
+    def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
+        raw = self.take(np.dtype(dtype).itemsize * math.prod(shape), what)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def _read_string(fh, path, what: str) -> str:
-    (length,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{what} length"))
-    raw = _read_exact(fh, length, path, what)
+def _build(path, container, **fields):
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: {what} is not valid UTF-8") from exc
-
-
-def _check_magic(fh, magic: bytes, path):
-    got = fh.read(4)
-    if got != magic:
-        raise FileFormatError(
-            f"{path}: bad magic {got!r}, expected {magic.decode('ascii')!r}"
-        )
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-    if version != 1:
-        raise FileFormatError(f"{path}: unsupported version {version}")
+        return container(**fields)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_recording(recording: EegRecording, path) -> Path:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(RECORDING_MAGIC)
-        fh.write(struct.pack("<II", 1, recording.n_channels))
-        fh.write(struct.pack("<Q", recording.n_samples))
-        fh.write(struct.pack("<d", float(recording.sample_rate_hz)))
+        fh.write(struct.pack("<IIQd", 1, recording.n_channels, recording.n_samples,
+                             float(recording.sample_rate_hz)))
         for label in recording.channel_labels:
-            _write_string(fh, label)
+            fh.write(_pack_string(label))
         fh.write(struct.pack("<Q", len(recording.markers)))
-        for sample, cls in recording.markers:
-            fh.write(struct.pack("<QH", sample, cls))
+        for marker in recording.markers:
+            fh.write(_MARKER.pack(*marker))
         fh.write(memoryview(np.ascontiguousarray(recording.data, dtype="<f4")))
     return path
 
@@ -114,118 +134,61 @@ def write_recording(recording: EegRecording, path) -> Path:
 def read_recording(path) -> EegRecording:
     path = Path(path)
     with open(path, "rb") as fh:
-        _check_magic(fh, RECORDING_MAGIC, path)
-        (n_channels,) = struct.unpack("<I", _read_exact(fh, 4, path, "n_channels"))
-        (n_samples,) = struct.unpack("<Q", _read_exact(fh, 8, path, "n_samples"))
-        (sample_rate,) = struct.unpack("<d", _read_exact(fh, 8, path, "sample_rate"))
-        labels = [_read_string(fh, path, "channel label") for _ in range(n_channels)]
-        (n_markers,) = struct.unpack("<Q", _read_exact(fh, 8, path, "marker count"))
-        raw = _read_exact(fh, 10 * n_markers, path, "markers")
-        markers = list(struct.iter_unpack("<QH", raw))
-        raw = _read_exact(fh, 4 * n_channels * n_samples, path, "sample data")
-        data = np.frombuffer(raw, dtype="<f4").reshape(n_channels, n_samples)
-    try:
-        return EegRecording(
-            data=data.astype(np.float64),
-            sample_rate_hz=sample_rate,
-            channel_labels=labels,
-            markers=markers,
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+        r = _Reader(fh, path, RECORDING_MAGIC)
+        n_channels, n_samples, sample_rate = r.unpack("<IQd", "header")
+        labels = [r.string("channel label") for _ in range(n_channels)]
+        (n_markers,) = r.unpack("<Q", "marker count")
+        markers = list(_MARKER.iter_unpack(r.take(_MARKER.size * n_markers, "markers")))
+        data = r.array("<f4", (n_channels, n_samples), "sample data")
+    return _build(path, EegRecording, data=data.astype(np.float64), sample_rate_hz=sample_rate,
+                  channel_labels=labels, markers=markers)
+
+
+def _write_trials(path, magic: bytes, trials, between: bytes = b"") -> Path:
+    """Write the layout ``.epoc`` and ``.ften`` share, ``between`` after the header."""
+    path = Path(path)
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<IIIIB", 1, *trials.data.shape, int(trials.condition)))
+        fh.write(between)
+        fh.write(memoryview(np.ascontiguousarray(trials.labels, dtype="<u2")))
+        fh.write(memoryview(np.ascontiguousarray(trials.data, dtype="<f4")))
+    return path
 
 
 def write_epochs(epochs: EpochSet, path) -> Path:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(EPOCHS_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIB",
-                1,
-                epochs.n_trials,
-                epochs.n_timesteps,
-                epochs.n_channels,
-                int(epochs.condition),
-            )
-        )
-        fh.write(struct.pack("<d", float(epochs.sample_rate_hz)))
-        fh.write(struct.pack("<I", epochs.n_classes))
-        for name in epochs.class_names:
-            _write_string(fh, name)
-        fh.write(memoryview(np.ascontiguousarray(epochs.labels, dtype="<u2")))
-        fh.write(memoryview(np.ascontiguousarray(epochs.data, dtype="<f4")))
-    return path
+    between = struct.pack("<dI", float(epochs.sample_rate_hz), epochs.n_classes)
+    between += b"".join(_pack_string(name) for name in epochs.class_names)
+    return _write_trials(path, EPOCHS_MAGIC, epochs, between)
 
 
 def read_epochs(path) -> EpochSet:
     path = Path(path)
     with open(path, "rb") as fh:
-        _check_magic(fh, EPOCHS_MAGIC, path)
-        n_trials, n_timesteps, n_channels, condition = struct.unpack(
-            "<IIIB", _read_exact(fh, 13, path, "header")
-        )
-        (sample_rate,) = struct.unpack("<d", _read_exact(fh, 8, path, "sample_rate"))
-        (n_classes,) = struct.unpack("<I", _read_exact(fh, 4, path, "class count"))
-        class_names = [_read_string(fh, path, "class name") for _ in range(n_classes)]
-        labels = np.frombuffer(
-            _read_exact(fh, 2 * n_trials, path, "labels"), dtype="<u2"
-        ).astype(np.int64)
-        raw = _read_exact(fh, 4 * n_trials * n_timesteps * n_channels, path, "epoch data")
-        data = np.frombuffer(raw, dtype="<f4").reshape(n_trials, n_timesteps, n_channels)
-    try:
-        return EpochSet(
-            data=data.astype(np.float64),
-            labels=labels,
-            condition=Condition(condition),
-            sample_rate_hz=sample_rate,
-            class_names=class_names,
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+        r = _Reader(fh, path, EPOCHS_MAGIC)
+        n_trials, n_timesteps, n_channels, condition = r.unpack("<IIIB", "header")
+        sample_rate, n_classes = r.unpack("<dI", "sample rate and class count")
+        class_names = [r.string("class name") for _ in range(n_classes)]
+        labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
+        data = r.array("<f4", (n_trials, n_timesteps, n_channels), "epoch data")
+    return _build(path, EpochSet, data=data.astype(np.float64), labels=labels,
+                  condition=condition, sample_rate_hz=sample_rate, class_names=class_names)
 
 
 def write_features(features: FeatureTensor, path) -> Path:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIB",
-                1,
-                features.n_trials,
-                features.n_timesteps,
-                features.n_features,
-                int(features.condition),
-            )
-        )
-        fh.write(memoryview(np.ascontiguousarray(features.labels, dtype="<u2")))
-        fh.write(memoryview(np.ascontiguousarray(features.data, dtype="<f4")))
-    return path
+    return _write_trials(path, FEATURES_MAGIC, features)
 
 
 def read_features(path) -> FeatureTensor:
     path = Path(path)
     with open(path, "rb") as fh:
-        _check_magic(fh, FEATURES_MAGIC, path)
-        n_trials, n_timesteps, n_features, condition = struct.unpack(
-            "<IIIB", _read_exact(fh, 13, path, "header")
-        )
-        labels = np.frombuffer(
-            _read_exact(fh, 2 * n_trials, path, "labels"), dtype="<u2"
-        ).astype(np.int64)
-        raw = _read_exact(fh, 4 * n_trials * n_timesteps * n_features, path, "feature data")
-        data = np.frombuffer(raw, dtype="<f4").reshape(n_trials, n_timesteps, n_features)
+        r = _Reader(fh, path, FEATURES_MAGIC)
+        n_trials, n_timesteps, n_features, condition = r.unpack("<IIIB", "header")
+        labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
+        data = r.array("<f4", (n_trials, n_timesteps, n_features), "feature data")
     n_classes = int(labels.max()) + 1 if n_trials else 1
-    try:
-        return FeatureTensor(
-            data=np.array(data, dtype=np.float32),
-            labels=labels,
-            condition=Condition(condition),
-            class_names=default_class_names(n_classes),
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _build(path, FeatureTensor, data=np.array(data, dtype=np.float32), labels=labels,
+                  condition=condition, class_names=default_class_names(n_classes))
 
 
 def save_model(model: RecurrentModel, path) -> Path:
@@ -240,15 +203,13 @@ def save_model(model: RecurrentModel, path) -> Path:
     blocks = model.param_blocks()
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<I", len(header_raw)))
+        fh.write(struct.pack("<II", 1, len(header_raw)))
         fh.write(header_raw)
         fh.write(struct.pack("<I", len(blocks)))
         for name, arr in blocks:
-            _write_string(fh, name)
             arr32 = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(struct.pack("<B", arr32.ndim))
-            fh.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
+            fh.write(_pack_string(name))
+            fh.write(struct.pack(f"<B{arr32.ndim}I", arr32.ndim, *arr32.shape))
             fh.write(memoryview(arr32))
     return path
 
@@ -256,9 +217,9 @@ def save_model(model: RecurrentModel, path) -> Path:
 def load_model(path) -> RecurrentModel:
     path = Path(path)
     with open(path, "rb") as fh:
-        _check_magic(fh, MODEL_MAGIC, path)
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
-        raw = _read_exact(fh, header_len, path, "header")
+        r = _Reader(fh, path, MODEL_MAGIC)
+        (header_len,) = r.unpack("<I", "header length")
+        raw = r.take(header_len, "header")
         try:
             header = json.loads(raw)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -273,20 +234,20 @@ def load_model(path) -> RecurrentModel:
             raise FileFormatError(
                 f"{path}: {len(freeze_flags)} freeze flags for {len(specs)} layers"
             )
-        (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "parameter count"))
+        (n_blocks,) = r.unpack("<I", "parameter count")
         params = {}
         for _ in range(n_blocks):
-            name = _read_string(fh, path, "parameter name")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "parameter ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "parameter shape"))
-            raw = _read_exact(fh, 4 * math.prod(shape), path, f"parameter {name}")
-            params[name] = shape, np.frombuffer(raw, dtype="<f4")
+            name = r.string("parameter name")
+            (ndim,) = r.unpack("<B", "parameter ndim")
+            shape = r.unpack(f"<{ndim}I", "parameter shape")
+            # read flat: a corrupt ndim may exceed numpy's limit, so the shape
+            # is compared with the model's before anything is reshaped
+            params[name] = shape, r.array("<f4", (math.prod(shape),), f"parameter {name}")
     expected = {name for name, _ in model.param_blocks()}
     if set(params) != expected:
         raise FileFormatError(f"{path}: parameter blocks do not match the layer specs")
     for name, arr in model.param_blocks():
         shape, flat = params[name]
-        # compared before reshaping: a corrupt ndim may exceed numpy's limit
         if shape != arr.shape:
             raise FileFormatError(f"{path}: parameter {name} has shape {shape}, "
                                   f"expected {arr.shape}")

@@ -32,7 +32,6 @@ class IcaDecomposition:
     mixing: np.ndarray
     sources: np.ndarray
     channel_means: np.ndarray
-    whitening: np.ndarray
     descriptor: str = ""
 
     @property
@@ -146,7 +145,6 @@ def fastica_decompose(
         mixing=mixing,
         sources=sources,
         channel_means=means,
-        whitening=whitening,
         descriptor=descriptor,
     )
 

@@ -54,7 +54,7 @@ import copy
 import functools
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,14 +129,7 @@ class LayerSpec:
         return self.size
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_size": self.input_size,
-            "size": self.size,
-            "dropout_rate": self.dropout_rate,
-            "merge_mode": self.merge_mode,
-            "return_sequences": self.return_sequences,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":

@@ -232,8 +232,8 @@ def transfer_sweep(
     if train_config is None:
         train_config = TrainConfig()
     payload = {"budgets": list(plan.budgets), "seeds": list(plan.seeds)}
-    frozen = freeze_recurrent(source_model.clone())
-    cached = head_input_features(frozen, covert.data, train_config.batch_size)
+    # the whole grid is drawn before the body pass, so a covert set too
+    # small for a budget fails before any model runs
     grid = []  # (seed, budget, fine-tune trials, test trials), one per run
     for seed in plan.seeds:
         test_idx, budget_sets = nested_budget_indices(
@@ -241,6 +241,8 @@ def transfer_sweep(
         )
         grid += [(seed, budget, budget_sets[budget], test_idx) for budget in plan.budgets]
     seeds, _, subsets, tests = zip(*grid)
+    frozen = freeze_recurrent(source_model.clone())
+    cached = head_input_features(frozen, covert.data, train_config.batch_size)
     _, accuracies, (hash_before, hash_after) = _train_heads(
         frozen, cached, covert.labels, seeds, subsets, tests,
         replace(train_config, max_epochs=plan.fine_tune_max_epochs), plan.reinit_head,

@@ -620,8 +620,14 @@ def test_config_keys_name_dataclass_fields():
     for field in fields(TrainConfig):
         assert field.name in PIPELINE_DEFAULTS
         assert PIPELINE_DEFAULTS[field.name] == field.default
-    spec_fields = {field.name for field in fields(SynthSpec)}
-    assert set(SYNTH_DEFAULTS) - {"gap_seconds"} <= spec_fields
+    # every synth key but gap_seconds has SynthSpec's default, apart from two
+    # values the CLI has always synthesized with
+    spec_defaults = {field.name: field.default for field in fields(SynthSpec)}
+    differ = {"components_per_class": 2, "envelope_jitter": 0.2}
+    for key, value in SYNTH_DEFAULTS.items():
+        if key != "gap_seconds":
+            assert value == differ.get(key, spec_defaults[key]), key
+    assert all(spec_defaults[key] != value for key, value in differ.items())
 
 
 def _expect_exit_3(argv, capsys):

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from covert_decode.containers import Condition, FeatureTensor
-from covert_decode.evaluation import accuracy_from_confusion, stratified_kfold
-from covert_decode.experiments import (
-    evaluate_on,
-    make_report,
-    run_cv,
-    train_holdout,
-)
+from covert_decode.evaluation import accuracy_from_confusion, confusion_matrix, stratified_kfold
+from covert_decode.experiments import make_report, run_cv, train_holdout
 from covert_decode.network import build_model, classifier_specs
-from covert_decode.training import TrainConfig, train_model
+from covert_decode.training import TrainConfig, predict, train_model
 
 
 def class_coded_tensor(n_per_class=10, t_len=12, n_channels=3, n_classes=5, seed=0,
@@ -38,8 +33,8 @@ FAST = TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=25, patience=25
 
 def reference_run_cv(features, layer_specs, train_config, k, seed):
     """run_cv as it was before lockstep training: one fold after another,
-    each trained by train_model and tested by evaluate_on. Frozen as the
-    oracle for the lockstep run_cv."""
+    each trained by train_model and tested by predict. Frozen as the oracle
+    for the lockstep run_cv."""
     plan = stratified_kfold(features.labels, k, seed)
     fold_entries = []
     pooled = np.zeros((features.n_classes, features.n_classes), dtype=np.int64)
@@ -49,9 +44,11 @@ def reference_run_cv(features, layer_specs, train_config, k, seed):
         model = build_model(layer_specs, seed=seed * 1000 + fold)
         result = train_model(model, features.data[train_idx], features.labels[train_idx],
                              train_config, seed=seed * 1000 + fold)
-        accuracy, cm = evaluate_on(model, features, test_idx, train_config.batch_size)
+        y_pred = predict(model, features.data[test_idx], train_config.batch_size)
+        cm = confusion_matrix(features.labels[test_idx], y_pred, features.n_classes)
         pooled += cm
-        fold_entries.append({"fold": fold, "accuracy": accuracy, "confusion": cm.tolist(),
+        fold_entries.append({"fold": fold, "accuracy": accuracy_from_confusion(cm),
+                             "confusion": cm.tolist(),
                              "n_test": int(test_idx.size), "epochs_run": result.epochs_run,
                              "best_epoch": result.best_epoch})
     accuracies = [f["accuracy"] for f in fold_entries]

@@ -273,14 +273,6 @@ class TestEnvelopeCorrelation:
             r = envelope_correlation(a, b).per_channel_r
             assert np.all(r >= -1.0) and np.all(r <= 1.0)
 
-    def test_lag_sweep_recovers_shift(self):
-        rng = np.random.default_rng(36)
-        base = np.cumsum(rng.standard_normal(220))
-        a = base[10:210].reshape(-1, 1)
-        b = base[5:205].reshape(-1, 1)  # b leads a by 5 samples
-        result = envelope_correlation(a, b, max_lag_samples=10)
-        assert result.best_lag[0] == -5 or abs(result.per_channel_r[0]) > 0.99
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             envelope_correlation(np.zeros((10, 2)), np.zeros((10, 3)))

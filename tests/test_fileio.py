@@ -115,13 +115,16 @@ class TestRecordingFormat:
         with pytest.raises(FileFormatError, match="bad.eegr"):
             fileio.read_recording(path)
 
-    def test_truncated(self, tmp_path):
-        rec = sample_recording()
-        path = fileio.write_recording(rec, tmp_path / "t.eegr")
+    @pytest.mark.parametrize("suffix", [".eegr", ".epoc", ".ften", ".rmdl"],
+                             ids=["eegr", "epoc", "ften", "rmdl"])
+    def test_truncated(self, tmp_path, suffix):
+        # every strict prefix of a valid file of each format
+        path, reader = _sample_files(tmp_path)[suffix]
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(FileFormatError, match="truncated"):
-            fileio.read_recording(path)
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(FileFormatError, match="bad magic" if n < 4 else "truncated"):
+                reader(path)
 
     def test_unicode_labels(self, tmp_path):
         rec = sample_recording()

@@ -7,7 +7,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from covert_decode import transfer
 from covert_decode.containers import Condition, FeatureTensor
+from covert_decode.errors import DataError
 from covert_decode.network import (
     _dropout_mask,
     build_model,
@@ -345,6 +347,19 @@ class TestTransferSweep:
         payload = transfer_sweep(plan, tensor, source_model=model, train_config=config)
         expected = reference_scratch_payload(plan, tensor, model, config)
         assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_set_too_small_for_a_budget_fails_before_the_body_pass(self, monkeypatch):
+        # 2 trials per class: one goes to the test set, budget 0.8 needs both
+        tensor = toy_tensor(n_per_class=2, t_len=4)
+
+        def body_pass(*args, **kwargs):
+            raise AssertionError("the body ran before the grid was drawn")
+
+        monkeypatch.setattr(transfer, "head_input_features", body_pass)
+        plan = TransferPlan(budgets=(0.5, 0.8), seeds=(0, 1), fine_tune_max_epochs=1)
+        with pytest.raises(DataError, match="budget 0.8 needs 2 trials of class 0"):
+            transfer_sweep(plan, tensor, source_model=small_model(seed=14),
+                           include_scratch_baseline=False)
 
     def test_pairwise_family_size_six_for_four_budgets(self):
         tensor = toy_tensor(n_per_class=20, t_len=6)
