@@ -51,7 +51,7 @@ from .preprocessing import (
 )
 from .synth import SynthSpec, generate_paired, write_manifest
 from .training import TrainConfig, train_model
-from .transfer import TransferPlan, fine_tune, freeze_recurrent, transfer_sweep
+from .transfer import TransferPlan, freeze_recurrent, transfer_sweep
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "fastica_decompose",
     "filter_zero_phase",
     "fine_structure",
-    "fine_tune",
     "freeze_recurrent",
     "generate_paired",
     "holdout_split",

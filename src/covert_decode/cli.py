@@ -176,7 +176,6 @@ def cmd_preprocess(args) -> int:
         condition=Condition.parse(args.condition),
     )
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_epochs(epochs, out_path)
     fileio.dump_json(skipped.to_dict(), str(out_path) + ".skipped.json")
     fileio.write_provenance(out_path, "preprocess", [in_path], cfg.effective())
@@ -193,7 +192,6 @@ def cmd_features(args) -> int:
     epochs = fileio.read_epochs(in_path)
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_features(tensor, out_path)
     fileio.write_provenance(out_path, "features", [in_path], cfg.effective())
     print(
@@ -215,13 +213,14 @@ def cmd_train(args) -> int:
     train_config = _train_config(cfg)
     k = args.cv if args.cv is not None else cfg["cv_folds"]
     _check_not_empty(features)
-    # draw the splits up front: a file too small for them fails before training
-    if k >= 2:
+    # draw the splits up front: a fold count below 2 (0 skips CV) or a file
+    # too small for the splits fails before training
+    if k:
         stratified_kfold(features.labels, k, seed)
     holdout_split(features.labels, cfg["test_fraction"], seed)
 
     payload = {"model": kind, "n_trials": features.n_trials}
-    if k >= 2:
+    if k:
         payload["cv"] = run_cv(features, specs, train_config, k=k, seed=seed)
         print(
             f"cv mean accuracy {payload['cv']['mean_accuracy']:.4f} "
@@ -236,7 +235,6 @@ def cmd_train(args) -> int:
     inputs = [fileio.input_record(feat_path)]
     if args.checkpoint:
         ckpt = Path(args.checkpoint)
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
         fileio.save_model(model, ckpt)
         payload["checkpoint"] = fileio.input_record(ckpt)
         print(f"checkpoint saved to {ckpt}")

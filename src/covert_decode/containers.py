@@ -70,28 +70,26 @@ class EegRecording:
 
 
 @dataclass
-class EpochSet:
-    """Stack of fixed-length labeled trials, (n_trials, n_timesteps, n_channels)."""
+class _Trials:
+    """Labeled trials, data (n_trials, n_timesteps, width): the fields and
+    checks that epochs and feature tensors share. Subclasses set ``data``'s
+    dtype before these checks run."""
 
     data: np.ndarray
     labels: np.ndarray
     condition: Condition
-    sample_rate_hz: float
     class_names: list
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.condition = Condition.parse(self.condition)
         if self.data.ndim != 3:
-            raise ValueError(f"epoch data must be 3-D, got shape {self.data.shape}")
+            raise ValueError(f"trial data must be 3-D, got shape {self.data.shape}")
         if self.labels.shape != (self.data.shape[0],):
             raise ValueError(
                 f"{self.labels.shape[0] if self.labels.ndim == 1 else self.labels.shape} "
                 f"labels for {self.data.shape[0]} trials"
             )
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         self.class_names = [str(c) for c in self.class_names]
         if self.n_trials and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError(
@@ -108,46 +106,40 @@ class EpochSet:
         return self.data.shape[1]
 
     @property
-    def n_channels(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
 
 @dataclass
-class FeatureTensor:
+class EpochSet(_Trials):
+    """Stack of fixed-length labeled trials, (n_trials, n_timesteps, n_channels)."""
+
+    sample_rate_hz: float
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float64)
+        super().__post_init__()
+        if self.sample_rate_hz <= 0:
+            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+
+    @property
+    def n_channels(self) -> int:
+        return self.data.shape[2]
+
+
+@dataclass
+class FeatureTensor(_Trials):
     """Per-trial feature matrices: envelope block then fine-structure block.
 
     data is (n_trials, n_timesteps, 2 * n_channels); columns 0..C-1 hold the
     envelope of each source channel, columns C..2C-1 its fine structure.
     """
 
-    data: np.ndarray
-    labels: np.ndarray
-    condition: Condition
-    class_names: list
-
     def __post_init__(self):
         self.data = np.asarray(self.data)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.condition = Condition.parse(self.condition)
-        if self.data.ndim != 3:
-            raise ValueError(f"feature data must be 3-D, got shape {self.data.shape}")
+        super().__post_init__()
         if self.data.shape[2] % 2 != 0:
             raise ValueError("feature width must be even (envelope block + fine-structure block)")
-        if self.labels.shape != (self.data.shape[0],):
-            raise ValueError(f"label count does not match trial count {self.data.shape[0]}")
-        self.class_names = [str(c) for c in self.class_names]
-
-    @property
-    def n_trials(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.data.shape[1]
 
     @property
     def n_features(self) -> int:
@@ -156,10 +148,6 @@ class FeatureTensor:
     @property
     def n_channels(self) -> int:
         return self.data.shape[2] // 2
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
     def envelope_block(self) -> np.ndarray:
         return self.data[:, :, : self.n_channels]

@@ -61,6 +61,14 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _output(path) -> Path:
+    """``path`` as a Path whose parent directory exists: every writer's
+    first step, so a report can go into a directory not made yet."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _pack_string(text: str) -> bytes:
     raw = text.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
@@ -117,7 +125,7 @@ def _build(path, container, **fields):
 
 
 def write_recording(recording: EegRecording, path) -> Path:
-    path = Path(path)
+    path = _output(path)
     with open(path, "wb") as fh:
         fh.write(RECORDING_MAGIC)
         fh.write(struct.pack("<IIQd", 1, recording.n_channels, recording.n_samples,
@@ -146,7 +154,7 @@ def read_recording(path) -> EegRecording:
 
 def _write_trials(path, magic: bytes, trials, between: bytes = b"") -> Path:
     """Write the layout ``.epoc`` and ``.ften`` share, ``between`` after the header."""
-    path = Path(path)
+    path = _output(path)
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<IIIIB", 1, *trials.data.shape, int(trials.condition)))
@@ -193,7 +201,7 @@ def read_features(path) -> FeatureTensor:
 
 def save_model(model: RecurrentModel, path) -> Path:
     """Serialize a model checkpoint (parameters stored as f32)."""
-    path = Path(path)
+    path = _output(path)
     header = {
         "layer_specs": [spec.to_dict() for spec in model.specs],
         "freeze_flags": model.freeze_flags(),
@@ -264,7 +272,7 @@ def load_model(path) -> RecurrentModel:
 
 def dump_json(obj, path) -> Path:
     """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    path = Path(path)
+    path = _output(path)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return path
 

@@ -313,7 +313,6 @@ def write_manifest(
     if subject in ("", ".", "..") or Path(subject).name != subject:
         raise ConfigError(f"subject must be a bare file-name stem, got {subject!r}")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     files = []
     for name, dataset in datasets.items():
         condition = Condition.parse(name)

@@ -1,15 +1,15 @@
 """Overt-to-covert transfer learning.
 
 The recurrent body of a source model is frozen and only the dense head is
-re-trained on small covert budgets. Because the body never changes, its
-features for the whole covert set are computed once and cached. Each head is
-then a head-only model over those features (the dropout feeding the source's
-head, a copy of its dense layer, softmax), trained by
-``training.train_models`` like any other fit; a sweep trains all its heads
-in lockstep in one call. This is mathematically identical to running the
-full network with frozen layers (body dropout is disabled during
-fine-tuning, the head-input dropout still applies), and orders of magnitude
-faster.
+re-trained on small covert budgets. ``transfer_sweep`` is the one entry
+point: because the body never changes, it runs the body over the whole
+covert set once and caches its features. Each head of the budget x seed
+grid is a head-only model over those features (the dropout feeding the
+source's head, a copy of its dense layer, softmax), and all the heads train
+in lockstep in one ``training.train_models`` call. This is mathematically
+identical to running the full network with frozen layers (body dropout is
+disabled during fine-tuning, the head-input dropout still applies), and
+orders of magnitude faster.
 
 The source arrives trained (by the CLI's ``train`` step or
 ``experiments.train_holdout``); scratch baselines use its specs.
@@ -159,61 +159,6 @@ def _head_model(source: RecurrentModel, seed: int, reinit_head: bool) -> Recurre
     return RecurrentModel(specs, [None, dense, None], source.rng_seed, source.dtype)
 
 
-def _train_heads(frozen, cached, labels, seeds, subsets, tests, config, reinit_head):
-    """Fine-tune one head per seed on ``cached[subsets[i]]``, all in lockstep,
-    and score each on ``cached[tests[i]]``.
-
-    Returns the heads, their test accuracies and the frozen body's hash
-    before and after training.
-    """
-    heads = [_head_model(frozen, seed, reinit_head) for seed in seeds]
-    hash_before = frozen.recurrent_param_hash()
-    ft_config = replace(config, patience=0, validation_fraction=0.0)
-    train_models(heads, cached, labels, subsets, ft_config, seeds)
-    hash_after = frozen.recurrent_param_hash()
-    accuracies = [float((head.forward(cached[rows]).argmax(axis=1) == labels[rows]).mean())
-                  for head, rows in zip(heads, tests)]
-    return heads, accuracies, (hash_before, hash_after)
-
-
-@dataclass
-class FineTuneResult:
-    model: RecurrentModel
-    accuracy: float
-    n_finetune: int
-    n_test: int
-    recurrent_hash_before: str
-    recurrent_hash_after: str
-
-
-def fine_tune(
-    source: RecurrentModel,
-    covert: FeatureTensor,
-    budget: float,
-    test_fraction: float,
-    config: TrainConfig,
-    seed: int,
-    reinit_head: bool = False,
-) -> FineTuneResult:
-    """Freeze the source body and re-train the dense head on a covert budget.
-
-    The budget subset and the fixed test subset are stratified and disjoint.
-    The head warm-starts from the source weights unless ``reinit_head``.
-    """
-    test_idx, budget_sets = nested_budget_indices(
-        covert.labels, [budget], test_fraction, seed
-    )
-    model = freeze_recurrent(source.clone())
-    cached = head_input_features(model, covert.data, config.batch_size)
-    (head,), (accuracy,), hashes = _train_heads(
-        model, cached, covert.labels, [seed], [budget_sets[budget]], [test_idx], config,
-        reinit_head,
-    )
-    model.layers[_head_layers(model)[0]] = head.layers[1]
-    return FineTuneResult(model, accuracy, int(budget_sets[budget].size), int(test_idx.size),
-                          *hashes)
-
-
 def transfer_sweep(
     plan: TransferPlan,
     covert: FeatureTensor,
@@ -225,9 +170,11 @@ def transfer_sweep(
     optionally with scratch baselines of the source's architecture
     (``source_model.specs``).
 
-    Returns a report fragment: per-run accuracies, per-budget summaries,
-    pairwise budget t-tests (Bonferroni family = number of budget pairs), and
-    transfer-vs-scratch t-tests per budget when baselines are included.
+    Each cell's head warm-starts from the source's dense layer unless
+    ``plan.reinit_head``; its fine-tune and test subsets are stratified and
+    disjoint. Returns a report fragment: per-run accuracies, per-budget
+    summaries, pairwise budget t-tests (Bonferroni family = number of budget
+    pairs), and transfer-vs-scratch t-tests per budget with baselines.
     """
     if train_config is None:
         train_config = TrainConfig()
@@ -240,76 +187,75 @@ def transfer_sweep(
             covert.labels, plan.budgets, plan.test_fraction, seed
         )
         grid += [(seed, budget, budget_sets[budget], test_idx) for budget in plan.budgets]
-    seeds, _, subsets, tests = zip(*grid)
+    seeds, _, subsets, _ = zip(*grid)
     frozen = freeze_recurrent(source_model.clone())
     cached = head_input_features(frozen, covert.data, train_config.batch_size)
-    _, accuracies, (hash_before, hash_after) = _train_heads(
-        frozen, cached, covert.labels, seeds, subsets, tests,
-        replace(train_config, max_epochs=plan.fine_tune_max_epochs), plan.reinit_head,
-    )
+    heads = [_head_model(frozen, seed, plan.reinit_head) for seed in seeds]
+    hash_before = frozen.recurrent_param_hash()
+    ft_config = replace(train_config, max_epochs=plan.fine_tune_max_epochs, patience=0,
+                        validation_fraction=0.0)
+    train_models(heads, cached, covert.labels, subsets, ft_config, seeds)
+    hash_after = frozen.recurrent_param_hash()
     if hash_before != hash_after:
         raise RuntimeError("freeze contract violated: recurrent parameters changed")
     runs = [
         {
             "budget": budget,
             "seed": seed,
-            "transfer_accuracy": accuracy,
+            "transfer_accuracy": float((head.forward(cached[test_idx]).argmax(axis=1)
+                                        == covert.labels[test_idx]).mean()),
             "n_finetune": int(finetune_idx.size),
             "n_test": int(test_idx.size),
             "recurrent_hash_before": hash_before,
             "recurrent_hash_after": hash_after,
         }
-        for (seed, budget, finetune_idx, test_idx), accuracy in zip(grid, accuracies)
+        for (seed, budget, finetune_idx, test_idx), head in zip(grid, heads)
     ]
+    kinds = ["transfer"]
     if include_scratch_baseline:
+        kinds.append("scratch")
         for budget in plan.budgets:
             cells = [(run, finetune_idx, test_idx)
                      for run, (_, b, finetune_idx, test_idx) in zip(runs, grid) if b == budget]
             _scratch_baselines(budget, cells, covert, source_model.specs, train_config)
     payload["runs"] = runs
 
+    # {kind: {budget: accuracies in seed order}}, read by every statistic
+    accs = {kind: {b: [run[f"{kind}_accuracy"] for run in runs if run["budget"] == b]
+                   for b in plan.budgets} for kind in kinds}
     summary = []
     for budget in plan.budgets:
-        accs = [r["transfer_accuracy"] for r in runs if r["budget"] == budget]
-        entry = {
-            "budget": budget,
-            "transfer_mean": float(np.mean(accs)),
-            "transfer_stdev": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-        }
-        if include_scratch_baseline:
-            scr = [r["scratch_accuracy"] for r in runs if r["budget"] == budget]
-            entry["scratch_mean"] = float(np.mean(scr))
-            entry["scratch_stdev"] = float(np.std(scr, ddof=1)) if len(scr) > 1 else 0.0
+        entry = {"budget": budget}
+        for kind in kinds:
+            values = accs[kind][budget]
+            entry[f"{kind}_mean"] = float(np.mean(values))
+            entry[f"{kind}_stdev"] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         summary.append(entry)
     payload["summary"] = summary
 
+    transfer = accs["transfer"]
     if len(plan.seeds) >= 2 and len(plan.budgets) >= 2:
-        pairs = list(combinations(plan.budgets, 2))
-        family = len(pairs)
-        tests = []
-        raw_ps = []
-        for b1, b2 in pairs:
-            a = [r["transfer_accuracy"] for r in runs if r["budget"] == b1]
-            b = [r["transfer_accuracy"] for r in runs if r["budget"] == b2]
-            t, p = paired_t_test(a, b)
-            tests.append({"budget_a": b1, "budget_b": b2, "t": t, "p_raw": p})
-            raw_ps.append(p)
-        for test, p_corr in zip(tests, bonferroni(raw_ps, family)):
-            test["p_corrected"] = p_corr
-        payload["budget_t_tests"] = {"family_size": family, "tests": tests}
-
+        tests = _t_tests(({"budget_a": b1, "budget_b": b2}, transfer[b1], transfer[b2])
+                         for b1, b2 in combinations(plan.budgets, 2))
+        payload["budget_t_tests"] = {"family_size": len(tests), "tests": tests}
     if len(plan.seeds) >= 2 and include_scratch_baseline:
-        versus = []
-        for budget in plan.budgets:
-            a = [r["transfer_accuracy"] for r in runs if r["budget"] == budget]
-            b = [r["scratch_accuracy"] for r in runs if r["budget"] == budget]
-            t, p = paired_t_test(a, b)
-            versus.append({"budget": budget, "t": t, "p_raw": p})
-        ps = bonferroni([v["p_raw"] for v in versus], len(versus))
-        for v, p_corr in zip(versus, ps):
-            v["p_corrected"] = p_corr
-        payload["transfer_vs_scratch_t_tests"] = versus
+        payload["transfer_vs_scratch_t_tests"] = _t_tests(
+            ({"budget": budget}, transfer[budget], accs["scratch"][budget])
+            for budget in plan.budgets
+        )
     return payload
+
+
+def _t_tests(cells):
+    """Paired t-tests of ``(fields, a, b)`` cells, one family: each test is
+    ``fields`` plus ``t``, ``p_raw`` and the Bonferroni ``p_corrected``."""
+    tests = []
+    for fields, a, b in cells:
+        t, p = paired_t_test(a, b)
+        tests.append({**fields, "t": t, "p_raw": p})
+    for test, p_corr in zip(tests, bonferroni([test["p_raw"] for test in tests], len(tests))):
+        test["p_corrected"] = p_corr
+    return tests
 
 
 def _scratch_baselines(budget, cells, covert, layer_specs, train_config):

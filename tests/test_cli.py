@@ -458,6 +458,9 @@ OUT_OF_RANGE = [
     ("train", ["dropout_rates=1.0,0.1"]),
     ("train", ["hidden_units=0,4"]),
     ("train", ["hidden_units=", "dropout_rates="]),
+    ("train", ["--cv=1"]),
+    ("train", ["--cv=-4"]),
+    ("train", ["cv_folds=1"]),
     ("transfer", ["fine_tune_max_epochs=0"]),
     ("preprocess", ["ica_components=99"]),
     ("preprocess", ["ica_exclude=40"]),
@@ -495,7 +498,7 @@ def test_out_of_range_value_is_config_error(workspace, tmp_path, capsys, command
         epochs = EpochSet(data=np.ones((2, 8, 2)), labels=[0, 1], condition=Condition.OVERT,
                           sample_rate_hz=100.0, class_names=["a", "b"])
         inputs = {
-            "train": ["--features", str(feats), "--cv", "0", *TRAIN_OVERRIDES],
+            "train": ["--features", str(feats), "--set", "cv_folds=0", *TRAIN_OVERRIDES],
             "transfer": ["--source", str(model), "--covert", str(feats), "--budgets", "0.3",
                          "--seeds", "2"],
             "preprocess": ["--input", str(workspace / "data" / "synthetic_overt.eegr"),
@@ -505,11 +508,29 @@ def test_out_of_range_value_is_config_error(workspace, tmp_path, capsys, command
         }[command]
         argv = [command, *inputs, "--out", str(out)]
         for value in values:
-            argv += ["--set", value]
+            argv += [value] if value.startswith("--") else ["--set", value]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "transfer"])
+def test_report_into_a_missing_directory(tmp_path, capsys, command):
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    out = tmp_path / "new" / "sub" / f"{command}.json"
+    argv = {
+        "train": ["train", "--features", str(feats), "--cv", "0",
+                  "--checkpoint", str(tmp_path / "ckpt" / "m.rmdl"), *TRAIN_OVERRIDES],
+        "evaluate": ["evaluate", "--model", str(model), "--features", str(feats)],
+        "transfer": ["transfer", "--source", str(model), "--covert", str(feats),
+                     "--budgets", "0.3", "--seeds", "2", "--set", "max_epochs=2",
+                     "--set", "fine_tune_max_epochs=2"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["kind"] == command
 
 
 def test_fine_tune_epochs_checked_before_the_body_pass(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covert_decode.containers import Condition, EpochSet
+from covert_decode.containers import Condition, EpochSet, FeatureTensor
 from covert_decode.features import (
     analytic_signal,
     envelope,
@@ -276,3 +276,12 @@ class TestEnvelopeCorrelation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             envelope_correlation(np.zeros((10, 2)), np.zeros((10, 3)))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 5], [0, -1, 1]])
+def test_feature_tensor_rejects_labels_outside_its_classes(labels):
+    # the check EpochSet makes: without it, training runs every fold and then
+    # fails with an IndexError in confusion_matrix
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+        FeatureTensor(data=np.zeros((3, 4, 2), dtype=np.float32), labels=labels,
+                      condition=Condition.COVERT, class_names=["a", "b"])

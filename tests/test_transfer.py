@@ -23,7 +23,6 @@ from covert_decode.evaluation import bonferroni, paired_t_test
 from covert_decode.training import TrainConfig, evaluate_accuracy, train_model
 from covert_decode.transfer import (
     TransferPlan,
-    fine_tune,
     freeze_recurrent,
     head_input_features,
     nested_budget_indices,
@@ -156,6 +155,30 @@ def reference_transfer_payload(plan, covert, source, config):
     return payload
 
 
+@pytest.fixture
+def trained_heads(monkeypatch):
+    """The models given to each transfer.train_models call, one list per
+    call; the real train_models then trains them."""
+    calls = []
+    real = transfer.train_models
+
+    def recording(models, *args, **kwargs):
+        calls.append(list(models))
+        return real(models, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "train_models", recording)
+    return calls
+
+
+def one_cell_sweep(source, covert, config, seed, reinit_head=False):
+    """A sweep of one budget (0.3) and one seed without scratch baselines,
+    its heads fine-tuned for ``config.max_epochs``."""
+    plan = TransferPlan(budgets=(0.3,), test_fraction=0.2, seeds=(seed,),
+                        reinit_head=reinit_head, fine_tune_max_epochs=config.max_epochs)
+    return transfer_sweep(plan, covert, source_model=source, train_config=config,
+                          include_scratch_baseline=False)
+
+
 def small_model(n_features=6, seed=0):
     specs = classifier_specs(
         "bilstm", n_features, hidden=(6, 4), dropout=(0.2, 0.1), n_classes=5
@@ -182,25 +205,27 @@ class TestFreeze:
 
     def test_recurrent_unchanged_after_fine_tune_steps(self):
         model = small_model()
-        tensor = toy_tensor()
-        result = fine_tune(
-            model, tensor, budget=0.3, test_fraction=0.2,
-            config=TrainConfig(learning_rate=3e-3, max_epochs=10), seed=0,
-        )
-        assert result.recurrent_hash_before == result.recurrent_hash_after
+        plan = TransferPlan(budgets=(0.15, 0.3), seeds=(0, 1), fine_tune_max_epochs=10)
+        payload = transfer_sweep(plan, toy_tensor(), source_model=model,
+                                 train_config=TrainConfig(learning_rate=3e-3),
+                                 include_scratch_baseline=False)
+        for run in payload["runs"]:
+            assert run["recurrent_hash_before"] == model.recurrent_param_hash()
+            assert run["recurrent_hash_after"] == model.recurrent_param_hash()
 
-    def test_dense_changes_under_fine_tune(self):
+    def test_dense_changes_under_fine_tune(self, trained_heads):
         model = small_model()
-        before = model.layers[2].params["w"].copy()
-        tensor = toy_tensor()
-        result = fine_tune(
-            model, tensor, budget=0.3, test_fraction=0.2,
-            config=TrainConfig(learning_rate=3e-3, max_epochs=5), seed=0,
-        )
-        after = result.model.layers[2].params["w"]
-        assert not np.array_equal(before, after)
-        # the source model itself is untouched
-        np.testing.assert_array_equal(model.layers[2].params["w"], before)
+        before = [(k, v.copy()) for k, v in model.param_blocks()]
+        flags = model.freeze_flags()
+        one_cell_sweep(model, toy_tensor(), TrainConfig(learning_rate=3e-3, max_epochs=5),
+                       seed=0)
+        ((head,),) = trained_heads
+        assert not np.array_equal(head.layers[1].params["w"], model.layers[2].params["w"])
+        # the caller's source is untouched: every parameter and freeze flag
+        assert model.freeze_flags() == flags
+        assert [k for k, _ in model.param_blocks()] == [k for k, _ in before]
+        for (_, got), (_, want) in zip(model.param_blocks(), before):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBudgetNesting:
@@ -257,23 +282,21 @@ class TestFineTune:
             seed=1,
         )
         covert = toy_tensor(seed=2, scale=1.4)
-        result = fine_tune(
-            model, covert, budget=0.3, test_fraction=0.2,
-            config=TrainConfig(learning_rate=3e-3, max_epochs=15), seed=3,
-        )
-        assert result.accuracy >= 0.8
-        assert result.n_finetune == 30
-        assert result.n_test == 20
+        payload = one_cell_sweep(model, covert, TrainConfig(learning_rate=3e-3, max_epochs=15),
+                                 seed=3)
+        (run,) = payload["runs"]
+        assert run["transfer_accuracy"] >= 0.8
+        assert run["n_finetune"] == 30
+        assert run["n_test"] == 20
 
-    def test_reinit_head_differs_from_warm_start(self):
+    def test_reinit_head_differs_from_warm_start(self, trained_heads):
         model = small_model()
         tensor = toy_tensor()
         cfg = TrainConfig(learning_rate=1e-3, max_epochs=2)
-        warm = fine_tune(model, tensor, 0.3, 0.2, cfg, seed=4, reinit_head=False)
-        cold = fine_tune(model, tensor, 0.3, 0.2, cfg, seed=4, reinit_head=True)
-        assert not np.array_equal(
-            warm.model.layers[2].params["w"], cold.model.layers[2].params["w"]
-        )
+        one_cell_sweep(model, tensor, cfg, seed=4, reinit_head=False)
+        one_cell_sweep(model, tensor, cfg, seed=4, reinit_head=True)
+        (warm,), (cold,) = trained_heads
+        assert not np.array_equal(warm.layers[1].params["w"], cold.layers[1].params["w"])
 
 
 class TestTransferPlan:
@@ -420,21 +443,27 @@ class TestHeadsMatchReference:
 
     @pytest.mark.parametrize("kind", ["bilstm", "gru"])
     @pytest.mark.parametrize("reinit_head", [False, True])
-    def test_fine_tune_weights(self, kind, reinit_head):
+    def test_fine_tune_weights(self, kind, reinit_head, trained_heads):
         covert = toy_tensor(n_per_class=8, t_len=5)
         source = self.source(kind, 0.2)
-        config = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3)
-        result = fine_tune(source, covert, 0.3, 0.2, config, seed=5, reinit_head=reinit_head)
-        test_idx, budget_sets = nested_budget_indices(covert.labels, [0.3], 0.2, 5)
+        plan = TransferPlan(budgets=(0.3, 0.5), seeds=(5, 6), reinit_head=reinit_head,
+                            fine_tune_max_epochs=3)
+        config = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=9)
+        payload = transfer_sweep(plan, covert, source_model=source, train_config=config,
+                                 include_scratch_baseline=False)
+        (heads,) = trained_heads
         frozen = freeze_recurrent(source.clone())
         cached = head_input_features(frozen, covert.data, config.batch_size)
-        model, accuracy = reference_fine_tune(
-            frozen, covert, budget_sets[0.3], test_idx,
-            replace(config, patience=0, validation_fraction=0.0), 5, reinit_head, cached)
-        assert result.accuracy == accuracy
-        assert result.model.freeze_flags() == model.freeze_flags()
-        assert [k for k, _ in result.model.param_blocks()] == [k for k, _ in model.param_blocks()]
-        for (_, got), (_, want) in zip(result.model.param_blocks(), model.param_blocks()):
-            np.testing.assert_array_equal(got, want)
-        assert result.recurrent_hash_before == result.recurrent_hash_after
-        assert result.recurrent_hash_after == source.recurrent_param_hash()
+        ft_config = replace(config, max_epochs=3, patience=0, validation_fraction=0.0)
+        cells = [(seed, budget) for seed in plan.seeds for budget in plan.budgets]
+        assert len(heads) == len(payload["runs"]) == len(cells)
+        for head, run, (seed, budget) in zip(heads, payload["runs"], cells):
+            test_idx, budget_sets = nested_budget_indices(covert.labels, plan.budgets, 0.2, seed)
+            model, accuracy = reference_fine_tune(frozen, covert, budget_sets[budget], test_idx,
+                                                  ft_config, seed, reinit_head, cached)
+            assert run["transfer_accuracy"] == accuracy
+            for key in ("w", "b"):
+                np.testing.assert_array_equal(head.layers[1].params[key],
+                                              model.layers[2].params[key])
+            assert run["recurrent_hash_after"] == model.recurrent_param_hash()
+            assert run["recurrent_hash_after"] == source.recurrent_param_hash()
