@@ -21,7 +21,7 @@ from . import fileio, synth
 from .config import (
     PIPELINE_DEFAULTS,
     SYNTH_DEFAULTS,
-    RunConfig,
+    load_config,
     load_kv_file,
     parse_list,
 )
@@ -59,17 +59,15 @@ def _resolve_seed(arg_seed, config_seed: int) -> int:
     return int(config_seed)
 
 
-def _load_config(args, defaults=PIPELINE_DEFAULTS) -> RunConfig:
-    cfg = RunConfig(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        cfg.update(load_kv_file(config_path))
+def _load_config(args, defaults=PIPELINE_DEFAULTS) -> dict:
+    """The config file's keys (synth's --spec), then each --set, over ``defaults``."""
+    sources = [load_kv_file(args.config)] if args.config else []
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        cfg.update({key.strip(): value.strip()})
-    return cfg
+        sources.append({key.strip(): value.strip()})
+    return load_config(defaults, *sources)
 
 
 def _require_file(path) -> Path:
@@ -79,7 +77,7 @@ def _require_file(path) -> Path:
     return path
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     """TrainConfig from the config keys named after its fields."""
     return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
@@ -111,20 +109,18 @@ def _check_model_fits(model, features, role: str = "model"):
 
 
 def cmd_synth(args) -> int:
-    cfg = RunConfig(SYNTH_DEFAULTS)
-    if args.spec:
-        cfg.update(load_kv_file(args.spec))
+    cfg = _load_config(args, SYNTH_DEFAULTS)
     seed = _resolve_seed(args.seed, cfg["seed"])
     # every synth key but gap_seconds is a SynthSpec field
-    params = {k: v for k, v in cfg.effective().items() if k != "gap_seconds"}
-    spec = synth.SynthSpec(**{**params, "seed": seed})
+    gap_seconds = cfg.pop("gap_seconds")
+    spec = synth.SynthSpec(**{**cfg, "seed": seed})
     overt, covert, manifest = synth.generate_paired(spec)
     if args.emit == "epochs":
         datasets = {"overt": overt, "covert": covert}
     else:
         datasets = {
-            "overt": synth.to_recording(overt, gap_seconds=cfg["gap_seconds"], seed=seed),
-            "covert": synth.to_recording(covert, gap_seconds=cfg["gap_seconds"], seed=seed),
+            "overt": synth.to_recording(overt, gap_seconds=gap_seconds, seed=seed),
+            "covert": synth.to_recording(covert, gap_seconds=gap_seconds, seed=seed),
         }
     manifest_path = synth.write_manifest(
         datasets, args.out, subject=args.subject, seed=seed, class_names=list(spec.class_names)
@@ -133,7 +129,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _filters(cfg: RunConfig, rate: float):
+def _filters(cfg: dict, rate: float):
     """The configured notch and band-pass filters at ``rate``."""
     notch = design_notch(cfg["notch_hz"], cfg["notch_q"], rate)
     bandpass = design_butterworth_bandpass(
@@ -165,7 +161,7 @@ def cmd_preprocess(args) -> int:
             tol=cfg["ica_tol"],
             seed=seed,
         )
-        excluded = cfg.int_list("ica_exclude")
+        excluded = parse_list(cfg["ica_exclude"], int, "ica_exclude")
         cleaned = ica_reconstruct(decomp, excluded)
         del decomp
         recording = replace(recording, data=cleaned)
@@ -178,7 +174,7 @@ def cmd_preprocess(args) -> int:
     out_path = Path(args.out)
     fileio.write_epochs(epochs, out_path)
     fileio.dump_json(skipped.to_dict(), str(out_path) + ".skipped.json")
-    fileio.write_provenance(out_path, "preprocess", [in_path], cfg.effective())
+    fileio.write_provenance(out_path, "preprocess", [in_path], cfg)
     print(
         f"wrote {epochs.n_trials} epochs ({epochs.n_timesteps} x {epochs.n_channels}) "
         f"to {out_path}; skipped {skipped.n_skipped} trials"
@@ -193,7 +189,7 @@ def cmd_features(args) -> int:
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
     out_path = Path(args.out)
     fileio.write_features(tensor, out_path)
-    fileio.write_provenance(out_path, "features", [in_path], cfg.effective())
+    fileio.write_provenance(out_path, "features", [in_path], cfg)
     print(
         f"wrote features {tensor.n_trials} x {tensor.n_timesteps} x {tensor.n_features} "
         f"to {out_path}"
@@ -207,8 +203,9 @@ def cmd_train(args) -> int:
     feat_path = _require_file(args.features)
     features = fileio.read_features(feat_path)
     kind = args.model or cfg["model"]
-    specs = classifier_specs(kind, features.n_features, hidden=cfg.int_list("hidden_units"),
-                             dropout=cfg.float_list("dropout_rates"),
+    hidden = parse_list(cfg["hidden_units"], int, "hidden_units")
+    dropout = parse_list(cfg["dropout_rates"], float, "dropout_rates")
+    specs = classifier_specs(kind, features.n_features, hidden=hidden, dropout=dropout,
                              n_classes=features.n_classes, merge_mode=cfg["merge_mode"])
     train_config = _train_config(cfg)
     k = args.cv if args.cv is not None else cfg["cv_folds"]
@@ -238,7 +235,7 @@ def cmd_train(args) -> int:
         fileio.save_model(model, ckpt)
         payload["checkpoint"] = fileio.input_record(ckpt)
         print(f"checkpoint saved to {ckpt}")
-    report = make_report("train", cfg.effective(), payload, inputs=inputs, seeds=[seed])
+    report = make_report("train", cfg, payload, inputs=inputs, seeds=[seed])
     fileio.dump_json(report, args.out)
     print(f"report written to {args.out}")
     return 0
@@ -269,7 +266,7 @@ def cmd_evaluate(args) -> int:
     }
     report = make_report(
         "evaluate",
-        cfg.effective(),
+        cfg,
         payload,
         inputs=[fileio.input_record(model_path), fileio.input_record(feat_path)],
     )
@@ -303,7 +300,7 @@ def cmd_transfer(args) -> int:
     )
     report = make_report(
         "transfer",
-        cfg.effective(),
+        cfg,
         payload,
         inputs=[fileio.input_record(source_path), fileio.input_record(covert_path)],
         seeds=plan.seeds,
@@ -335,6 +332,11 @@ def _write_transfer_csv(summary, path):
 
 
 def cmd_report(args) -> int:
+    if bool(args.overt_features) != bool(args.covert_features):
+        raise ConfigError("report: --overt-features and --covert-features go together")
+    envelope = {}
+    if args.overt_features:
+        envelope = _envelope_tables(args.overt_features, args.covert_features)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
@@ -366,40 +368,38 @@ def cmd_report(args) -> int:
         _write_transfer_csv(summary, budget_path)
         wrote.append(budget_path)
 
-    if args.overt_features and args.covert_features:
-        overt = fileio.read_features(_require_file(args.overt_features))
-        covert = fileio.read_features(_require_file(args.covert_features))
-        if overt.data.shape != covert.data.shape:
-            raise DataError("overt/covert feature files have different shapes")
-        means_path = out_dir / "envelope_means.csv"
-        corr_path = out_dir / "envelope_correlation.csv"
-        with open(means_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "channel", "overt_mean_env", "covert_mean_env"])
-            for cls in range(overt.n_classes):
-                env_o = overt.envelope_block()[overt.labels == cls].mean(axis=(0, 1))
-                env_c = covert.envelope_block()[covert.labels == cls].mean(axis=(0, 1))
-                for ch in range(overt.n_channels):
-                    writer.writerow(
-                        [overt.class_names[cls], ch, _fmt(env_o[ch]), _fmt(env_c[ch])]
-                    )
-        with open(corr_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "channel", "pearson_r"])
-            for cls in range(overt.n_classes):
-                env_o = overt.envelope_block()[overt.labels == cls].mean(axis=0)
-                env_c = covert.envelope_block()[covert.labels == cls].mean(axis=0)
-                corr = envelope_correlation(env_o, env_c)
-                for ch in range(overt.n_channels):
-                    writer.writerow([overt.class_names[cls], ch, _fmt(corr.per_channel_r[ch])])
-                writer.writerow([overt.class_names[cls], "max", _fmt(corr.max_r)])
-        wrote.extend([means_path, corr_path])
+    for name, rows in envelope.items():
+        with open(out_dir / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        wrote.append(out_dir / name)
 
     if not wrote:
         raise ConfigError("report: nothing to do; pass at least one input")
     for path in wrote:
         print(f"wrote {path}")
     return 0
+
+
+def _envelope_tables(overt_path, covert_path) -> dict:
+    """Rows of the per-class envelope means and correlation tables."""
+    overt = fileio.read_features(_require_file(overt_path))
+    covert = fileio.read_features(_require_file(covert_path))
+    if overt.data.shape != covert.data.shape:
+        raise DataError("overt/covert feature files have different shapes")
+    means = [["class", "channel", "overt_mean_env", "covert_mean_env"]]
+    corrs = [["class", "channel", "pearson_r"]]
+    env_o, env_c = overt.envelope_block(), covert.envelope_block()
+    for cls, name in enumerate(default_class_names(max(overt.n_classes, covert.n_classes))):
+        cls_o, cls_c = env_o[overt.labels == cls], env_c[covert.labels == cls]
+        for path, block in ((overt_path, cls_o), (covert_path, cls_c)):
+            if not len(block):
+                raise DataError(f"{path}: no trials of {name}")
+        mean_o, mean_c = cls_o.mean(axis=(0, 1)), cls_c.mean(axis=(0, 1))
+        means += [[name, ch, _fmt(o), _fmt(c)] for ch, (o, c) in enumerate(zip(mean_o, mean_c))]
+        corr = envelope_correlation(cls_o.mean(axis=0), cls_c.mean(axis=0))
+        corrs += [[name, ch, _fmt(r)] for ch, r in enumerate(corr.per_channel_r)]
+        corrs.append([name, "max", _fmt(corr.max_r)])
+    return {"envelope_means.csv": means, "envelope_correlation.csv": corrs}
 
 
 def _train_report_row(path):
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic paired overt/covert subject")
-    p.add_argument("--spec", help="flat key=value synthesis spec")
+    p.add_argument("--spec", dest="config", help="flat key=value synthesis spec")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--subject", default="synthetic")
     p.add_argument("--emit", choices=("recordings", "epochs"), default="recordings")

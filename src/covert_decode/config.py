@@ -1,8 +1,9 @@
 """Flat key-value run configuration.
 
-Every key has a typed default; unknown keys are rejected so typos cannot
-silently fall back to defaults. The effective configuration (defaults plus
-overrides) is embedded verbatim in every report.
+``load_config`` returns a plain dict: a defaults table with each source's
+``{key: text}`` pairs applied in turn, every value parsed to the type of
+its default. Unknown keys are rejected so typos cannot silently fall back
+to defaults. The dict is embedded verbatim in every report.
 """
 
 import math
@@ -70,10 +71,7 @@ def _parse_number(kind, text: str):
     return value
 
 
-def _parse_value(key: str, raw, default):
-    if isinstance(raw, type(default)) and not isinstance(raw, str):
-        return raw
-    text = str(raw).strip()
+def _parse_value(key: str, text: str, default):
     try:
         if isinstance(default, bool):
             lowered = text.lower()
@@ -89,36 +87,15 @@ def _parse_value(key: str, raw, default):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-class RunConfig:
-    """Typed flat configuration backed by a defaults table."""
-
-    def __init__(self, defaults=PIPELINE_DEFAULTS, overrides=None):
-        self._defaults = dict(defaults)
-        self._values = dict(defaults)
-        if overrides:
-            self.update(overrides)
-
-    def update(self, overrides: dict):
-        for key, raw in overrides.items():
-            if key not in self._defaults:
+def load_config(defaults: dict, *sources) -> dict:
+    """``defaults`` with each ``{key: text}`` source applied in order."""
+    cfg = dict(defaults)
+    for source in sources:
+        for key, text in source.items():
+            if key not in defaults:
                 raise ConfigError(f"unknown configuration key: {key!r}")
-            self._values[key] = _parse_value(key, raw, self._defaults[key])
-        return self
-
-    def __getitem__(self, key: str):
-        if key not in self._values:
-            raise ConfigError(f"unknown configuration key: {key!r}")
-        return self._values[key]
-
-    def effective(self) -> dict:
-        """Plain dict of the full effective configuration (for reports)."""
-        return dict(self._values)
-
-    def float_list(self, key: str):
-        return parse_list(self[key], float, key)
-
-    def int_list(self, key: str):
-        return parse_list(self[key], int, key)
+            cfg[key] = _parse_value(key, text, defaults[key])
+    return cfg
 
 
 def parse_list(text, kind, key: str) -> list:

@@ -126,7 +126,7 @@ def envelope_correlation(env_a: np.ndarray, env_b: np.ndarray) -> EnvelopeCorrel
     if env_a.shape != env_b.shape:
         raise ValueError(f"shape mismatch: {env_a.shape} vs {env_b.shape}")
     if env_a.ndim != 2 or env_a.shape[0] < 2:
-        raise ValueError("need a (time x channels) matrix with at least 2 samples")
+        raise DataError("need a (time x channels) matrix with at least 2 samples")
     a = env_a - env_a.mean(axis=0)
     b = env_b - env_b.mean(axis=0)
     na = np.linalg.norm(a, axis=0)

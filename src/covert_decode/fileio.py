@@ -38,6 +38,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ def save_model(model: RecurrentModel, path) -> Path:
     """Serialize a model checkpoint (parameters stored as f32)."""
     path = _output(path)
     header = {
-        "layer_specs": [spec.to_dict() for spec in model.specs],
+        "layer_specs": [asdict(spec) for spec in model.specs],
         "freeze_flags": model.freeze_flags(),
         "rng_seed": model.rng_seed,
     }
@@ -233,7 +234,7 @@ def load_model(path) -> RecurrentModel:
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise FileFormatError(f"{path}: header is not valid JSON") from exc
         try:
-            specs = [LayerSpec.from_dict(d) for d in header["layer_specs"]]
+            specs = [LayerSpec(**d) for d in header["layer_specs"]]
             model = build_model(specs, seed=header["rng_seed"], dtype=np.float32)
             freeze_flags = [bool(flag) for flag in header["freeze_flags"]]
         except (KeyError, TypeError, ValueError) as exc:

@@ -54,7 +54,7 @@ import copy
 import functools
 import hashlib
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,13 +127,6 @@ class LayerSpec:
         if self.bidirectional and self.merge_mode == "concat":
             return 2 * self.size
         return self.size
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerSpec":
-        return cls(**d)
 
 
 def validate_chain(specs) -> None:
@@ -219,9 +212,6 @@ class _ParamLayer:
     def __init__(self):
         self.params = {}
         self.grads = {}
-
-    def param_items(self):
-        return sorted(self.params.items())
 
     def zero_grads(self):
         self.grads = {}
@@ -822,32 +812,22 @@ class RecurrentModel:
 
     # -- parameter access
 
+    def _walk(self, attr: str = "params", frozen: bool = True) -> dict:
+        """{"layer{i}.{name}": array} over each layer's ``attr`` dict, layer by
+        layer and in name order; ``frozen=False`` skips frozen layers."""
+        return {f"layer{i}.{name}": arr for i, layer in enumerate(self.layers)
+                if layer is not None and (frozen or not layer.frozen)
+                for name, arr in sorted(getattr(layer, attr).items())}
+
     def param_blocks(self):
         """Deterministic (key, array) list over all parameters."""
-        blocks = []
-        for i, layer in enumerate(self.layers):
-            if layer is None:
-                continue
-            for name, arr in layer.param_items():
-                blocks.append((f"layer{i}.{name}", arr))
-        return blocks
+        return list(self._walk().items())
 
     def trainable_params(self) -> dict:
-        return {
-            f"layer{i}.{name}": arr
-            for i, layer in enumerate(self.layers)
-            if layer is not None and not layer.frozen
-            for name, arr in layer.param_items()
-        }
+        return self._walk(frozen=False)
 
     def collect_grads(self) -> dict:
-        grads = {}
-        for i, layer in enumerate(self.layers):
-            if layer is None or layer.frozen:
-                continue
-            for name, grad in sorted(layer.grads.items()):
-                grads[f"layer{i}.{name}"] = grad
-        return grads
+        return self._walk("grads", frozen=False)
 
     def zero_grads(self):
         for layer in self.layers:
@@ -859,12 +839,12 @@ class RecurrentModel:
 
     def recurrent_param_hash(self) -> str:
         """SHA-256 over the recurrent layers' parameter bytes, in block order."""
+        recurrent = {f"layer{i}" for i, spec in enumerate(self.specs)
+                     if spec.kind in RECURRENT_KINDS}
         digest = hashlib.sha256()
-        for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
-            if spec.kind not in RECURRENT_KINDS:
-                continue
-            for name, arr in layer.param_items():
-                digest.update(f"layer{i}.{name}".encode())
+        for key, arr in self._walk().items():
+            if key.partition(".")[0] in recurrent:
+                digest.update(key.encode())
                 digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
 
@@ -937,7 +917,6 @@ def build_model(specs, seed: int, dtype=np.float32) -> RecurrentModel:
     """
     from .rng import substream
 
-    specs = [s if isinstance(s, LayerSpec) else LayerSpec.from_dict(s) for s in specs]
     validate_chain(specs)
     layers = []
     for i, spec in enumerate(specs):

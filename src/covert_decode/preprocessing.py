@@ -158,7 +158,6 @@ def epoch_and_baseline(
     epoch_seconds: float,
     baseline_ms: float,
     condition=Condition.OVERT,
-    class_names=None,
 ):
     """Cut marker-locked epochs and subtract the pre-stimulus baseline mean.
 
@@ -201,9 +200,7 @@ def epoch_and_baseline(
     report.kept = len(trials)
 
     labels = np.asarray(labels, dtype=np.int64)
-    if class_names is None:
-        n_classes = int(labels.max()) + 1 if labels.size else 0
-        class_names = default_class_names(max(n_classes, 1))
+    n_classes = int(labels.max()) + 1 if labels.size else 1
     if trials:
         stacked = np.stack(trials, axis=0)
     else:
@@ -213,6 +210,6 @@ def epoch_and_baseline(
         labels=labels,
         condition=condition,
         sample_rate_hz=fs,
-        class_names=class_names,
+        class_names=default_class_names(n_classes),
     )
     return epochs, report

@@ -65,11 +65,6 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def predict_proba(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Eval-mode class probabilities, batched to bound memory."""
     x = np.asarray(x)
@@ -355,7 +350,8 @@ def _train_wave(fits, x, y, config: TrainConfig):
         for f in active:
             f.epochs_run = epoch
             order = f.shuffle_rng.permutation(f.train_idx.size)
-            f.batches = list(_batches(f.train_idx.size, config.batch_size, order))
+            f.batches = [order[start : start + config.batch_size]
+                         for start in range(0, order.size, config.batch_size)]
             f.losses, f.correct = [], 0
         for step in range(max(len(f.batches) for f in active)):
             pending = [f for f in active if step < len(f.batches)]

@@ -713,3 +713,101 @@ def test_report_on_malformed_json_is_data_error(tmp_path, capsys, flag, content)
     captured = _expect_exit_3(["report", flag, str(report), "--out-dir", str(tmp_path / "t")],
                               capsys)
     assert str(report) in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--overt-features", "--covert-features"])
+def test_report_with_one_feature_file_is_config_error(tmp_path, capsys, flag):
+    summary = tmp_path / "transfer.json"
+    summary.write_text('{"summary": []}')
+    feats = _features_file(tmp_path / "f.ften", [0, 1, 0, 1])
+    out_dir = tmp_path / "t"
+    assert main(["report", "--transfer-report", str(summary), flag, str(feats),
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "--overt-features" in err and "--covert-features" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("overt_labels,covert_labels,missing", [
+    ([0, 1, 2, 0, 1, 2], [0, 1, 0, 1, 0, 1], "covert"),  # covert lacks class_2
+    ([0, 2, 0, 2, 0, 2], [0, 1, 2, 0, 1, 2], "overt"),  # overt lacks class_1
+    ([0, 1, 0, 1, 0, 1], [0, 1, 2, 0, 1, 2], "overt"),  # class_2 only in covert
+], ids=["covert_lacks_last", "overt_lacks_middle", "only_covert_has_last"])
+def test_report_class_missing_from_one_file_is_data_error(tmp_path, capsys, overt_labels,
+                                                         covert_labels, missing):
+    paths = {"overt": _features_file(tmp_path / "overt.ften", overt_labels),
+             "covert": _features_file(tmp_path / "covert.ften", covert_labels)}
+    out_dir = tmp_path / "t"
+    captured = _expect_exit_3(["report", "--overt-features", str(paths["overt"]),
+                               "--covert-features", str(paths["covert"]),
+                               "--out-dir", str(out_dir)], capsys)
+    assert f"{paths[missing]}: no trials of class_" in captured.err
+    assert not out_dir.exists()
+
+
+def test_report_on_one_timestep_features_is_data_error(tmp_path, capsys):
+    feats = _features_file(tmp_path / "f.ften", [0, 1, 0, 1], t_len=1)
+    captured = _expect_exit_3(["report", "--overt-features", str(feats), "--covert-features",
+                               str(feats), "--out-dir", str(tmp_path / "t")], capsys)
+    assert "at least 2 samples" in captured.err
+
+
+def test_validate_missing_path_and_unknown_suffix(tmp_path, capsys):
+    other = tmp_path / "notes.txt"
+    other.write_text("x")
+    captured = _expect_exit_3(["validate", str(tmp_path / "gone.ften"), str(other)], capsys)
+    assert f"{tmp_path / 'gone.ften'}: MISSING" in captured.out
+    assert f"{other}: unknown file type '.txt'" in captured.out
+    assert "validation failed for 2 file(s)" in captured.err
+
+
+def test_validate_manifest_with_missing_or_changed_file(tmp_path, capsys):
+    kept = tmp_path / "kept.bin"
+    kept.write_bytes(b"original")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"files": [
+        {"path": "gone.bin", "sha256": "00"},
+        {"path": "kept.bin", "sha256": fileio.sha256_file(kept)},
+    ]}))
+    kept.write_bytes(b"changed")
+    captured = _expect_exit_3(["validate", str(manifest)], capsys)
+    assert f"{manifest}: missing listed file gone.bin" in captured.out
+    assert f"{manifest}: checksum mismatch for kept.bin" in captured.out
+
+
+def test_preprocess_redesigns_filters_at_the_recording_rate(workspace, tmp_path):
+    # the recording is at 250 Hz; the default sample_rate_hz is 500
+    common = ["--input", str(workspace / "data" / "synthetic_overt.eegr"), "--seed", "3",
+              "--set", "epoch_seconds=0.4", "--set", "bandpass_high_hz=60",
+              "--set", "ica_max_iter=80"]
+    assert PIPELINE_DEFAULTS["sample_rate_hz"] != 250
+    assert main(["preprocess", *common, "--out", str(tmp_path / "default.epoc")]) == 0
+    assert main(["preprocess", *common, "--out", str(tmp_path / "matched.epoc"),
+                 "--set", "sample_rate_hz=250"]) == 0
+    assert (tmp_path / "default.epoc").read_bytes() == (tmp_path / "matched.epoc").read_bytes()
+
+
+@pytest.mark.parametrize("env_seed,argv,message", [
+    ("abc", [], "COVERT_DECODE_SEED must be an integer, got 'abc'"),
+    ("", ["--set", "foo"], "--set expects key=value, got 'foo'"),
+    ("", ["--config", "missing.cfg"], "config file not found: missing.cfg"),
+])
+def test_bad_seed_or_config_source_is_config_error(workspace, tmp_path, capsys, monkeypatch,
+                                                   env_seed, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COVERT_DECODE_SEED", env_seed)  # "" leaves the config seed
+    code = main(["preprocess", "--input", str(workspace / "data" / "synthetic_overt.eegr"),
+                 "--out", "x.epoc", *argv])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.epoc").exists()
+
+
+def test_set_overrides_the_config_file(workspace, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("notch_q = 10\nenv_floor_rel = 1e-9\n")
+    out = tmp_path / "x.ften"
+    assert main(["features", "--input", str(workspace / "overt.epoc"), "--out", str(out),
+                 "--config", str(cfg), "--set", "env_floor_rel=1e-10"]) == 0
+    config = json.loads((tmp_path / "x.ften.prov.json").read_text())["config"]
+    assert config == {**PIPELINE_DEFAULTS, "notch_q": 10.0, "env_floor_rel": 1e-10}

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def reference_features_bytes(features):
 
 
 def reference_model_bytes(model):
-    header = {"layer_specs": [spec.to_dict() for spec in model.specs],
+    header = {"layer_specs": [asdict(spec) for spec in model.specs],
               "freeze_flags": model.freeze_flags(), "rng_seed": model.rng_seed}
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
     blocks = model.param_blocks()
