@@ -6,10 +6,14 @@ the COVERT_DECODE_SEED environment variable overrides the config seed and an
 explicit --seed flag overrides both. Exit codes: 0 success, 2 config error,
 3 data error, 4 numeric failure. The library raises typed errors where it
 checks its inputs; the CLI maps errors to exit codes only in ``main``.
+
+A command that exits 2 or 3 leaves its outputs as it found them: it reads and
+checks every input, and rejects two outputs at one path, before its first
+write, and ``fileio`` publishes each file whole. The one exception is an
+output path that cannot be written; outputs written before it stay.
 """
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields, replace
@@ -171,8 +175,7 @@ def cmd_preprocess(args) -> int:
         cfg["baseline_ms"],
         condition=Condition.parse(args.condition),
     )
-    out_path = Path(args.out)
-    fileio.write_epochs(epochs, out_path)
+    out_path = fileio.write_epochs(epochs, args.out)
     fileio.dump_json(skipped.to_dict(), str(out_path) + ".skipped.json")
     fileio.write_provenance(out_path, "preprocess", [in_path], cfg)
     print(
@@ -187,8 +190,7 @@ def cmd_features(args) -> int:
     in_path = _require_file(args.input)
     epochs = fileio.read_epochs(in_path)
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
-    out_path = Path(args.out)
-    fileio.write_features(tensor, out_path)
+    out_path = fileio.write_features(tensor, args.out)
     fileio.write_provenance(out_path, "features", [in_path], cfg)
     print(
         f"wrote features {tensor.n_trials} x {tensor.n_timesteps} x {tensor.n_features} "
@@ -198,6 +200,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint and Path(args.checkpoint).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--out and --checkpoint name one file: {args.out}")
     cfg = _load_config(args)
     seed = _resolve_seed(args.seed, cfg["seed"])
     feat_path = _require_file(args.features)
@@ -231,8 +235,7 @@ def cmd_train(args) -> int:
 
     inputs = [fileio.input_record(feat_path)]
     if args.checkpoint:
-        ckpt = Path(args.checkpoint)
-        fileio.save_model(model, ckpt)
+        ckpt = fileio.save_model(model, args.checkpoint)
         payload["checkpoint"] = fileio.input_record(ckpt)
         print(f"checkpoint saved to {ckpt}")
     report = make_report("train", cfg, payload, inputs=inputs, seeds=[seed])
@@ -276,6 +279,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    if Path(args.out).suffix == ".csv":
+        raise ConfigError(f"--out {args.out}: the CSV written beside the report would replace it")
     cfg = _load_config(args)
     seed = _resolve_seed(args.seed, cfg["seed"])
     source_path = _require_file(args.source)
@@ -307,7 +312,7 @@ def cmd_transfer(args) -> int:
     )
     fileio.dump_json(report, args.out)
     csv_path = Path(args.out).with_suffix(".csv")
-    _write_transfer_csv(payload["summary"], csv_path)
+    fileio.write_csv(_transfer_rows(payload["summary"]), csv_path)
     for entry in payload["summary"]:
         line = (
             f"budget {entry['budget']:.2f}: transfer "
@@ -320,63 +325,33 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _write_transfer_csv(summary, path):
+def _transfer_rows(summary) -> list:
+    """The transfer table: a header, then one row per budget entry."""
     fields = ["budget", "transfer_mean", "transfer_stdev"]
     if summary and "scratch_mean" in summary[0]:
         fields += ["scratch_mean", "scratch_stdev"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for entry in summary:
-            writer.writerow(entry)
+    return [fields] + [[entry.get(f, "") for f in fields] for entry in summary]
 
 
 def cmd_report(args) -> int:
     if bool(args.overt_features) != bool(args.covert_features):
         raise ConfigError("report: --overt-features and --covert-features go together")
-    envelope = {}
-    if args.overt_features:
-        envelope = _envelope_tables(args.overt_features, args.covert_features)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
-
+    # every input is read and checked before the first table is written
+    tables = {}
     if args.train_report:
-        rows = {}
-        models = []
-        for path in args.train_report:
-            subject, model, acc = _train_report_row(path)
-            if model not in models:
-                models.append(model)
-            rows.setdefault(subject, {})[model] = acc
-        table_path = out_dir / "accuracy_table.csv"
-        with open(table_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subject"] + models)
-            for subject in sorted(rows):
-                writer.writerow(
-                    [subject] + [_fmt(rows[subject].get(m)) for m in models]
-                )
-        wrote.append(table_path)
-
+        tables["accuracy_table.csv"] = _accuracy_rows(args.train_report)
     if args.transfer_report:
         report = fileio.load_json(_require_file(args.transfer_report))
         summary = report.get("summary")
         if not isinstance(summary, list) or not all(isinstance(e, dict) for e in summary):
             raise DataError(f"{args.transfer_report}: no summary list of budget entries")
-        budget_path = out_dir / "transfer_budgets.csv"
-        _write_transfer_csv(summary, budget_path)
-        wrote.append(budget_path)
-
-    for name, rows in envelope.items():
-        with open(out_dir / name, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        wrote.append(out_dir / name)
-
-    if not wrote:
+        tables["transfer_budgets.csv"] = _transfer_rows(summary)
+    if args.overt_features:
+        tables.update(_envelope_tables(args.overt_features, args.covert_features))
+    if not tables:
         raise ConfigError("report: nothing to do; pass at least one input")
-    for path in wrote:
-        print(f"wrote {path}")
+    for name, rows in tables.items():
+        print(f"wrote {fileio.write_csv(rows, Path(args.out_dir) / name)}")
     return 0
 
 
@@ -402,20 +377,28 @@ def _envelope_tables(overt_path, covert_path) -> dict:
     return {"envelope_means.csv": means, "envelope_correlation.csv": corrs}
 
 
-def _train_report_row(path):
-    """(subject, model, CV mean or else holdout accuracy) of a train report."""
-    report = fileio.load_json(_require_file(path))
-    subject = report.get("subject", Path(path).stem)
-    model = report.get("model", "model")
-    if not (isinstance(subject, str) and isinstance(model, str)):
-        raise DataError(f"{path}: 'subject' and 'model' must be strings")
-    if not all(isinstance(report[key], dict) for key in ("cv", "holdout") if key in report):
-        raise DataError(f"{path}: 'cv' and 'holdout' must be objects")
-    source = report.get("cv") or report.get("holdout") or {}
-    acc = source.get("mean_accuracy", source.get("holdout_accuracy"))
-    if not (acc is None or type(acc) in (int, float) and abs(acc) <= sys.float_info.max):
-        raise DataError(f"{path}: accuracy {acc!r} is not a finite number")
-    return subject, model, acc
+def _accuracy_rows(train_reports) -> list:
+    """The accuracy table: a row per subject and a column per model, each cell
+    a train report's CV mean or else its holdout accuracy."""
+    rows, models = {}, []
+    for path in train_reports:
+        report = fileio.load_json(_require_file(path))
+        subject = report.get("subject", Path(path).stem)
+        model = report.get("model", "model")
+        if not (isinstance(subject, str) and isinstance(model, str)):
+            raise DataError(f"{path}: 'subject' and 'model' must be strings")
+        if not all(isinstance(report[key], dict) for key in ("cv", "holdout") if key in report):
+            raise DataError(f"{path}: 'cv' and 'holdout' must be objects")
+        source = report.get("cv") or report.get("holdout") or {}
+        acc = source.get("mean_accuracy", source.get("holdout_accuracy"))
+        if not (acc is None or type(acc) in (int, float) and abs(acc) <= sys.float_info.max):
+            raise DataError(f"{path}: accuracy {acc!r} is not a finite number")
+        if model not in models:
+            models.append(model)
+        rows.setdefault(subject, {})[model] = acc
+    return [["subject"] + models] + [
+        [subject] + [_fmt(rows[subject].get(m)) for m in models] for subject in sorted(rows)
+    ]
 
 
 def _fmt(value):

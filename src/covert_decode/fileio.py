@@ -31,20 +31,30 @@ and sizes each read from what it reads: ``unpack`` from the struct format,
 size is compared with the bytes left in the file before the read, so a
 corrupt or hostile header raises FileFormatError rather than attempting a
 huge read; ``_build`` turns a container's ValueError into one as well.
+
+Every writer publishes through ``_publish``: it fills a temporary sibling
+(``.<name>.partial``) and ``os.replace`` moves it onto the final name, so a
+failed or killed writer never leaves a half-written file there, and a file
+already there keeps its bytes. The file gets a plain ``open``'s permissions
+(not ``mkstemp``'s 0600). There is no ``fsync``: this covers a failed or
+killed process, not a power loss. An OSError while making the directory or
+writing or renaming the temporary is a ConfigError naming the output path.
 """
 
+import csv
 import hashlib
 import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .containers import EegRecording, EpochSet, FeatureTensor, default_class_names
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .network import LayerSpec, RecurrentModel, build_model
 
 RECORDING_MAGIC = b"EEGR"
@@ -62,12 +72,24 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _output(path) -> Path:
-    """``path`` as a Path whose parent directory exists: every writer's
-    first step, so a report can go into a directory not made yet."""
+@contextmanager
+def _publish(path, mode: str = "wb"):
+    """An open temporary sibling of ``path``, moved onto ``path`` when the
+    block finishes and removed if it raises; makes the parent directory."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    partial = path.parent / f".{path.name}.partial"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(partial, mode, newline=None if "b" in mode else "")
+        try:
+            with fh:
+                yield fh
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink()
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _pack_string(text: str) -> bytes:
@@ -126,8 +148,7 @@ def _build(path, container, **fields):
 
 
 def write_recording(recording: EegRecording, path) -> Path:
-    path = _output(path)
-    with open(path, "wb") as fh:
+    with _publish(path) as fh:
         fh.write(RECORDING_MAGIC)
         fh.write(struct.pack("<IIQd", 1, recording.n_channels, recording.n_samples,
                              float(recording.sample_rate_hz)))
@@ -137,7 +158,7 @@ def write_recording(recording: EegRecording, path) -> Path:
         for marker in recording.markers:
             fh.write(_MARKER.pack(*marker))
         fh.write(memoryview(np.ascontiguousarray(recording.data, dtype="<f4")))
-    return path
+    return Path(path)
 
 
 def read_recording(path) -> EegRecording:
@@ -155,14 +176,13 @@ def read_recording(path) -> EegRecording:
 
 def _write_trials(path, magic: bytes, trials, between: bytes = b"") -> Path:
     """Write the layout ``.epoc`` and ``.ften`` share, ``between`` after the header."""
-    path = _output(path)
-    with open(path, "wb") as fh:
+    with _publish(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<IIIIB", 1, *trials.data.shape, int(trials.condition)))
         fh.write(between)
         fh.write(memoryview(np.ascontiguousarray(trials.labels, dtype="<u2")))
         fh.write(memoryview(np.ascontiguousarray(trials.data, dtype="<f4")))
-    return path
+    return Path(path)
 
 
 def write_epochs(epochs: EpochSet, path) -> Path:
@@ -202,7 +222,6 @@ def read_features(path) -> FeatureTensor:
 
 def save_model(model: RecurrentModel, path) -> Path:
     """Serialize a model checkpoint (parameters stored as f32)."""
-    path = _output(path)
     header = {
         "layer_specs": [asdict(spec) for spec in model.specs],
         "freeze_flags": model.freeze_flags(),
@@ -210,7 +229,7 @@ def save_model(model: RecurrentModel, path) -> Path:
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
     blocks = model.param_blocks()
-    with open(path, "wb") as fh:
+    with _publish(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", 1, len(header_raw)))
         fh.write(header_raw)
@@ -220,7 +239,7 @@ def save_model(model: RecurrentModel, path) -> Path:
             fh.write(_pack_string(name))
             fh.write(struct.pack(f"<B{arr32.ndim}I", arr32.ndim, *arr32.shape))
             fh.write(memoryview(arr32))
-    return path
+    return Path(path)
 
 
 def load_model(path) -> RecurrentModel:
@@ -268,14 +287,21 @@ def load_model(path) -> RecurrentModel:
 
 
 # ---------------------------------------------------------------------------
-# JSON reports and provenance
+# JSON reports, CSV tables and provenance
 
 
 def dump_json(obj, path) -> Path:
     """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    path = _output(path)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    return path
+    with _publish(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return Path(path)
+
+
+def write_csv(rows, path) -> Path:
+    """Rows as CSV, each line ended by csv's default ``\\r\\n``."""
+    with _publish(path, "w") as fh:
+        csv.writer(fh).writerows(rows)
+    return Path(path)
 
 
 def load_json(path) -> dict:

@@ -15,9 +15,11 @@ the package (and every command but ``synth``) does not pay for loading it.
 """
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .errors import ConfigError
 from .features import envelope_correlation, extract_features
@@ -306,43 +308,23 @@ def write_manifest(
     ``datasets`` maps condition names to EegRecording or EpochSet objects;
     recordings go to .eegr files, epoch sets to .epoc files.
     """
-    from pathlib import Path
-
-    from . import fileio
-
     if subject in ("", ".", "..") or Path(subject).name != subject:
         raise ConfigError(f"subject must be a bare file-name stem, got {subject!r}")
     directory = Path(directory)
     files = []
     for name, dataset in datasets.items():
-        condition = Condition.parse(name)
+        condition = Condition.parse(name).name.lower()
+        stem = directory / f"{subject}_{condition}"
         if isinstance(dataset, EegRecording):
-            path = directory / f"{subject}_{condition.name.lower()}.eegr"
-            fileio.write_recording(dataset, path)
-            kind = "recording"
+            kind, path = "recording", fileio.write_recording(dataset, f"{stem}.eegr")
         elif isinstance(dataset, EpochSet):
-            path = directory / f"{subject}_{condition.name.lower()}.epoc"
-            fileio.write_epochs(dataset, path)
-            kind = "epochs"
+            kind, path = "epochs", fileio.write_epochs(dataset, f"{stem}.epoc")
             if class_names is None:
                 class_names = list(dataset.class_names)
         else:
             raise TypeError(f"cannot serialize dataset of type {type(dataset).__name__}")
-        files.append(
-            {
-                "path": path.name,
-                "condition": condition.name.lower(),
-                "kind": kind,
-                "sha256": fileio.sha256_file(path),
-            }
-        )
-    manifest = {
-        "schema": 1,
-        "subject": subject,
-        "seed": seed,
-        "class_names": class_names,
-        "files": files,
-    }
-    path = directory / f"{subject}_manifest.json"
-    fileio.dump_json(manifest, path)
-    return path
+        files.append({"path": path.name, "condition": condition, "kind": kind,
+                      "sha256": fileio.sha256_file(path)})
+    manifest = {"schema": 1, "subject": subject, "seed": seed, "class_names": class_names,
+                "files": files}
+    return fileio.dump_json(manifest, directory / f"{subject}_manifest.json")

@@ -811,3 +811,72 @@ def test_set_overrides_the_config_file(workspace, tmp_path):
                  "--config", str(cfg), "--set", "env_floor_rel=1e-10"]) == 0
     config = json.loads((tmp_path / "x.ften.prov.json").read_text())["config"]
     assert config == {**PIPELINE_DEFAULTS, "notch_q": 10.0, "env_floor_rel": 1e-10}
+
+
+def _tree(root):
+    """Every path under ``root``: a file's bytes, None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def test_report_checks_every_input_before_writing(tmp_path, capsys):
+    train = tmp_path / "train.json"
+    train.write_text('{"subject": "s1", "model": "gru", "holdout": {"holdout_accuracy": 0.5}}')
+    transfer_report = tmp_path / "transfer.json"
+    transfer_report.write_text('{"runs": []}')
+    out_dir = tmp_path / "t"
+    out_dir.mkdir()
+    (out_dir / "accuracy_table.csv").write_bytes(b"an earlier table\r\n")
+    before = _tree(tmp_path)
+    _expect_exit_3(["report", "--train-report", str(train), "--transfer-report",
+                    str(transfer_report), "--out-dir", str(out_dir)], capsys)
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["train", "transfer"])
+def test_two_outputs_at_one_path_rejected_before_work(tmp_path, capsys, monkeypatch, command):
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    argv = {
+        # the same file under two spellings
+        "train": ["train", "--features", str(feats), "--cv", "0", "--out", str(model),
+                  "--checkpoint", f"{tmp_path}/./m.rmdl", *TRAIN_OVERRIDES],
+        # the CSV goes next to the report, with the suffix .csv
+        "transfer": ["transfer", "--source", str(model), "--covert", str(feats),
+                     "--budgets", "0.3", "--seeds", "2", "--out", str(tmp_path / "t.csv")],
+    }[command]
+    monkeypatch.setattr(fileio, "read_features", lambda path: pytest.fail("input read"))
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["features", "report", "train"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    if command == "features":
+        taken.mkdir()
+        (taken / "inner.txt").write_bytes(b"kept")
+    else:
+        taken.write_bytes(b"kept")
+    epochs = EpochSet(data=np.ones((2, 8, 2)), labels=[0, 1], condition=Condition.OVERT,
+                      sample_rate_hz=100.0, class_names=["a", "b"])
+    summary = tmp_path / "transfer.json"
+    summary.write_text('{"summary": []}')
+    argv = {
+        # an existing directory at the output path
+        "features": ["features", "--input", str(fileio.write_epochs(epochs, tmp_path / "e.epoc")),
+                     "--out", str(taken)],
+        # an existing file at the output directory
+        "report": ["report", "--transfer-report", str(summary), "--out-dir", str(taken)],
+        # an existing file as the output's parent directory
+        "train": ["train", "--features",
+                  str(_features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))),
+                  "--cv", "0", "--out", str(taken / "r.json"), *TRAIN_OVERRIDES],
+    }[command]
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {taken}" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before

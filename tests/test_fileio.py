@@ -10,7 +10,7 @@ import pytest
 from covert_decode import fileio
 from covert_decode.cli import main
 from covert_decode.containers import Condition, EegRecording, EpochSet, FeatureTensor
-from covert_decode.errors import FileFormatError
+from covert_decode.errors import ConfigError, FileFormatError
 from covert_decode.network import build_model, classifier_specs
 
 
@@ -361,3 +361,73 @@ class TestJsonHelpers:
         prov = fileio.load_json(prov_path)
         assert prov["inputs"][0]["sha256"] == fileio.sha256_file(data)
         assert prov["command"] == "features"
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("interrupted mid-file")
+
+
+class TestPublishing:
+    """Every writer fills a temporary sibling and renames it into place."""
+
+    @staticmethod
+    def _write(suffix, path):
+        model = build_model(classifier_specs("gru", 6, hidden=(3,), dropout=(0.0,),
+                                             n_classes=3), seed=1)
+        return {
+            ".eegr": lambda: fileio.write_recording(sample_recording(), path),
+            ".epoc": lambda: fileio.write_epochs(sample_epochs(), path),
+            ".ften": lambda: fileio.write_features(sample_features(), path),
+            ".rmdl": lambda: fileio.save_model(model, path),
+            ".csv": lambda: fileio.write_csv([["a", "b"], [1, Unprintable()]], path),
+        }[suffix]()
+
+    @pytest.mark.parametrize("suffix", [".eegr", ".epoc", ".ften", ".rmdl", ".csv"])
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch, suffix):
+        target = tmp_path / f"old{suffix}"
+        target.write_bytes(b"earlier contents")
+        real = np.ascontiguousarray
+
+        def fail_on_float_data(arr, dtype=None):
+            # labels and header are written by now; the f32 payload is not
+            if dtype == "<f4":
+                raise RuntimeError("interrupted mid-file")
+            return real(arr, dtype=dtype)
+
+        monkeypatch.setattr(fileio.np, "ascontiguousarray", fail_on_float_data)
+        with pytest.raises(RuntimeError, match="interrupted mid-file"):
+            self._write(suffix, target)
+        assert target.read_bytes() == b"earlier contents"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    @pytest.mark.parametrize("suffix", [".eegr", ".epoc", ".ften", ".rmdl"])
+    def test_writer_returns_the_final_path(self, tmp_path, suffix):
+        target = tmp_path / "sub" / f"new{suffix}"
+        assert self._write(suffix, str(target)) == target
+        assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+    def test_plain_open_permissions(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        with open(plain, "w"):
+            pass
+        published = fileio.dump_json({}, tmp_path / "published.json")
+        assert published.stat().st_mode == plain.stat().st_mode
+
+    def test_csv_and_json_line_endings(self, tmp_path):
+        table = fileio.write_csv([["x", "y"], [1, None], ["a,b", 0.5]], tmp_path / "t.csv")
+        assert table.read_bytes() == b'x,y\r\n1,\r\n"a,b",0.5\r\n'
+        assert fileio.dump_json({"a": 1}, tmp_path / "r.json").read_bytes() == b'{\n  "a": 1\n}\n'
+
+    @pytest.mark.parametrize("blocker", ["directory at the path", "file as the parent"])
+    def test_unwritable_path_is_config_error(self, tmp_path, blocker):
+        if blocker == "directory at the path":
+            target = tmp_path / "taken"
+            target.mkdir()
+        else:
+            (tmp_path / "taken").write_bytes(b"kept")
+            target = tmp_path / "taken" / "r.json"
+        with pytest.raises(ConfigError, match=f"cannot write {target}"):
+            fileio.dump_json({"a": 1}, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert target.is_dir() or (tmp_path / "taken").read_bytes() == b"kept"

@@ -2,12 +2,15 @@
 malformed JSON inputs and ``.kv`` spec and config text.
 
 Through ``cli.main`` only exit 0, 2 or 3 may result; any other exception
-would end the real CLI in a traceback. Every test is derandomized with a
-bounded example count, so the module runs in a few seconds, and size keys
-are drawn only from small values, so no example allocates more than a few MB.
+would end the real CLI in a traceback. A command that exits 2 or 3 must leave
+every file and directory under the work directory as it found them. Every
+test is derandomized with a bounded example count, so the module runs in a
+few seconds, and size keys are drawn only from small values, so no example
+allocates more than a few MB.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import struct
@@ -27,11 +30,21 @@ FUZZ = settings(derandomize=True, max_examples=30, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-def _run(argv, allowed=(0, 2, 3)):
+def _tree(root):
+    """Every path under ``root``: a file's sha256, None for a directory."""
+    return {p: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _run(files, argv, allowed=(0, 2, 3)):
+    """Run one command; one that exits 2 or 3 must leave the work dir as it was."""
+    before = _tree(files["root"])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     assert code in allowed, (argv, code, err.getvalue())
+    if code in (2, 3):
+        assert _tree(files["root"]) == before, (argv, code, err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +123,8 @@ def _consumer(suffix, path, files):
 def test_corrupted_binary_file(files, suffix, mutation):
     path = files["root"] / f"fuzzed{suffix}"
     path.write_bytes(_mutate(files[suffix].read_bytes(), suffix, mutation))
-    _run(["validate", path], allowed=(0, 3))
-    _run(_consumer(suffix, path, files))
+    _run(files, ["validate", path], allowed=(0, 3))
+    _run(files, _consumer(suffix, path, files))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +161,7 @@ def _write_json(path, value):
 @FUZZ
 @given(manifest=MANIFEST)
 def test_malformed_manifest(files, manifest):
-    _run(["validate", _write_json(files["root"] / "m.json", manifest)], allowed=(0, 3))
+    _run(files, ["validate", _write_json(files["root"] / "m.json", manifest)], allowed=(0, 3))
 
 
 @FUZZ
@@ -157,14 +170,14 @@ def test_malformed_train_report(files, reports):
     argv = ["report", "--out-dir", files["root"] / "tables"]
     for i, report in enumerate(reports):
         argv += ["--train-report", _write_json(files["root"] / f"train{i}.json", report)]
-    _run(argv, allowed=(0, 3))
+    _run(files, argv, allowed=(0, 3))
 
 
 @FUZZ
 @given(report=TRANSFER_REPORT)
 def test_malformed_transfer_report(files, report):
     path = _write_json(files["root"] / "transfer.json", report)
-    _run(["report", "--transfer-report", path, "--out-dir", files["root"] / "tables"],
+    _run(files, ["report", "--transfer-report", path, "--out-dir", files["root"] / "tables"],
          allowed=(0, 3))
 
 
@@ -207,7 +220,7 @@ TINY_SYNTH = ("n_classes = 2\ntrials_per_class = 2\nn_channels = 2\nsample_rate_
 def test_synth_spec_text(files, text):
     spec = files["root"] / "spec.kv"
     spec.write_text(TINY_SYNTH + text)
-    _run(["synth", "--spec", spec, "--out", files["root"] / "synth", "--emit", "epochs"])
+    _run(files, ["synth", "--spec", spec, "--out", files["root"] / "synth", "--emit", "epochs"])
 
 
 TINY_CONFIG = ("hidden_units = 3\ndropout_rates = 0.1\nmax_epochs = 2\nbatch_size = 4\n"
@@ -231,4 +244,4 @@ def test_config_text(files, command, text):
         "transfer": ["--source", files[".rmdl"], "--covert", files[".ften"], "--no-scratch",
                      "--out", root / "c.json"],
     }[command]
-    _run([command, "--config", config, *inputs])
+    _run(files, [command, "--config", config, *inputs])

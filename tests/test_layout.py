@@ -1,5 +1,5 @@
-"""Package layering: modules use only each other's public names, and the CLI
-leaves error typing to the library."""
+"""Package layering: modules use only each other's public names, the CLI
+leaves error typing to the library, and only fileio's publisher writes files."""
 
 import ast
 from pathlib import Path
@@ -41,3 +41,49 @@ def test_cli_does_not_translate_value_errors():
     allowed = _value_error_handlers(resolve_seed)
     assert len(allowed) == 1
     assert [line for line in _value_error_handlers(tree) if line not in allowed] == []
+
+
+WRITE_MODE = set("wax+")
+
+
+def _file_writes(tree):
+    """(line, what) for each way ``tree`` writes to the file system by itself:
+    a write-mode ``open``, ``write_text``, ``write_bytes``, ``mkdir`` or
+    ``makedirs``, and any import of ``csv``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import csv") for a in node.names if a.name == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append((node.lineno, "from csv import"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+                found.append((node.lineno, name))
+            elif name == "open":
+                # open(path, mode) or path.open(mode)
+                args = node.args[1:] if isinstance(func, ast.Name) else node.args
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            args[0] if args else None)
+                if mode is not None and not (isinstance(mode, ast.Constant)
+                                             and not WRITE_MODE & set(mode.value)):
+                    found.append((node.lineno, "open for writing"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "fileio.py"}),
+                         ids=lambda p: p.name)
+def test_only_fileio_writes_files(path):
+    # how a file reaches disk is decided once, in fileio's publisher
+    assert _file_writes(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_fileio_writes_only_through_its_publisher():
+    tree = ast.parse((PACKAGE / "fileio.py").read_text())
+    (publish,) = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_publish"]
+    inside = _file_writes(publish)
+    assert sorted(what for _, what in inside) == ["mkdir", "open for writing"]
+    outside = [what for line, what in _file_writes(tree) if (line, what) not in inside]
+    assert outside == ["import csv"]
