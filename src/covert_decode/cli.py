@@ -1,16 +1,18 @@
 """Command-line entry point wiring the pipeline together.
 
 Subcommands: synth, preprocess, features, train, evaluate, transfer,
-report, validate. Every command is deterministic given its config and seed;
-the COVERT_DECODE_SEED environment variable overrides the config seed and an
-explicit --seed flag overrides both. Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric failure. The library raises typed errors where it
-checks its inputs; the CLI maps errors to exit codes only in ``main``.
+report, validate. A command reads its settings only from the config that
+``_load_config`` builds and every report echoes, each source over the last:
+defaults, --config (synth's --spec), each --set, COVERT_DECODE_SEED where
+the command takes --seed, then the flags --seed, --model, --cv, --budgets
+and --seeds. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
+failure. The library raises typed errors where it checks its inputs; the
+CLI maps errors to exit codes only in ``main``.
 
-A command that exits 2 or 3 leaves its outputs as it found them: it reads and
-checks every input, and rejects two outputs at one path, before its first
-write, and ``fileio`` publishes each file whole. The one exception is an
-output path that cannot be written; outputs written before it stay.
+A command that exits 2 or 3 leaves its outputs as it found them: it checks
+its output paths and every input before its first write, and ``fileio``
+publishes each file whole. The one exception is a write that fails after
+the check (a full disk, say); outputs written before it stay.
 """
 
 import argparse
@@ -51,27 +53,25 @@ from .training import TrainConfig, predict
 from .transfer import TransferPlan, transfer_sweep
 
 
-def _resolve_seed(arg_seed, config_seed: int) -> int:
-    if arg_seed is not None:
-        return int(arg_seed)
-    env = os.environ.get("COVERT_DECODE_SEED")
-    if env is not None and env.strip():
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"COVERT_DECODE_SEED must be an integer, got {env!r}") from exc
-    return int(config_seed)
-
-
 def _load_config(args, defaults=PIPELINE_DEFAULTS) -> dict:
-    """The config file's keys (synth's --spec), then each --set, over ``defaults``."""
+    """Every run setting, each source over the last (module docstring). A flag
+    sets the key its dest names, so evaluate's --model has the dest checkpoint."""
+    given = vars(args)
     sources = [load_kv_file(args.config)] if args.config else []
-    for item in getattr(args, "set", None) or []:
+    for item in given.get("set") or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         sources.append({key.strip(): value.strip()})
-    return load_config(defaults, *sources)
+    cfg = load_config(defaults, *sources)
+    env = os.environ.get("COVERT_DECODE_SEED", "").strip()
+    if env and given.get("seed", 0) is None:  # the command takes --seed, not given
+        try:
+            cfg = load_config(cfg, {"seed": env})
+        except ConfigError as exc:
+            raise ConfigError(f"COVERT_DECODE_SEED must be an integer, got {env!r}") from exc
+    return load_config(cfg, {key: str(value) for key, value in given.items()
+                             if key in defaults and value is not None})
 
 
 def _require_file(path) -> Path:
@@ -114,10 +114,10 @@ def _check_model_fits(model, features, role: str = "model"):
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args, SYNTH_DEFAULTS)
-    seed = _resolve_seed(args.seed, cfg["seed"])
+    seed = cfg["seed"]
     # every synth key but gap_seconds is a SynthSpec field
     gap_seconds = cfg.pop("gap_seconds")
-    spec = synth.SynthSpec(**{**cfg, "seed": seed})
+    spec = synth.SynthSpec(**cfg)
     overt, covert, manifest = synth.generate_paired(spec)
     if args.emit == "epochs":
         datasets = {"overt": overt, "covert": covert}
@@ -144,7 +144,7 @@ def _filters(cfg: dict, rate: float):
 
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
-    seed = _resolve_seed(args.seed, cfg["seed"])
+    fileio.check_outputs(args.out, f"{args.out}.skipped.json", f"{args.out}.prov.json")
     # design both filters before touching any input so config mistakes
     # surface immediately
     notch, bandpass = _filters(cfg, cfg["sample_rate_hz"])
@@ -163,7 +163,7 @@ def cmd_preprocess(args) -> int:
             n_components=n_components,
             max_iter=cfg["ica_max_iter"],
             tol=cfg["ica_tol"],
-            seed=seed,
+            seed=cfg["seed"],
         )
         excluded = parse_list(cfg["ica_exclude"], int, "ica_exclude")
         cleaned = ica_reconstruct(decomp, excluded)
@@ -187,6 +187,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _load_config(args)
+    fileio.check_outputs(args.out, f"{args.out}.prov.json")
     in_path = _require_file(args.input)
     epochs = fileio.read_epochs(in_path)
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
@@ -200,19 +201,16 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.checkpoint and Path(args.checkpoint).resolve() == Path(args.out).resolve():
-        raise ConfigError(f"--out and --checkpoint name one file: {args.out}")
     cfg = _load_config(args)
-    seed = _resolve_seed(args.seed, cfg["seed"])
+    fileio.check_outputs(args.out, args.checkpoint)
+    seed, kind, k = cfg["seed"], cfg["model"], cfg["cv_folds"]
     feat_path = _require_file(args.features)
     features = fileio.read_features(feat_path)
-    kind = args.model or cfg["model"]
     hidden = parse_list(cfg["hidden_units"], int, "hidden_units")
     dropout = parse_list(cfg["dropout_rates"], float, "dropout_rates")
     specs = classifier_specs(kind, features.n_features, hidden=hidden, dropout=dropout,
                              n_classes=features.n_classes, merge_mode=cfg["merge_mode"])
     train_config = _train_config(cfg)
-    k = args.cv if args.cv is not None else cfg["cv_folds"]
     _check_not_empty(features)
     # draw the splits up front: a fold count below 2 (0 skips CV) or a file
     # too small for the splits fails before training
@@ -246,7 +244,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    model_path = _require_file(args.model)
+    fileio.check_outputs(args.out)
+    model_path = _require_file(args.checkpoint)
     feat_path = _require_file(args.features)
     model = fileio.load_model(model_path)
     features = fileio.read_features(feat_path)
@@ -279,21 +278,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    if Path(args.out).suffix == ".csv":
-        raise ConfigError(f"--out {args.out}: the CSV written beside the report would replace it")
     cfg = _load_config(args)
-    seed = _resolve_seed(args.seed, cfg["seed"])
+    csv_path = Path(args.out).with_suffix(".csv")
+    fileio.check_outputs(args.out, csv_path)
     source_path = _require_file(args.source)
     covert_path = _require_file(args.covert)
     source = fileio.load_model(source_path)
     covert = fileio.read_features(covert_path)
     _check_model_fits(source, covert, role="source model")
-    n_seeds = args.seeds if args.seeds is not None else cfg["transfer_seeds"]
     plan = TransferPlan(
-        budgets=tuple(parse_list(args.budgets or cfg["budgets"], float, "budgets")),
+        budgets=tuple(parse_list(cfg["budgets"], float, "budgets")),
         test_fraction=cfg["test_fraction"],
         reinit_head=cfg["reinit_head"],
-        seeds=tuple(seed + i for i in range(n_seeds)),
+        seeds=tuple(cfg["seed"] + i for i in range(cfg["transfer_seeds"])),
         fine_tune_max_epochs=cfg["fine_tune_max_epochs"],
     )
     payload = transfer_sweep(
@@ -311,7 +308,6 @@ def cmd_transfer(args) -> int:
         seeds=plan.seeds,
     )
     fileio.dump_json(report, args.out)
-    csv_path = Path(args.out).with_suffix(".csv")
     fileio.write_csv(_transfer_rows(payload["summary"]), csv_path)
     for entry in payload["summary"]:
         line = (
@@ -350,8 +346,10 @@ def cmd_report(args) -> int:
         tables.update(_envelope_tables(args.overt_features, args.covert_features))
     if not tables:
         raise ConfigError("report: nothing to do; pass at least one input")
+    paths = {name: Path(args.out_dir) / name for name in tables}
+    fileio.check_outputs(*paths.values())
     for name, rows in tables.items():
-        print(f"wrote {fileio.write_csv(rows, Path(args.out_dir) / name)}")
+        print(f"wrote {fileio.write_csv(rows, paths[name])}")
     return 0
 
 
@@ -406,42 +404,29 @@ def _fmt(value):
 
 
 def cmd_validate(args) -> int:
-    readers = {
-        ".eegr": fileio.read_recording,
-        ".epoc": fileio.read_epochs,
-        ".ften": fileio.read_features,
-        ".rmdl": fileio.load_model,
-    }
-    failures = 0
-    for raw in args.paths:
-        path = Path(raw)
-        if not path.exists():
-            print(f"{path}: MISSING")
-            failures += 1
-            continue
-        if path.suffix == ".json":
-            try:
-                ok = _validate_manifest(path)
-            except CovertDecodeError as exc:
-                print(f"{path}: INVALID ({exc})")
-                ok = False
-            failures += 0 if ok else 1
-            continue
-        reader = readers.get(path.suffix)
-        if reader is None:
-            print(f"{path}: unknown file type {path.suffix!r}")
-            failures += 1
-            continue
-        try:
-            obj = reader(path)
-        except CovertDecodeError as exc:
-            print(f"{path}: INVALID ({exc})")
-            failures += 1
-            continue
-        print(f"{path}: ok ({_describe(obj)})")
+    failures = sum(not _validate(Path(raw)) for raw in args.paths)
     if failures:
         raise DataError(f"validation failed for {failures} file(s)")
     return 0
+
+
+def _validate(path) -> bool:
+    """Check one file and print what was found; True if it is valid."""
+    readers = {".eegr": fileio.read_recording, ".epoc": fileio.read_epochs,
+               ".ften": fileio.read_features, ".rmdl": fileio.load_model}
+    if not path.exists():
+        print(f"{path}: MISSING")
+    elif path.suffix != ".json" and path.suffix not in readers:
+        print(f"{path}: unknown file type {path.suffix!r}")
+    else:
+        try:
+            if path.suffix == ".json":
+                return _validate_manifest(path)
+            print(f"{path}: ok ({_describe(readers[path.suffix](path))})")
+            return True
+        except CovertDecodeError as exc:
+            print(f"{path}: INVALID ({exc})")
+    return False
 
 
 def _validate_manifest(path) -> bool:
@@ -524,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="cross-validate and train a classifier")
     p.add_argument("--features", required=True, help="feature file (.ften)")
     p.add_argument("--model", choices=RECURRENT_KINDS, default=None)
-    p.add_argument("--cv", type=int, default=None, help="number of folds (>= 2; 0 skips CV)")
+    p.add_argument("--cv", dest="cv_folds", type=int, help="number of folds (>= 2; 0 skips CV)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--checkpoint", help="model checkpoint path (.rmdl)")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a feature file")
-    p.add_argument("--model", required=True, help="checkpoint (.rmdl)")
+    p.add_argument("--model", dest="checkpoint", required=True, help="checkpoint (.rmdl)")
     p.add_argument("--features", required=True, help="feature file (.ften)")
     p.add_argument("--out", required=True, help="report JSON path")
     _add_common(p, seed=False)
@@ -541,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source checkpoint (.rmdl)")
     p.add_argument("--covert", required=True, help="covert feature file (.ften)")
     p.add_argument("--budgets", help="comma-separated fractions, e.g. 0.15,0.2,0.25,0.3")
-    p.add_argument("--seeds", type=int, default=None, help="number of sweep seeds")
+    p.add_argument("--seeds", dest="transfer_seeds", type=int, help="number of sweep seeds")
     p.add_argument("--no-scratch", action="store_true", help="skip from-scratch baselines")
     p.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
     _add_common(p)

@@ -3,7 +3,8 @@
 ``load_config`` returns a plain dict: a defaults table with each source's
 ``{key: text}`` pairs applied in turn, every value parsed to the type of
 its default. Unknown keys are rejected so typos cannot silently fall back
-to defaults. The dict is embedded verbatim in every report.
+to defaults. Every key is read by some command, and the dict, with each
+value a flag gave, is embedded verbatim in every report and ``.prov.json``.
 """
 
 import math
@@ -37,7 +38,6 @@ PIPELINE_DEFAULTS = {
     "hidden_units": "512,256",
     "dropout_rates": "0.3,0.2",
     "merge_mode": "concat",
-    "n_classes": 5,
     # training: TrainConfig's fields, with its defaults
     **{f.name: f.default for f in fields(TrainConfig)},
     "cv_folds": 5,
@@ -47,8 +47,6 @@ PIPELINE_DEFAULTS = {
     "transfer_seeds": 5,
     "fine_tune_max_epochs": 40,
     "reinit_head": False,
-    # execution
-    "jobs": 1,
 }
 
 # SynthSpec's fields with its defaults, but for two values the CLI has

@@ -38,7 +38,8 @@ failed or killed writer never leaves a half-written file there, and a file
 already there keeps its bytes. The file gets a plain ``open``'s permissions
 (not ``mkstemp``'s 0600). There is no ``fsync``: this covers a failed or
 killed process, not a power loss. An OSError while making the directory or
-writing or renaming the temporary is a ConfigError naming the output path.
+writing or renaming the temporary is a ConfigError naming the output path;
+``check_outputs`` finds such paths before a command writes anything.
 """
 
 import csv
@@ -90,6 +91,21 @@ def _publish(path, mode: str = "wb"):
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def check_outputs(*paths):
+    """Reject, before any is written, outputs that ``_publish`` cannot write
+    all: two at one path, a directory at one, or a file on one's parent path.
+    A None path is an output not asked for."""
+    seen = set()
+    for path in (Path(p) for p in paths if p is not None):
+        nearest = next((d for d in path.parents if d.exists()), path.parent)
+        problem = ("two outputs at one path" if path.resolve() in seen
+                   else "it is a directory" if path.is_dir()
+                   else f"{nearest} is not a directory" if not nearest.is_dir() else None)
+        if problem:
+            raise ConfigError(f"cannot write {path}: {problem}")
+        seen.add(path.resolve())
 
 
 def _pack_string(text: str) -> bytes:

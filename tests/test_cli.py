@@ -435,7 +435,7 @@ def test_file_too_small_for_transfer_budget_is_data_error(tmp_path, capsys, per_
     _run_expecting_data_error(argv, tmp_path / "transfer.json", capsys, message)
 
 
-@pytest.mark.parametrize("budgets", ["0.3,0.2", "0.9", "abc"])
+@pytest.mark.parametrize("budgets", ["0.3,0.2", "0.9", "abc", ""])
 def test_bad_transfer_budgets_are_config_errors(tmp_path, capsys, budgets):
     source = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
     feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
@@ -813,6 +813,107 @@ def test_set_overrides_the_config_file(workspace, tmp_path):
     assert config == {**PIPELINE_DEFAULTS, "notch_q": 10.0, "env_floor_rel": 1e-10}
 
 
+def _outputs(root):
+    """Every file under ``root`` by name: JSON without its timestamp, else bytes."""
+    outputs = {}
+    for path in root.rglob("*"):
+        if path.suffix == ".json":
+            outputs[path.name] = json.loads(path.read_text())
+            outputs[path.name].pop("timestamp", None)
+        else:
+            outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def _echoes(outputs):
+    return [value["config"] for value in outputs.values()
+            if isinstance(value, dict) and "config" in value]
+
+
+# each flag that sets a config key, against the --set it stands for
+SHORTCUTS = {
+    "preprocess": (["--seed", "3"], ["--set", "seed=3"]),
+    "train": (["--model", "gru", "--cv", "2", "--seed", "3"],
+              ["--set", "model=gru", "--set", "cv_folds=2", "--set", "seed=3"]),
+    "transfer": (["--budgets", "0.2,0.3", "--seeds", "3", "--seed", "3"],
+                 ["--set", "budgets=0.2,0.3", "--set", "transfer_seeds=3", "--set", "seed=3"]),
+}
+
+
+def _command_inputs(command, workspace, tmp_path):
+    """Arguments that run ``command`` on small inputs, writing into the working directory."""
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 8))
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    epochs = EpochSet(data=np.random.default_rng(0).standard_normal((4, 16, 2)),
+                      labels=[0, 1, 0, 1], condition=Condition.OVERT, sample_rate_hz=100.0,
+                      class_names=["a", "b"])
+    return {
+        "preprocess": ["--input", str(workspace / "data" / "synthetic_overt.eegr"),
+                       "--out", "x.epoc", *TRAIN_OVERRIDES],
+        "features": ["--input", str(fileio.write_epochs(epochs, tmp_path / "e.epoc")),
+                     "--out", "x.ften"],
+        "train": ["--features", str(feats), "--out", "r.json", "--checkpoint", "r.rmdl",
+                  *TRAIN_OVERRIDES],
+        "evaluate": ["--model", str(model), "--features", str(feats), "--out", "e.json"],
+        "transfer": ["--source", str(model), "--covert", str(feats), "--out", "t.json",
+                     "--set", "max_epochs=2", "--set", "fine_tune_max_epochs=2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", SHORTCUTS)
+def test_flags_equal_set(workspace, tmp_path, monkeypatch, command):
+    # the run and its config echo are those of the --set the flags stand for
+    inputs = _command_inputs(command, workspace, tmp_path)
+    runs = []
+    for i, given in enumerate(SHORTCUTS[command]):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        assert main([command, *inputs, *given]) == 0
+        runs.append(_outputs(tmp_path / str(i)))
+    assert runs[0] == runs[1]
+    assert _echoes(runs[0]) and all(config["seed"] == 3 for config in _echoes(runs[0]))
+
+
+@pytest.mark.parametrize("command", ["preprocess", "features", "train", "evaluate", "transfer"])
+def test_config_echo_holds_the_pipeline_keys(workspace, tmp_path, monkeypatch, command):
+    inputs = _command_inputs(command, workspace, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *inputs, "--set", "cv_folds=2"]) == 0
+    echoes = _echoes(_outputs(tmp_path))
+    assert echoes and all(config.keys() == PIPELINE_DEFAULTS.keys() for config in echoes)
+    if command == "evaluate":
+        # evaluate's --model is the checkpoint, not the model key
+        assert echoes == [{**PIPELINE_DEFAULTS, "cv_folds": 2}]
+
+
+@pytest.mark.parametrize("value", ["jobs=1", "n_classes=3"])
+def test_keys_no_command_reads_are_unknown(tmp_path, capsys, value):
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    out = tmp_path / "r.json"
+    assert main(["train", "--features", str(feats), "--out", str(out), "--set", value]) == 2
+    assert f"unknown configuration key: {value.split('=')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_precedence(workspace, tmp_path, monkeypatch):
+    # --set < COVERT_DECODE_SEED < --seed, and the report echoes the seed used
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COVERT_DECODE_SEED", "7")
+    train = ["train", "--features", str(feats), "--cv", "0", "--out", "r.json",
+             "--set", "seed=5", *TRAIN_OVERRIDES]
+    for flag, seed in (([], 7), (["--seed", "9"], 9)):
+        assert main([*train, *flag]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["config"]["seed"] == report["holdout"]["seed"] == seed
+        assert report["seeds"] == [seed]
+    # a command without --seed does not read the variable
+    monkeypatch.setenv("COVERT_DECODE_SEED", "abc")
+    assert main(["features", *_command_inputs("features", workspace, tmp_path),
+                 "--set", "seed=5"]) == 0
+    assert json.loads((tmp_path / "x.ften.prov.json").read_text())["config"]["seed"] == 5
+
+
 def _tree(root):
     """Every path under ``root``: a file's bytes, None for a directory."""
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
@@ -848,33 +949,49 @@ def test_two_outputs_at_one_path_rejected_before_work(tmp_path, capsys, monkeypa
     before = _tree(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "--out" in err and "Traceback" not in err
+    assert "two outputs at one path" in err and "Traceback" not in err
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("command", ["features", "report", "train"])
-def test_unwritable_output_is_config_error(tmp_path, capsys, command):
-    taken = tmp_path / "taken"
-    if command == "features":
+@pytest.mark.parametrize("command", ["features", "preprocess", "report", "train", "transfer"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # the blocked output is not the first one each command writes
+    taken = tmp_path / {"preprocess": "x.epoc.prov.json", "transfer": "t.csv"}.get(command,
+                                                                                 "taken")
+    if command in ("report", "train"):
+        taken.write_bytes(b"kept")
+    else:
         taken.mkdir()
         (taken / "inner.txt").write_bytes(b"kept")
-    else:
-        taken.write_bytes(b"kept")
+    recording = EegRecording(data=np.zeros((2, 100)), sample_rate_hz=100.0,
+                             channel_labels=["a", "b"])
     epochs = EpochSet(data=np.ones((2, 8, 2)), labels=[0, 1], condition=Condition.OVERT,
                       sample_rate_hz=100.0, class_names=["a", "b"])
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
     summary = tmp_path / "transfer.json"
     summary.write_text('{"summary": []}')
     argv = {
         # an existing directory at the output path
         "features": ["features", "--input", str(fileio.write_epochs(epochs, tmp_path / "e.epoc")),
                      "--out", str(taken)],
+        # an existing directory at the provenance sidecar's path
+        "preprocess": ["preprocess", "--input",
+                       str(fileio.write_recording(recording, tmp_path / "r.eegr")),
+                       "--out", str(tmp_path / "x.epoc")],
         # an existing file at the output directory
         "report": ["report", "--transfer-report", str(summary), "--out-dir", str(taken)],
-        # an existing file as the output's parent directory
-        "train": ["train", "--features",
-                  str(_features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))),
-                  "--cv", "0", "--out", str(taken / "r.json"), *TRAIN_OVERRIDES],
+        # an existing file as the report's parent directory; the checkpoint
+        # would be saved first
+        "train": ["train", "--features", str(feats), "--cv", "0",
+                  "--checkpoint", str(tmp_path / "ok.rmdl"), "--out", str(taken / "r.json"),
+                  *TRAIN_OVERRIDES],
+        # an existing directory at the CSV written beside the report
+        "transfer": ["transfer", "--source",
+                     str(_gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)),
+                     "--covert", str(feats), "--budgets", "0.3", "--out", str(tmp_path / "t.json")],
     }[command]
+    for reader in ("read_recording", "read_epochs", "read_features", "load_model"):
+        monkeypatch.setattr(fileio, reader, lambda path: pytest.fail(f"input read: {path}"))
     before = _tree(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err

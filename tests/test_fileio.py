@@ -431,3 +431,18 @@ class TestPublishing:
             fileio.dump_json({"a": 1}, target)
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert target.is_dir() or (tmp_path / "taken").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("outputs, problem", [
+        (["dir"], "it is a directory"),
+        (["file/r.json"], "file is not a directory"),
+        (["file/new/r.json"], "file is not a directory"),
+        (["new/r.json", "new/../new/./r.json"], "two outputs at one path"),
+    ])
+    def test_check_outputs_before_any_write(self, tmp_path, outputs, problem):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_bytes(b"kept")
+        # a file to replace, missing directories and an output not asked for pass
+        fileio.check_outputs(tmp_path / "file", tmp_path / "new" / "sub" / "r.json", None)
+        with pytest.raises(ConfigError, match=f"cannot write {tmp_path}/.*: .*{problem}"):
+            fileio.check_outputs(tmp_path / "ok.json", *(tmp_path / p for p in outputs))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
