@@ -5,7 +5,8 @@ report, validate. A command reads its settings only from the config that
 ``_load_config`` builds and every report echoes, each source over the last:
 defaults, --config (synth's --spec), each --set, COVERT_DECODE_SEED where
 the command takes --seed, then the flags --seed, --model, --cv, --budgets
-and --seeds. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
+and --seeds. Exit codes: 0 success, 2 config error (an unreadable config
+source too), 3 data error (a missing or unreadable input too), 4 numeric
 failure. The library raises typed errors where it checks its inputs; the
 CLI maps errors to exit codes only in ``main``.
 
@@ -72,13 +73,6 @@ def _load_config(args, defaults=PIPELINE_DEFAULTS) -> dict:
             raise ConfigError(f"COVERT_DECODE_SEED must be an integer, got {env!r}") from exc
     return load_config(cfg, {key: str(value) for key, value in given.items()
                              if key in defaults and value is not None})
-
-
-def _require_file(path) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"input file not found: {path}")
-    return path
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -148,8 +142,7 @@ def cmd_preprocess(args) -> int:
     # design both filters before touching any input so config mistakes
     # surface immediately
     notch, bandpass = _filters(cfg, cfg["sample_rate_hz"])
-    in_path = _require_file(args.input)
-    recording = fileio.read_recording(in_path)
+    recording = fileio.read_recording(args.input)
     if recording.sample_rate_hz != cfg["sample_rate_hz"]:
         notch, bandpass = _filters(cfg, recording.sample_rate_hz)
 
@@ -177,7 +170,7 @@ def cmd_preprocess(args) -> int:
     )
     out_path = fileio.write_epochs(epochs, args.out)
     fileio.dump_json(skipped.to_dict(), str(out_path) + ".skipped.json")
-    fileio.write_provenance(out_path, "preprocess", [in_path], cfg)
+    fileio.write_provenance(out_path, "preprocess", [args.input], cfg)
     print(
         f"wrote {epochs.n_trials} epochs ({epochs.n_timesteps} x {epochs.n_channels}) "
         f"to {out_path}; skipped {skipped.n_skipped} trials"
@@ -188,11 +181,10 @@ def cmd_preprocess(args) -> int:
 def cmd_features(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out, f"{args.out}.prov.json")
-    in_path = _require_file(args.input)
-    epochs = fileio.read_epochs(in_path)
+    epochs = fileio.read_epochs(args.input)
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
     out_path = fileio.write_features(tensor, args.out)
-    fileio.write_provenance(out_path, "features", [in_path], cfg)
+    fileio.write_provenance(out_path, "features", [args.input], cfg)
     print(
         f"wrote features {tensor.n_trials} x {tensor.n_timesteps} x {tensor.n_features} "
         f"to {out_path}"
@@ -204,8 +196,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out, args.checkpoint)
     seed, kind, k = cfg["seed"], cfg["model"], cfg["cv_folds"]
-    feat_path = _require_file(args.features)
-    features = fileio.read_features(feat_path)
+    features = fileio.read_features(args.features)
     hidden = parse_list(cfg["hidden_units"], int, "hidden_units")
     dropout = parse_list(cfg["dropout_rates"], float, "dropout_rates")
     specs = classifier_specs(kind, features.n_features, hidden=hidden, dropout=dropout,
@@ -231,7 +222,7 @@ def cmd_train(args) -> int:
     payload["holdout"] = holdout
     print(f"holdout accuracy {holdout['holdout_accuracy']:.4f}")
 
-    inputs = [fileio.input_record(feat_path)]
+    inputs = [fileio.input_record(args.features)]
     if args.checkpoint:
         ckpt = fileio.save_model(model, args.checkpoint)
         payload["checkpoint"] = fileio.input_record(ckpt)
@@ -245,10 +236,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out)
-    model_path = _require_file(args.checkpoint)
-    feat_path = _require_file(args.features)
-    model = fileio.load_model(model_path)
-    features = fileio.read_features(feat_path)
+    model = fileio.load_model(args.checkpoint)
+    features = fileio.read_features(args.features)
     _check_model_fits(model, features)
     # one prediction pass; the matrix is sized by the model, so classes the
     # file lacks get a row of zeros and a default name
@@ -270,7 +259,7 @@ def cmd_evaluate(args) -> int:
         "evaluate",
         cfg,
         payload,
-        inputs=[fileio.input_record(model_path), fileio.input_record(feat_path)],
+        inputs=[fileio.input_record(args.checkpoint), fileio.input_record(args.features)],
     )
     fileio.dump_json(report, args.out)
     print(f"accuracy {accuracy:.4f} on {features.n_trials} trials; report at {args.out}")
@@ -281,10 +270,8 @@ def cmd_transfer(args) -> int:
     cfg = _load_config(args)
     csv_path = Path(args.out).with_suffix(".csv")
     fileio.check_outputs(args.out, csv_path)
-    source_path = _require_file(args.source)
-    covert_path = _require_file(args.covert)
-    source = fileio.load_model(source_path)
-    covert = fileio.read_features(covert_path)
+    source = fileio.load_model(args.source)
+    covert = fileio.read_features(args.covert)
     _check_model_fits(source, covert, role="source model")
     plan = TransferPlan(
         budgets=tuple(parse_list(cfg["budgets"], float, "budgets")),
@@ -304,7 +291,7 @@ def cmd_transfer(args) -> int:
         "transfer",
         cfg,
         payload,
-        inputs=[fileio.input_record(source_path), fileio.input_record(covert_path)],
+        inputs=[fileio.input_record(args.source), fileio.input_record(args.covert)],
         seeds=plan.seeds,
     )
     fileio.dump_json(report, args.out)
@@ -337,7 +324,7 @@ def cmd_report(args) -> int:
     if args.train_report:
         tables["accuracy_table.csv"] = _accuracy_rows(args.train_report)
     if args.transfer_report:
-        report = fileio.load_json(_require_file(args.transfer_report))
+        report = fileio.load_json(args.transfer_report)
         summary = report.get("summary")
         if not isinstance(summary, list) or not all(isinstance(e, dict) for e in summary):
             raise DataError(f"{args.transfer_report}: no summary list of budget entries")
@@ -355,8 +342,8 @@ def cmd_report(args) -> int:
 
 def _envelope_tables(overt_path, covert_path) -> dict:
     """Rows of the per-class envelope means and correlation tables."""
-    overt = fileio.read_features(_require_file(overt_path))
-    covert = fileio.read_features(_require_file(covert_path))
+    overt = fileio.read_features(overt_path)
+    covert = fileio.read_features(covert_path)
     if overt.data.shape != covert.data.shape:
         raise DataError("overt/covert feature files have different shapes")
     means = [["class", "channel", "overt_mean_env", "covert_mean_env"]]
@@ -380,7 +367,7 @@ def _accuracy_rows(train_reports) -> list:
     a train report's CV mean or else its holdout accuracy."""
     rows, models = {}, []
     for path in train_reports:
-        report = fileio.load_json(_require_file(path))
+        report = fileio.load_json(path)
         subject = report.get("subject", Path(path).stem)
         model = report.get("model", "model")
         if not (isinstance(subject, str) and isinstance(model, str)):
@@ -430,7 +417,7 @@ def _validate(path) -> bool:
 
 
 def _validate_manifest(path) -> bool:
-    files = fileio.load_json(path).get("files", [])
+    files = fileio.load_json(path).get("files")
     if not isinstance(files, list) or not all(
         isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
         for e in files
@@ -555,9 +542,6 @@ def main(argv=None) -> int:
     except CovertDecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

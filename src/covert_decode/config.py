@@ -9,8 +9,8 @@ value a flag gave, is embedded verbatim in every report and ``.prov.json``.
 
 import math
 from dataclasses import fields
-from pathlib import Path
 
+from . import fileio
 from .errors import ConfigError
 from .synth import SynthSpec
 from .training import TrainConfig
@@ -105,10 +105,10 @@ def parse_list(text, kind, key: str) -> list:
         raise ConfigError(f"bad {kind.__name__} list for {key}: {text!r}") from exc
 
 
-def parse_kv_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+def load_kv_file(path) -> dict:
+    """Flat ``key = value`` lines of a UTF-8 file; '#' starts a comment."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(fileio.read_text(path, ConfigError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -117,10 +117,3 @@ def parse_kv_text(text: str) -> dict:
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values
-
-
-def load_kv_file(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_kv_text(path.read_text())

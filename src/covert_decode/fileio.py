@@ -40,6 +40,10 @@ already there keeps its bytes. The file gets a plain ``open``'s permissions
 killed process, not a power loss. An OSError while making the directory or
 writing or renaming the temporary is a ConfigError naming the output path;
 ``check_outputs`` finds such paths before a command writes anything.
+
+Every reader opens its input through ``_open``: no file at the path is "input
+file not found", another OSError "cannot read", each a DataError (exit 3) or,
+for a config source, a ConfigError (exit 2); ``read_text`` decodes UTF-8.
 """
 
 import csv
@@ -55,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from .containers import EegRecording, EpochSet, FeatureTensor, default_class_names
-from .errors import ConfigError, FileFormatError
-from .network import LayerSpec, RecurrentModel, build_model
+from .errors import ConfigError, DataError, FileFormatError
+from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model, classifier_specs
 
 RECORDING_MAGIC = b"EEGR"
 EPOCHS_MAGIC = b"EPOC"
@@ -65,9 +69,29 @@ MODEL_MAGIC = b"RMDL"
 _MARKER = struct.Struct("<QH")
 
 
+def _open(path, error=DataError):
+    """``path`` open for binary reading; ``error`` if that fails (module docstring)."""
+    try:
+        return open(path, "rb")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        noun = "config" if error is ConfigError else "input"
+        raise error(f"{noun} file not found: {path}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def read_text(path, error=DataError) -> str:
+    """The UTF-8 text of ``path``; ``error`` if it cannot be read or decoded."""
+    with _open(path, error) as fh:
+        try:
+            return fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text") from exc
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -179,7 +203,7 @@ def write_recording(recording: EegRecording, path) -> Path:
 
 def read_recording(path) -> EegRecording:
     path = Path(path)
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         r = _Reader(fh, path, RECORDING_MAGIC)
         n_channels, n_samples, sample_rate = r.unpack("<IQd", "header")
         labels = [r.string("channel label") for _ in range(n_channels)]
@@ -209,7 +233,7 @@ def write_epochs(epochs: EpochSet, path) -> Path:
 
 def read_epochs(path) -> EpochSet:
     path = Path(path)
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         r = _Reader(fh, path, EPOCHS_MAGIC)
         n_trials, n_timesteps, n_channels, condition = r.unpack("<IIIB", "header")
         sample_rate, n_classes = r.unpack("<dI", "sample rate and class count")
@@ -226,7 +250,7 @@ def write_features(features: FeatureTensor, path) -> Path:
 
 def read_features(path) -> FeatureTensor:
     path = Path(path)
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         r = _Reader(fh, path, FEATURES_MAGIC)
         n_trials, n_timesteps, n_features, condition = r.unpack("<IIIB", "header")
         labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
@@ -260,7 +284,7 @@ def save_model(model: RecurrentModel, path) -> Path:
 
 def load_model(path) -> RecurrentModel:
     path = Path(path)
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         r = _Reader(fh, path, MODEL_MAGIC)
         (header_len,) = r.unpack("<I", "header length")
         raw = r.take(header_len, "header")
@@ -272,6 +296,11 @@ def load_model(path) -> RecurrentModel:
             specs = [LayerSpec(**d) for d in header["layer_specs"]]
             model = build_model(specs, seed=header["rng_seed"], dtype=np.float32)
             freeze_flags = [bool(flag) for flag in header["freeze_flags"]]
+            rec = [s for s in specs if s.kind in RECURRENT_KINDS]  # what train builds from them
+            if specs != classifier_specs(specs[0].kind, specs[0].input_size, [s.size for s in rec],
+                                         [s.dropout_rate for s in rec], specs[-1].size,
+                                         specs[0].merge_mode):
+                raise ValueError("not a recurrent classifier")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}: header does not describe a model ({exc!r})") from exc
         if len(freeze_flags) != len(specs):
@@ -321,18 +350,18 @@ def write_csv(rows, path) -> Path:
 
 
 def load_json(path) -> dict:
-    """A JSON object from a UTF-8 file; FileFormatError for anything else."""
+    """A JSON object from a UTF-8 file; a DataError for anything else."""
     try:
-        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise FileFormatError(f"{path}: not a UTF-8 JSON file ({exc})") from exc
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:  # not the DataError read_text raises
+        raise FileFormatError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level is not a JSON object")
     return obj
 
 
 def input_record(path) -> dict:
-    return {"path": str(path), "sha256": sha256_file(path)}
+    return {"path": str(Path(path)), "sha256": sha256_file(path)}
 
 
 def write_provenance(output_path, command: str, inputs, config: dict) -> Path:

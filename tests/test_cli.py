@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -666,6 +666,7 @@ MALFORMED_JSON = {
     "file_without_sha256": b'{"files": [{"path": "a.eegr"}]}',
     "path_not_a_string": b'{"files": [{"path": 3, "sha256": "00"}]}',
     "files_not_a_list": b'{"files": "a.eegr"}',
+    "no_files_key": b'{"kind": "train"}',
 }
 
 
@@ -996,4 +997,97 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, comman
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"cannot write {taken}" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+# every input flag, with the command line that reads it; BAD stands for the
+# unreadable path, and every other input is readable
+BAD = object()
+INPUT_FLAGS = {
+    "preprocess --input": ["preprocess", "--input", BAD, "--out", "x.epoc"],
+    "features --input": ["features", "--input", BAD, "--out", "x.ften"],
+    "train --features": ["train", "--features", BAD, "--out", "r.json"],
+    "evaluate --model": ["evaluate", "--model", BAD, "--features", "f.ften", "--out", "e.json"],
+    "evaluate --features": ["evaluate", "--model", "m.rmdl", "--features", BAD,
+                            "--out", "e.json"],
+    "transfer --source": ["transfer", "--source", BAD, "--covert", "f.ften", "--out", "t.json"],
+    "transfer --covert": ["transfer", "--source", "m.rmdl", "--covert", BAD, "--out", "t.json"],
+    "report --train-report": ["report", "--train-report", BAD, "--out-dir", "t"],
+    "report --transfer-report": ["report", "--transfer-report", BAD, "--out-dir", "t"],
+    "report --overt-features": ["report", "--overt-features", BAD,
+                                "--covert-features", "f.ften", "--out-dir", "t"],
+    "report --covert-features": ["report", "--overt-features", "f.ften",
+                                 "--covert-features", BAD, "--out-dir", "t"],
+    "features --config": ["features", "--input", "e.epoc", "--out", "x.ften", "--config", BAD],
+    "synth --spec": ["synth", "--spec", BAD, "--out", "data"],
+}
+
+
+def _readable_inputs(root):
+    _features_file(root / "f.ften", np.repeat(np.arange(5), 4))
+    _gru_checkpoint(root / "m.rmdl", n_classes=5, favoured=0)
+    fileio.write_epochs(EpochSet(data=np.ones((2, 8, 2)), labels=[0, 1],
+                                 condition=Condition.OVERT, sample_rate_hz=100.0,
+                                 class_names=["a", "b"]), root / "e.epoc")
+    (root / "a_file").write_bytes(b"a regular file")
+    (root / "a_dir").mkdir()
+
+
+@pytest.mark.parametrize("where", ["missing", "a_dir", "a_file/under"])
+@pytest.mark.parametrize("flag", INPUT_FLAGS)
+def test_unreadable_input_names_the_path(tmp_path, capsys, monkeypatch, flag, where):
+    # a path that names no file ends in exit 3, or 2 for a config source,
+    # before any output is written
+    _readable_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    bad = str(tmp_path / where)
+    config = flag.endswith(("--config", "--spec"))
+    before = _tree(tmp_path)
+    assert main([bad if arg is BAD else arg for arg in INPUT_FLAGS[flag]]) == (2 if config else 3)
+    err = capsys.readouterr().err
+    assert f"{'config' if config else 'input'} file not found: {bad}" in err
+    assert "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+def test_undecodable_config_is_config_error(tmp_path, capsys, monkeypatch):
+    _readable_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ften").write_bytes(b"seed = 1\n\xff\n")
+    before = _tree(tmp_path)
+    assert main(["evaluate", "--model", "m.rmdl", "--features", "f.ften", "--out", "e.json",
+                 "--config", "c.ften"]) == 2
+    assert "c.ften: not UTF-8 text" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_validate_directory_is_invalid(tmp_path, capsys):
+    (tmp_path / "adir.ften").mkdir()
+    captured = _expect_exit_3(["validate", str(tmp_path / "adir.ften")], capsys)
+    assert f"{tmp_path / 'adir.ften'}: INVALID (input file not found" in captured.out
+
+
+def _not_a_classifier(stack):
+    """Layer specs whose widths chain but that no classifier_specs call builds."""
+    gru, dense, softmax = classifier_specs("gru", 4, hidden=(3,), dropout=(0.0,), n_classes=5)
+    return {
+        "sequence_output": [replace(gru, return_sequences=True), dense, softmax],
+        "dense_softmax_only": [replace(dense, input_size=4), softmax],
+        "two_dense": [gru, replace(dense, size=3), replace(dense, input_size=3), softmax],
+        "no_softmax": [gru, dense],
+    }[stack]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "transfer"])
+@pytest.mark.parametrize("stack", ["sequence_output", "dense_softmax_only", "two_dense",
+                                   "no_softmax"])
+def test_checkpoint_that_is_not_a_classifier_is_rejected(tmp_path, capsys, command, stack):
+    model = fileio.save_model(build_model(_not_a_classifier(stack), seed=0), tmp_path / "m.rmdl")
+    feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))
+    argv = {"evaluate": ["evaluate", "--model", str(model), "--features", str(feats)],
+            "transfer": ["transfer", "--source", str(model), "--covert", str(feats),
+                         "--budgets", "0.3", "--seeds", "1"]}[command]
+    before = _tree(tmp_path)
+    captured = _expect_exit_3([*argv, "--out", str(tmp_path / "r.json")], capsys)
+    assert f"{model}: header does not describe a model" in captured.err
     assert _tree(tmp_path) == before

@@ -1,5 +1,6 @@
 """Package layering: modules use only each other's public names, the CLI
-leaves error typing to the library, and only fileio's publisher writes files."""
+leaves error typing to the library, only fileio's publisher writes files and
+only its opener opens them for reading."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,44 @@ def test_fileio_writes_only_through_its_publisher():
     assert sorted(what for _, what in inside) == ["mkdir", "open for writing"]
     outside = [what for line, what in _file_writes(tree) if (line, what) not in inside]
     assert outside == ["import csv"]
+
+
+def _file_reads(tree):
+    """(line, what) for each call in ``tree`` that opens or reads a file by
+    itself: ``open``, or an ``open``, ``read_text`` or ``read_bytes`` method
+    of anything but ``fileio``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append((node.lineno, "open"))
+            elif (isinstance(func, ast.Attribute)
+                  and func.attr in ("open", "read_text", "read_bytes")
+                  and not (isinstance(func.value, ast.Name) and func.value.id == "fileio")):
+                found.append((node.lineno, func.attr))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "fileio.py"}),
+                         ids=lambda p: p.name)
+def test_only_fileio_reads_files(path):
+    # what an unreadable input means is decided once, in fileio's opener
+    assert _file_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_fileio_reads_only_through_its_opener():
+    tree = ast.parse((PACKAGE / "fileio.py").read_text())
+    opens = {node.name: [what for _, what in _file_reads(node)] for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and _file_reads(node)}
+    # the publisher's open is for writing (test_fileio_writes_only_through_its_publisher)
+    assert opens == {"_open": ["open"], "_publish": ["open"]}
+
+
+def test_cli_main_catches_only_package_errors():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    (main,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    handlers = [ast.unparse(node.type) for node in ast.walk(main)
+                if isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["CovertDecodeError"]
