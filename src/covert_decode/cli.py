@@ -112,14 +112,13 @@ def cmd_synth(args) -> int:
     # every synth key but gap_seconds is a SynthSpec field
     gap_seconds = cfg.pop("gap_seconds")
     spec = synth.SynthSpec(**cfg)
+    recordings = args.emit == "recordings"
+    fileio.check_outputs(*synth.manifest_paths(args.out, args.subject, recordings).values())
     overt, covert, manifest = synth.generate_paired(spec)
-    if args.emit == "epochs":
-        datasets = {"overt": overt, "covert": covert}
-    else:
-        datasets = {
-            "overt": synth.to_recording(overt, gap_seconds=gap_seconds, seed=seed),
-            "covert": synth.to_recording(covert, gap_seconds=gap_seconds, seed=seed),
-        }
+    datasets = {"overt": overt, "covert": covert}
+    if recordings:
+        datasets = {name: synth.to_recording(epochs, gap_seconds=gap_seconds, seed=seed)
+                    for name, epochs in datasets.items()}
     manifest_path = synth.write_manifest(
         datasets, args.out, subject=args.subject, seed=seed, class_names=list(spec.class_names)
     )

@@ -113,7 +113,7 @@ def load_kv_file(path) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line.rstrip()!r}")
+            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line.rstrip()!r}")
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values

@@ -20,7 +20,9 @@ Features (.ften):    magic "FTEN", u32 version=1, u32 n_trials,
 Checkpoint (.rmdl):  magic "RMDL", u32 version=1, u32 JSON header length,
     JSON header (layer specs, freeze flags, rng seed), u32 parameter count,
     per parameter: u32 name length + name, u8 ndim, u32 dims, f32 data.
-    Save/load round-trips are bit-exact.
+    Save/load round-trips are bit-exact. Loading checks each block's name and
+    shape against ``network.param_shapes`` of the header's specs before its
+    data, so it allocates no more than the file holds.
 
 ``.epoc`` and ``.ften`` share one layout, written by ``_write_trials``: the
 ``<IIIIB`` header (version, the three data dimensions, condition), a block
@@ -60,7 +62,8 @@ import numpy as np
 
 from .containers import EegRecording, EpochSet, FeatureTensor, default_class_names
 from .errors import ConfigError, DataError, FileFormatError
-from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model, classifier_specs
+from .network import (RECURRENT_KINDS, LayerSpec, RecurrentModel, classifier_specs, param_shapes,
+                      validate_chain)
 
 RECORDING_MAGIC = b"EEGR"
 EPOCHS_MAGIC = b"EPOC"
@@ -294,8 +297,12 @@ def load_model(path) -> RecurrentModel:
             raise FileFormatError(f"{path}: header is not valid JSON") from exc
         try:
             specs = [LayerSpec(**d) for d in header["layer_specs"]]
-            model = build_model(specs, seed=header["rng_seed"], dtype=np.float32)
+            validate_chain(specs)  # rejects an empty list before specs[0] is read
+            if type(header["rng_seed"]) is not int:
+                raise TypeError(f"rng_seed {header['rng_seed']!r} is not an integer")
             freeze_flags = [bool(flag) for flag in header["freeze_flags"]]
+            if len(freeze_flags) != len(specs):
+                raise ValueError(f"{len(freeze_flags)} freeze flags for {len(specs)} layers")
             rec = [s for s in specs if s.kind in RECURRENT_KINDS]  # what train builds from them
             if specs != classifier_specs(specs[0].kind, specs[0].input_size, [s.size for s in rec],
                                          [s.dropout_rate for s in rec], specs[-1].size,
@@ -303,28 +310,23 @@ def load_model(path) -> RecurrentModel:
                 raise ValueError("not a recurrent classifier")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}: header does not describe a model ({exc!r})") from exc
-        if len(freeze_flags) != len(specs):
-            raise FileFormatError(
-                f"{path}: {len(freeze_flags)} freeze flags for {len(specs)} layers"
-            )
+        shapes = {f"layer{i}.{name}": shape for i, spec in enumerate(specs)
+                  for name, shape in param_shapes(spec).items()}
         (n_blocks,) = r.unpack("<I", "parameter count")
+        if n_blocks != len(shapes):
+            raise FileFormatError(f"{path}: parameter blocks do not match the layer specs")
         params = {}
         for _ in range(n_blocks):
             name = r.string("parameter name")
             (ndim,) = r.unpack("<B", "parameter ndim")
             shape = r.unpack(f"<{ndim}I", "parameter shape")
-            # read flat: a corrupt ndim may exceed numpy's limit, so the shape
-            # is compared with the model's before anything is reshaped
-            params[name] = shape, r.array("<f4", (math.prod(shape),), f"parameter {name}")
-    expected = {name for name, _ in model.param_blocks()}
-    if set(params) != expected:
-        raise FileFormatError(f"{path}: parameter blocks do not match the layer specs")
-    for name, arr in model.param_blocks():
-        shape, flat = params[name]
-        if shape != arr.shape:
-            raise FileFormatError(f"{path}: parameter {name} has shape {shape}, "
-                                  f"expected {arr.shape}")
-        arr[...] = flat.reshape(shape)
+            if name in params or shape != shapes.get(name):
+                raise FileFormatError(f"{path}: parameter block {name!r} of shape {shape} "
+                                      f"does not match the layer specs")
+            params[name] = r.array("<f4", shape, f"parameter {name}").astype(np.float32)
+    layers = [{name: params[f"layer{i}.{name}"] for name in param_shapes(spec)} or None
+              for i, spec in enumerate(specs)]
+    model = RecurrentModel(specs, layers, header["rng_seed"])
     for layer, frozen in zip(model.layers, freeze_flags):
         if layer is not None:
             layer.frozen = frozen

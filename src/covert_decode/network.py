@@ -7,6 +7,7 @@ Layout conventions:
               (the three sigmoid gates first, so one contiguous expit call
               covers them)
   GRU gates   [update, reset] then the candidate block
+  parameters  per layer as ``param_shapes`` states them, drawn by ``init_params``
 Bidirectional layers run an independent pass in each time direction and merge
 per timestep (concat doubles the width; sum keeps it). With
 ``return_sequences=False`` a layer returns the forward pass's final state
@@ -59,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .rng import substream
 
 
 def sigmoid(x, out=None):
@@ -172,7 +174,6 @@ def classifier_specs(
         width = spec.output_size
     specs.append(LayerSpec(kind="dense", input_size=width, size=n_classes))
     specs.append(LayerSpec(kind="softmax", input_size=n_classes, size=n_classes))
-    validate_chain(specs)
     return specs
 
 
@@ -206,14 +207,55 @@ def _dropout_mask(shape, rate, rng, dtype):
 # layers
 
 
+def param_shapes(spec: LayerSpec) -> dict:
+    """``{name: shape}`` of one layer's parameters ({} for dropout and softmax):
+    dense ``w``, ``b``; per direction ``fw`` (and ``bw``) ``_wx``, ``_wh``, ``_b``."""
+    if spec.kind == "dense":
+        return {"w": (spec.input_size, spec.size), "b": (spec.size,)}
+    if spec.kind not in RECURRENT_KINDS:
+        return {}
+    gh = (4 if spec.kind in ("lstm", "bilstm") else 3) * spec.size
+    shapes = {}
+    for d in ("fw", "bw") if spec.bidirectional else ("fw",):
+        shapes[f"{d}_wx"] = (spec.input_size, gh)
+        shapes[f"{d}_wh"] = (spec.size, gh)
+        shapes[f"{d}_b"] = (gh,)
+    return shapes
+
+
+def init_params(spec: LayerSpec, rng, dtype=np.float32):
+    """One layer's parameters drawn from ``rng`` in :func:`param_shapes` order (None
+    if it has none): Glorot-uniform input and dense weights (Glorot & Bengio, 2010),
+    orthogonal recurrent weights per gate, zero biases but the LSTM forget gate's 1."""
+    h = spec.size
+    limit = np.sqrt(6.0 / (spec.input_size + spec.size))
+    params = {}
+    for name, shape in param_shapes(spec).items():
+        if name.endswith("b"):
+            value = np.zeros(shape)
+            if spec.kind in ("lstm", "bilstm"):
+                value[h : 2 * h] = 1.0  # forget-gate bias opens the cell path early
+        elif name.endswith("wh"):
+            value = np.empty(shape)
+            for g in range(0, shape[1], h):
+                q, r = np.linalg.qr(rng.standard_normal((h, h)))
+                value[:, g : g + h] = q * np.sign(np.diag(r))
+        else:
+            value = rng.uniform(-limit, limit, size=shape)
+        params[name] = value.astype(dtype)
+    return params or None
+
+
 class _ParamLayer:
     frozen = False
 
-    def __init__(self):
-        self.params = {}
-        self.grads = {}
-
-    def zero_grads(self):
+    def __init__(self, spec: LayerSpec, params: dict):
+        shapes = {name: arr.shape for name, arr in params.items()}
+        if shapes != param_shapes(spec):
+            raise ValueError(f"{spec.kind} parameters {shapes} are not {param_shapes(spec)}")
+        self.spec = spec
+        self.params = params
+        self.dtype = next(iter(params.values())).dtype
         self.grads = {}
 
 
@@ -249,25 +291,12 @@ class RecurrentLayer(_ParamLayer):
     the caller allocated for all slots.
     """
 
-    def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
-        super().__init__()
-        self.spec = spec
+    def __init__(self, spec: LayerSpec, params: dict):
+        super().__init__(spec, params)
         self.cell = "lstm" if spec.kind in ("lstm", "bilstm") else "gru"
         self.n_gates = 4 if self.cell == "lstm" else 3
         self.directions = ("fw", "bw") if spec.bidirectional else ("fw",)
         self.n_dir = len(self.directions)
-        self.dtype = np.dtype(dtype)
-        d, h, g = spec.input_size, spec.size, self.n_gates
-        limit = np.sqrt(6.0 / (d + h))
-        for direction in self.directions:
-            wx = rng.uniform(-limit, limit, size=(d, g * h))
-            wh = np.hstack([_orthogonal(h, rng) for _ in range(g)])
-            b = np.zeros(g * h)
-            if self.cell == "lstm":
-                b[h : 2 * h] = 1.0  # forget-gate bias opens the cell path early
-            self.params[f"{direction}_wx"] = wx.astype(self.dtype)
-            self.params[f"{direction}_wh"] = wh.astype(self.dtype)
-            self.params[f"{direction}_b"] = b.astype(self.dtype)
         self._cache = None
 
     # -- forward
@@ -725,16 +754,7 @@ def _shifted_states(h):
 
 
 class DenseLayer(_ParamLayer):
-    def __init__(self, spec: LayerSpec, rng, dtype=np.float32):
-        super().__init__()
-        self.spec = spec
-        self.dtype = np.dtype(dtype)
-        limit = np.sqrt(6.0 / (spec.input_size + spec.size))
-        self.params["w"] = rng.uniform(-limit, limit, size=(spec.input_size, spec.size)).astype(
-            self.dtype
-        )
-        self.params["b"] = np.zeros(spec.size, dtype=self.dtype)
-        self._x = None
+    _x = None
 
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=self.dtype)
@@ -754,12 +774,6 @@ class DenseLayer(_ParamLayer):
         return dx
 
 
-def _orthogonal(n: int, rng) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -767,11 +781,20 @@ def _orthogonal(n: int, rng) -> np.ndarray:
 class RecurrentModel:
     """Ordered layer stack with per-layer freeze flags and seeded dropout."""
 
-    def __init__(self, specs, layers, rng_seed: int, dtype=np.float32):
+    def __init__(self, specs, params, rng_seed: int):
+        """``params``: one dict of arrays per layer, None for dropout/softmax."""
+        validate_chain(specs)
         self.specs = list(specs)
-        self.layers = list(layers)  # aligned with specs; None for dropout/softmax
+        self.layers = []  # aligned with specs; None for dropout/softmax
+        for spec, p in zip(self.specs, params, strict=True):
+            if spec.kind in RECURRENT_KINDS:
+                self.layers.append(RecurrentLayer(spec, p))
+            elif spec.kind == "dense":
+                self.layers.append(DenseLayer(spec, p))
+            else:
+                self.layers.append(None)
         self.rng_seed = int(rng_seed)
-        self.dtype = np.dtype(dtype)
+        self.dtype = next((layer.dtype for layer in self.layers if layer), np.dtype(np.float32))
         self._masks = {}
 
     # -- construction
@@ -832,7 +855,7 @@ class RecurrentModel:
     def zero_grads(self):
         for layer in self.layers:
             if layer is not None:
-                layer.zero_grads()
+                layer.grads = {}
 
     def parameter_count(self) -> int:
         return sum(arr.size for _, arr in self.param_blocks())
@@ -910,21 +933,6 @@ def backward_models(models, dlogits):
 
 
 def build_model(specs, seed: int, dtype=np.float32) -> RecurrentModel:
-    """Instantiate a model with deterministic, seed-derived initialization.
-
-    Input and dense weights are Glorot-uniform, recurrent weights orthogonal
-    per gate, biases zero except the LSTM forget gate (set to 1).
-    """
-    from .rng import substream
-
-    validate_chain(specs)
-    layers = []
-    for i, spec in enumerate(specs):
-        rng = substream(seed, "init", i)
-        if spec.kind in RECURRENT_KINDS:
-            layers.append(RecurrentLayer(spec, rng, dtype=dtype))
-        elif spec.kind == "dense":
-            layers.append(DenseLayer(spec, rng, dtype=dtype))
-        else:
-            layers.append(None)
-    return RecurrentModel(specs, layers, rng_seed=seed, dtype=dtype)
+    """A model drawn by :func:`init_params`, layer i from substream (seed, "init", i)."""
+    params = [init_params(spec, substream(seed, "init", i), dtype) for i, spec in enumerate(specs)]
+    return RecurrentModel(specs, params, rng_seed=seed)

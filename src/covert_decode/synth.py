@@ -300,31 +300,40 @@ def to_recording(epochs: EpochSet, gap_seconds: float = 0.25, seed: int = 0) -> 
     )
 
 
+def manifest_paths(directory, subject: str, recordings: bool) -> dict:
+    """Where :func:`write_manifest` puts ``subject``'s "manifest" and, by
+    condition, its data files: ``.eegr`` recordings or else ``.epoc`` epochs."""
+    if subject in ("", ".", "..") or Path(subject).name != subject:
+        raise ConfigError(f"subject must be a bare file-name stem, got {subject!r}")
+    stem = Path(directory) / subject
+    suffix = ".eegr" if recordings else ".epoc"
+    paths = {c.name.lower(): Path(f"{stem}_{c.name.lower()}{suffix}") for c in Condition}
+    return {**paths, "manifest": Path(f"{stem}_manifest.json")}
+
+
 def write_manifest(
     datasets: dict, directory, subject: str = "synthetic", seed: int = 0, class_names=None
 ):
     """Write one file per condition plus a JSON manifest describing them.
 
-    ``datasets`` maps condition names to EegRecording or EpochSet objects;
-    recordings go to .eegr files, epoch sets to .epoc files.
+    ``datasets`` maps condition names to objects of one kind: EegRecording
+    objects go to .eegr files, EpochSet objects to .epoc files.
     """
-    if subject in ("", ".", "..") or Path(subject).name != subject:
-        raise ConfigError(f"subject must be a bare file-name stem, got {subject!r}")
-    directory = Path(directory)
+    recordings = all(isinstance(dataset, EegRecording) for dataset in datasets.values())
+    paths = manifest_paths(directory, subject, recordings)
     files = []
     for name, dataset in datasets.items():
         condition = Condition.parse(name).name.lower()
-        stem = directory / f"{subject}_{condition}"
-        if isinstance(dataset, EegRecording):
-            kind, path = "recording", fileio.write_recording(dataset, f"{stem}.eegr")
+        if recordings:
+            kind, path = "recording", fileio.write_recording(dataset, paths[condition])
         elif isinstance(dataset, EpochSet):
-            kind, path = "epochs", fileio.write_epochs(dataset, f"{stem}.epoc")
+            kind, path = "epochs", fileio.write_epochs(dataset, paths[condition])
             if class_names is None:
                 class_names = list(dataset.class_names)
         else:
-            raise TypeError(f"cannot serialize dataset of type {type(dataset).__name__}")
+            raise TypeError(f"need all EegRecording or all EpochSet, got {type(dataset).__name__}")
         files.append({"path": path.name, "condition": condition, "kind": kind,
                       "sha256": fileio.sha256_file(path)})
     manifest = {"schema": 1, "subject": subject, "seed": seed, "class_names": class_names,
                 "files": files}
-    return fileio.dump_json(manifest, directory / f"{subject}_manifest.json")
+    return fileio.dump_json(manifest, paths["manifest"])

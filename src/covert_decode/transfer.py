@@ -15,7 +15,6 @@ The source arrives trained (by the CLI's ``train`` step or
 ``experiments.train_holdout``); scratch baselines use its specs.
 """
 
-import copy
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -24,7 +23,7 @@ import numpy as np
 from .containers import FeatureTensor
 from .errors import ConfigError, DataError
 from .evaluation import bonferroni, paired_t_test
-from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model
+from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model, init_params
 from .rng import substream
 
 # train_model stays importable here: perfbench/recorder.py wraps
@@ -130,10 +129,10 @@ def _head_layers(model: RecurrentModel):
 
 def head_input_features(model: RecurrentModel, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Eval-mode activations feeding the dense head: the output of a
-    body-only model that shares ``model``'s layers below the head."""
+    body-only model over ``model``'s arrays below the head."""
     dense_idx, _ = _head_layers(model)
-    body = RecurrentModel(model.specs[:dense_idx], model.layers[:dense_idx], model.rng_seed,
-                          model.dtype)
+    params = [None if layer is None else layer.params for layer in model.layers[:dense_idx]]
+    body = RecurrentModel(model.specs[:dense_idx], params, model.rng_seed)
     return predict_proba(body, x, batch_size)
 
 
@@ -143,20 +142,15 @@ def _head_model(source: RecurrentModel, seed: int, reinit_head: bool) -> Recurre
     ``reinit_head`` the copy is re-drawn from the ``head_reinit`` substream
     of ``seed``; otherwise it warm-starts from the source weights."""
     dense_idx, head_dropout = _head_layers(source)
-    dense = copy.deepcopy(source.layers[dense_idx])
-    dense.frozen = False
+    width = source.specs[dense_idx].input_size
+    n_classes = source.specs[dense_idx].size
+    specs = [LayerSpec("dropout", width, width, dropout_rate=head_dropout),
+             LayerSpec("dense", width, n_classes), LayerSpec("softmax", n_classes, n_classes)]
     if reinit_head:
-        rng = substream(seed, "head_reinit")
-        limit = np.sqrt(6.0 / sum(dense.params["w"].shape))
-        dense.params["w"][...] = rng.uniform(-limit, limit, size=dense.params["w"].shape)
-        dense.params["b"][...] = 0.0
-    width, n_classes = dense.params["w"].shape
-    specs = [
-        LayerSpec("dropout", width, width, dropout_rate=head_dropout),
-        LayerSpec("dense", width, n_classes),
-        LayerSpec("softmax", n_classes, n_classes),
-    ]
-    return RecurrentModel(specs, [None, dense, None], source.rng_seed, source.dtype)
+        params = init_params(specs[1], substream(seed, "head_reinit"), source.dtype)
+    else:
+        params = {name: arr.copy() for name, arr in source.layers[dense_idx].params.items()}
+    return RecurrentModel(specs, [None, params, None], source.rng_seed)
 
 
 def transfer_sweep(

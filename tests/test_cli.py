@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import covert_decode
-from covert_decode import fileio, transfer
+from covert_decode import fileio, synth, transfer
 from covert_decode.cli import main
 from covert_decode.config import PIPELINE_DEFAULTS, SYNTH_DEFAULTS
 from covert_decode.containers import Condition, EegRecording, EpochSet, FeatureTensor
@@ -804,6 +804,14 @@ def test_bad_seed_or_config_source_is_config_error(workspace, tmp_path, capsys, 
     assert not (tmp_path / "x.epoc").exists()
 
 
+def test_malformed_config_line_names_its_file(workspace, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nfoo\n")
+    assert main(["features", "--input", str(workspace / "overt.epoc"),
+                 "--out", str(tmp_path / "x.ften"), "--config", str(cfg)]) == 2
+    assert f"{cfg}: line 2: expected key=value, got 'foo'" in capsys.readouterr().err
+
+
 def test_set_overrides_the_config_file(workspace, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("notch_q = 10\nenv_floor_rel = 1e-9\n")
@@ -954,16 +962,19 @@ def test_two_outputs_at_one_path_rejected_before_work(tmp_path, capsys, monkeypa
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("command", ["features", "preprocess", "report", "train", "transfer"])
+@pytest.mark.parametrize("command",
+                         ["features", "preprocess", "report", "synth", "train", "transfer"])
 def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, command):
     # the blocked output is not the first one each command writes
-    taken = tmp_path / {"preprocess": "x.epoc.prov.json", "transfer": "t.csv"}.get(command,
-                                                                                 "taken")
+    taken = tmp_path / {"preprocess": "x.epoc.prov.json", "synth": "out/synthetic_manifest.json",
+                        "transfer": "t.csv"}.get(command, "taken")
     if command in ("report", "train"):
         taken.write_bytes(b"kept")
     else:
-        taken.mkdir()
+        taken.mkdir(parents=True)
         (taken / "inner.txt").write_bytes(b"kept")
+    spec = tmp_path / "s.kv"
+    spec.write_text(TINY_SPEC)
     recording = EegRecording(data=np.zeros((2, 100)), sample_rate_hz=100.0,
                              channel_labels=["a", "b"])
     epochs = EpochSet(data=np.ones((2, 8, 2)), labels=[0, 1], condition=Condition.OVERT,
@@ -981,6 +992,8 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, comman
                        "--out", str(tmp_path / "x.epoc")],
         # an existing file at the output directory
         "report": ["report", "--transfer-report", str(summary), "--out-dir", str(taken)],
+        # an existing directory at the manifest, written after both recordings
+        "synth": ["synth", "--spec", str(spec), "--out", str(tmp_path / "out")],
         # an existing file as the report's parent directory; the checkpoint
         # would be saved first
         "train": ["train", "--features", str(feats), "--cv", "0",
@@ -993,6 +1006,7 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, comman
     }[command]
     for reader in ("read_recording", "read_epochs", "read_features", "load_model"):
         monkeypatch.setattr(fileio, reader, lambda path: pytest.fail(f"input read: {path}"))
+    monkeypatch.setattr(synth, "generate_paired", lambda spec: pytest.fail("subject generated"))
     before = _tree(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err

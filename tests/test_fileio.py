@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -203,6 +204,49 @@ class TestModelCheckpoint:
             fileio.load_model(path)
 
 
+def _wide_gru_checkpoint(path, blocks=b"", n_blocks=0):
+    """A checkpoint whose header declares a GRU of width 1000 (about 12 MB of
+    float32 parameters) followed by ``n_blocks`` and the bytes ``blocks``."""
+    specs = classifier_specs("gru", 4, hidden=(1000,), dropout=(0.0,), n_classes=5)
+    header = json.dumps({"layer_specs": [asdict(spec) for spec in specs],
+                         "freeze_flags": [False] * len(specs), "rng_seed": 0}).encode()
+    path.write_bytes(b"RMDL" + struct.pack("<II", 1, len(header)) + header
+                     + struct.pack("<I", n_blocks) + blocks)
+    return path
+
+
+class TestCheckpointMemory:
+    """A header's layer sizes cost nothing until the file holds the blocks."""
+
+    @pytest.mark.parametrize("blocks,n_blocks", [
+        (b"", 0),
+        # the first block's name and shape are right, its data is cut short
+        (_ref_string("layer0.fw_b") + struct.pack("<BI", 1, 3000) + bytes(16), 5),
+    ], ids=["no-blocks", "truncated-block"])
+    def test_declared_model_is_not_allocated(self, tmp_path, blocks, n_blocks):
+        path = _wide_gru_checkpoint(tmp_path / "wide.rmdl", blocks, n_blocks)
+        assert path.stat().st_size < 600
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError):
+                fileio.load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate", "transfer"])
+    def test_commands_reject_it(self, tmp_path, command):
+        model = _wide_gru_checkpoint(tmp_path / "wide.rmdl")
+        feats = fileio.write_features(sample_features(), tmp_path / "f.ften")
+        argv = {"validate": ["validate", str(model)],
+                "evaluate": ["evaluate", "--model", str(model), "--features", str(feats),
+                             "--out", str(tmp_path / "e.json")],
+                "transfer": ["transfer", "--source", str(model), "--covert", str(feats),
+                             "--out", str(tmp_path / "t.json")]}[command]
+        assert main(argv) == 3
+
+
 def _sample_files(tmp_path):
     model = build_model(classifier_specs("gru", 6, hidden=(3,), dropout=(0.0,), n_classes=3),
                         seed=0)
@@ -283,6 +327,10 @@ def _drop_layer_specs(header):
     del header["layer_specs"]
 
 
+def _empty_layer_specs(header):
+    header["layer_specs"] = []
+
+
 def _zero_size(header):
     header["layer_specs"][0]["size"] = 0
 
@@ -293,6 +341,12 @@ def _unknown_spec_key(header):
 
 def _extra_freeze_flag(header):
     header["freeze_flags"].append(True)
+
+
+def _seed(value):
+    def edit(header):
+        header["rng_seed"] = value
+    return edit
 
 
 def _condition_seven(raw):
@@ -322,16 +376,22 @@ def _ndim_beyond_numpy(raw):
 # the reader as an untyped exception
 BAD_VALUES = [
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _drop_layer_specs)),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _empty_layer_specs)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _zero_size)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _unknown_spec_key)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _extra_freeze_flag)),
     (".rmdl", _ndim_beyond_numpy),
+    # the seed must be a JSON integer, not something int() accepts
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _seed("7"))),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _seed(1.5))),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _seed(True))),
     (".ften", _condition_seven),
     (".epoc", _condition_seven),
     (".epoc", _label_beyond_names),
 ]
-BAD_VALUE_IDS = ["rmdl-no-layer-specs", "rmdl-size-zero", "rmdl-unknown-spec-key",
-                 "rmdl-freeze-flags-too-long", "rmdl-ndim-beyond-numpy", "ften-condition-7", "epoc-condition-7",
+BAD_VALUE_IDS = ["rmdl-no-layer-specs", "rmdl-empty-layer-specs", "rmdl-size-zero", "rmdl-unknown-spec-key",
+                 "rmdl-freeze-flags-too-long", "rmdl-ndim-beyond-numpy", "rmdl-seed-string",
+                 "rmdl-seed-float", "rmdl-seed-bool", "ften-condition-7", "epoc-condition-7",
                  "epoc-label-beyond-class-names"]
 
 

@@ -1,6 +1,7 @@
 """Package layering: modules use only each other's public names, the CLI
 leaves error typing to the library, only fileio's publisher writes files and
-only its opener opens them for reading."""
+only its opener opens them for reading, and only network.init_params draws
+initial weights."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,37 @@ def test_cli_main_catches_only_package_errors():
     handlers = [ast.unparse(node.type) for node in ast.walk(main)
                 if isinstance(node, ast.ExceptHandler)]
     assert handlers == ["CovertDecodeError"]
+
+
+WEIGHT_DRAWS = ("uniform", "qr", "_orthogonal")
+
+
+def _weight_draws(path):
+    """The top-level functions and classes of ``path`` that call ``uniform``,
+    ``qr`` or ``_orthogonal``."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in WEIGHT_DRAWS:
+                    found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_only_init_params_draws_weights():
+    # every layer, the checkpoint loader and the re-drawn transfer head get
+    # their initial weights from one place; synth draws signals, not weights
+    draws = {path.name: _weight_draws(path) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "synth.py"}
+    assert {name: found for name, found in draws.items() if found} == {
+        "network.py": {"init_params"}}
+
+
+def test_fileio_does_not_build_models():
+    # a checkpoint's arrays come from the file, never from a drawn model
+    tree = ast.parse((PACKAGE / "fileio.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"build_model", "init_params"}

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from covert_decode import network
 from covert_decode.network import (
+    DenseLayer,
     LayerSpec,
     RecurrentLayer,
+    RecurrentModel,
     _dropout_mask,
     backward_models,
     build_model,
     classifier_specs,
     cross_entropy_mean,
     forward_models,
+    init_params,
+    param_shapes,
     sigmoid,
     softmax,
     validate_chain,
@@ -324,6 +328,40 @@ class TestBuildModel:
             np.testing.assert_allclose(block.T @ block, np.eye(8), atol=1e-10)
 
 
+    def test_param_shapes_state_the_layout(self):
+        gates = 4 * 512
+        assert param_shapes(LayerSpec("bilstm", 128, 512)) == {
+            f"{d}_{name}": shape for d in ("fw", "bw")
+            for name, shape in (("wx", (128, gates)), ("wh", (512, gates)), ("b", (gates,)))}
+        assert param_shapes(LayerSpec("gru", 6, 5)) == {"fw_wx": (6, 15), "fw_wh": (5, 15),
+                                                        "fw_b": (15,)}
+        assert param_shapes(LayerSpec("dense", 512, 5)) == {"w": (512, 5), "b": (5,)}
+        assert param_shapes(LayerSpec("dropout", 5, 5)) == {}
+        assert init_params(LayerSpec("softmax", 5, 5), substream(0, "init")) is None
+
+    def test_model_wraps_the_arrays_it_is_given(self):
+        # a model is its specs plus one dict of arrays per layer: the layers
+        # use those arrays, not copies, and compute in their dtype
+        specs = classifier_specs("bigru", 3, hidden=(4,), dropout=(0.1,), n_classes=2)
+        params = [init_params(spec, substream(1, "init", i), np.float64)
+                  for i, spec in enumerate(specs)]
+        model = RecurrentModel(specs, params, rng_seed=1)
+        assert model.dtype == np.float64 and model.layers[2] is None
+        assert model.layers[0].params["fw_wx"] is params[0]["fw_wx"]
+        built = build_model(specs, seed=1, dtype=np.float64)
+        for (ka, pa), (kb, pb) in zip(model.param_blocks(), built.param_blocks(), strict=True):
+            assert ka == kb
+            np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("layer", [RecurrentLayer, DenseLayer])
+    def test_layers_reject_misshapen_arrays(self, layer):
+        spec = LayerSpec("gru" if layer is RecurrentLayer else "dense", 3, 4)
+        params = init_params(spec, substream(0, "init"))
+        params[next(iter(params))] = np.zeros((3, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match="parameters"):
+            layer(spec, params)
+
+
 class TestBidirectional:
     def test_palindrome_with_tied_weights(self):
         specs = [LayerSpec("bilstm", 3, 4, return_sequences=True)]
@@ -582,7 +620,7 @@ class TestStackedSlots:
 
     def test_backward_needs_the_forward_group(self):
         spec = LayerSpec(kind="lstm", input_size=3, size=4)
-        layers = [RecurrentLayer(spec, substream(s, "init")) for s in range(3)]
+        layers = [RecurrentLayer(spec, init_params(spec, substream(s, "init"))) for s in range(3)]
         x = np.zeros((2, 5, 3), dtype=np.float32)
         RecurrentLayer.forward_slots(layers[:2], [x, x], training=True)
         layers[2].forward(x, training=True)
@@ -591,7 +629,7 @@ class TestStackedSlots:
 
     def test_inputs_of_different_shapes_rejected(self):
         spec = LayerSpec(kind="gru", input_size=3, size=4)
-        layers = [RecurrentLayer(spec, substream(s, "init")) for s in range(2)]
+        layers = [RecurrentLayer(spec, init_params(spec, substream(s, "init"))) for s in range(2)]
         with pytest.raises(ValueError):
             RecurrentLayer.forward_slots(
                 layers, [np.zeros((2, 5, 3)), np.zeros((3, 5, 3))])
@@ -606,7 +644,7 @@ class TestEvalMemory:
         # keeps the sequence short)
         monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 2**16)
         spec = LayerSpec(kind=kind, input_size=8, size=32)
-        layer = RecurrentLayer(spec, substream(0, "init"))
+        layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         n_batch = 8
         gate_step = layer.n_dir * n_batch * layer.n_gates * spec.size * 4
         n_time = 16 * network.EVAL_BLOCK_BYTES // gate_step
@@ -640,7 +678,7 @@ class TestEvalMemory:
         monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 2**18)
         monkeypatch.setattr(network, "SCAN_THREAD_FLOPS", 0)
         spec = LayerSpec(kind=kind, input_size=8, size=32, return_sequences=False)
-        layer = RecurrentLayer(spec, substream(0, "init"))
+        layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         x = np.zeros((8, 512, spec.input_size), dtype=np.float32)
         peaks, outs = {}, {}
         for workers in (2, 1, 2):  # the first pass starts the thread pool

@@ -22,6 +22,7 @@ from covert_decode.network import (
     _shifted_states,
     build_model,
     classifier_specs,
+    init_params,
     sigmoid,
     softmax,
 )
@@ -332,7 +333,8 @@ def reference_predict_proba_models(models, x, subsets, batch_size, upto=None):
 def twin_layers(kind, n_layers, d_in=3, h=4, seed=0):
     """Two identical sets of ``n_layers`` layers of one spec."""
     spec = LayerSpec(kind=kind, input_size=d_in, size=h)
-    return [[RecurrentLayer(spec, substream(seed + m, "init")) for m in range(n_layers)]
+    return [[RecurrentLayer(spec, init_params(spec, substream(seed + m, "init")))
+             for m in range(n_layers)]
             for _ in range(2)]
 
 
@@ -373,7 +375,8 @@ class TestScanMatchesReference:
     def test_final_state_and_no_input_grad(self, kind):
         spec = LayerSpec(kind=kind, input_size=3, size=4, merge_mode="sum",
                          return_sequences=False)
-        live, ref = [[RecurrentLayer(spec, substream(7, "init"))] for _ in range(2)]
+        live, ref = [[RecurrentLayer(spec, init_params(spec, substream(7, "init")))]
+                     for _ in range(2)]
         xs = inputs(1, 4, 6, seed=2)
         out_live = RecurrentLayer.forward_slots(live, xs, training=True)
         out_ref = reference_forward_slots(ref, xs, training=True)

@@ -27,6 +27,7 @@ from covert_decode.network import (
     classifier_specs,
     cross_entropy_mean,
     forward_models,
+    init_params,
 )
 from covert_decode.optim import init_adam
 from covert_decode.rng import substream
@@ -157,7 +158,7 @@ class TestModelsMatchOneWorker:
         spec = LayerSpec(kind=kind, input_size=3, size=4, return_sequences=return_sequences)
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((5, 8, 3)).astype(np.float32) for _ in range(3)]
-        layers = [RecurrentLayer(spec, substream(m, "init")) for m in range(3)]
+        layers = [RecurrentLayer(spec, init_params(spec, substream(m, "init"))) for m in range(3)]
         workers(1)
         one = RecurrentLayer.forward_slots(layers, xs)
         splits = workers(2)
@@ -220,8 +221,8 @@ class TestWorkerThreads:
             return scan(self, *args)
 
         monkeypatch.setattr(RecurrentLayer, "_scan", recording)
-        layer = RecurrentLayer(LayerSpec(kind="bigru", input_size=3, size=4),
-                               substream(0, "init"))
+        spec = LayerSpec(kind="bigru", input_size=3, size=4)
+        layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         set_threads(2)
         try:
             workers(1)
@@ -249,8 +250,8 @@ class TestWorkerThreads:
 
         monkeypatch.setattr(RecurrentLayer, "_scan", failing)
         workers(2)
-        layer = RecurrentLayer(LayerSpec(kind="bilstm", input_size=3, size=4),
-                               substream(0, "init"))
+        spec = LayerSpec(kind="bilstm", input_size=3, size=4)
+        layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         x = np.ones((2, 5, 3), dtype=np.float32)
         set_threads(2)
         try:
