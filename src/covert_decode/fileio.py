@@ -18,7 +18,8 @@ Features (.ften):    magic "FTEN", u32 version=1, u32 n_trials,
     class_0..class_{k-1}.)
 
 Checkpoint (.rmdl):  magic "RMDL", u32 version=1, u32 JSON header length,
-    JSON header (layer specs, freeze flags, rng seed), u32 parameter count,
+    JSON header (layer specs, freeze flags as JSON booleans, false on a layer
+    without parameters, rng seed), u32 parameter count,
     per parameter: u32 name length + name, u8 ndim, u32 dims, f32 data.
     Save/load round-trips are bit-exact. Loading checks each block's name and
     shape against ``network.param_shapes`` of the header's specs before its
@@ -300,9 +301,15 @@ def load_model(path) -> RecurrentModel:
             validate_chain(specs)  # rejects an empty list before specs[0] is read
             if type(header["rng_seed"]) is not int:
                 raise TypeError(f"rng_seed {header['rng_seed']!r} is not an integer")
-            freeze_flags = [bool(flag) for flag in header["freeze_flags"]]
+            freeze_flags = header["freeze_flags"]
+            if type(freeze_flags) is not list:
+                raise TypeError(f"freeze_flags {freeze_flags!r} is not a list")
             if len(freeze_flags) != len(specs):
                 raise ValueError(f"{len(freeze_flags)} freeze flags for {len(specs)} layers")
+            for spec, flag in zip(specs, freeze_flags):
+                # what save_model writes: a JSON boolean, false on a layer without parameters
+                if type(flag) is not bool or (flag and not param_shapes(spec)):
+                    raise ValueError(f"freeze flag {flag!r} on a {spec.kind} layer")
             rec = [s for s in specs if s.kind in RECURRENT_KINDS]  # what train builds from them
             if specs != classifier_specs(specs[0].kind, specs[0].input_size, [s.size for s in rec],
                                          [s.dropout_rate for s in rec], specs[-1].size,
@@ -327,9 +334,9 @@ def load_model(path) -> RecurrentModel:
     layers = [{name: params[f"layer{i}.{name}"] for name in param_shapes(spec)} or None
               for i, spec in enumerate(specs)]
     model = RecurrentModel(specs, layers, header["rng_seed"])
-    for layer, frozen in zip(model.layers, freeze_flags):
-        if layer is not None:
-            layer.frozen = frozen
+    for i, frozen in enumerate(freeze_flags):
+        if frozen:
+            model.set_frozen(i, True)
     return model
 
 

@@ -4,8 +4,6 @@ dense softmax head, and full backpropagation through time.
 Layout conventions:
   sequences   (batch, time, features)
   LSTM gates  [input, forget, output, candidate] concatenated on the last axis
-              (the three sigmoid gates first, so one contiguous expit call
-              covers them)
   GRU gates   [update, reset] then the candidate block
   parameters  per layer as ``param_shapes`` states them, drawn by ``init_params``
 Bidirectional layers run an independent pass in each time direction and merge
@@ -27,6 +25,21 @@ Scan buffers:
   states         (T, slots, B, H)
   eval passes    project their inputs EVAL_BLOCK_BYTES of gates at a time
                  into one reused block and keep only the state sequence
+  step scratch   (G, slots, B, H), gate-major, so each gate is one
+                 contiguous (slots, B, H) block: at desk widths an
+                 elementwise ufunc over a strided gate slice such as
+                 ``z[..., :3*H]`` costs 2-5x the same ufunc over contiguous
+                 memory. The LSTM forward scan adds the recurrent product
+                 into its scratch, does the step's gate math there and
+                 writes the activations back into the gate buffer only in
+                 training; the scratch is a scan buffer, sliced per worker.
+                 The backward scans copy each step's activations into one
+                 scratch and build the gate gradients in a second, which
+                 goes back into the gate buffer for the recurrent matmuls.
+                 Every element gets the same float32 operations in the same
+                 order, so the bits do not change. The GRU forward scan
+                 stays slot-major: gate-major, its training steps were no
+                 faster
 
 Threads: an eval pass splits a layer's slots into two contiguous groups, one
 per thread (the calling thread and one pool thread), when one step's
@@ -64,13 +77,15 @@ from .rng import substream
 
 
 def sigmoid(x, out=None):
-    """Logistic function built from in-place SIMD ufuncs.
+    """Logistic function of the array ``x`` built from in-place SIMD ufuncs.
 
     Inputs are clipped to [-30, 30] first: beyond that the output differs
     from the exact value by < 1e-13, and the clip keeps exp() away from
-    overflow warnings and denormal slow paths.
+    overflow warnings and denormal slow paths. The clip is the ndarray
+    method, which skips ``np.clip``'s dispatch layer (about 1 us a call);
+    ``np.maximum`` plus ``np.minimum`` cost more than either.
     """
-    out = np.clip(x, -30.0, 30.0, out=out)
+    out = x.clip(-30.0, 30.0, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -374,7 +389,7 @@ class RecurrentLayer(_ParamLayer):
                "tmp": empty(state)}
         if self.cell == "lstm":
             buf.update(wh=wh, hw=empty((n_slots, n_batch, gh)), tc=empty(state),
-                       c=empty((n_time if keep_cache else 2, *state)))
+                       gates=empty((4, *state)), c=empty((n_time if keep_cache else 2, *state)))
         else:
             two = 2 * h_size
             buf.update(wh_zr=np.ascontiguousarray(wh[:, :, :two]),
@@ -387,31 +402,37 @@ class RecurrentLayer(_ParamLayer):
         # the scan of the slots ``slots`` (a slice), on those slots' views of
         # the buffers in ``buf`` (see _scan_buffers). blocks yields (t0, zx):
         # the input projections of scan steps t0, t0 + 1, ... as
-        # (slots, steps, B, G*H), see _input_projections. Each step's gate
-        # activations overwrite that step's input projections in zx; in
-        # training the one block spans the whole sequence and the cache
-        # keeps it as "act". Fills buf["h"] (T, slots, B, H)
+        # (slots, steps, B, G*H), see _input_projections. With keep_cache
+        # (training) each step's gate activations overwrite that step's
+        # input projections in zx; the one block then spans the whole
+        # sequence and the cache keeps it as "act". Fills buf["h"]
+        # (T, slots, B, H)
         h_size = self.spec.size
         h_stack, h, tmp = buf["h"][:, slots], buf["zeros"][slots], buf["tmp"][slots]
         if self.cell == "lstm":
-            three = 3 * h_size
             wh, hw, tc = buf["wh"][slots], buf["hw"][slots], buf["tc"][slots]
+            gates = buf["gates"][:, slots]
+            i, f, o, g = gates
+            hw_g = _gate_major(hw[:, None], 4)[0]
             c_ring = buf["c"][:, slots]
             c = h  # the zero initial state
             for t0, zx in blocks:
+                zx_g = _gate_major(zx, 4)
                 for t in range(t0, t0 + zx.shape[1]):
-                    z = zx[:, t - t0]
+                    z = zx_g[t - t0]
                     np.matmul(h, wh, out=hw)
-                    z += hw
-                    sigmoid(z[..., :three], out=z[..., :three])
-                    np.tanh(z[..., three:], out=z[..., three:])
+                    np.add(z, hw_g, out=gates)
+                    sigmoid(gates[:3], out=gates[:3])
+                    np.tanh(g, out=g)
                     c_new = c_ring[t % len(c_ring)]
-                    np.multiply(z[..., h_size : 2 * h_size], c, out=c_new)  # f * c_prev
-                    np.multiply(z[..., :h_size], z[..., three:], out=tmp)  # i * g
+                    np.multiply(f, c, out=c_new)  # f * c_prev
+                    np.multiply(i, g, out=tmp)  # i * g
                     c_new += tmp
                     np.tanh(c_new, out=tc)
                     h = h_stack[t]
-                    np.multiply(z[..., 2 * h_size : three], tc, out=h)  # o * tanh(c)
+                    np.multiply(o, tc, out=h)  # o * tanh(c)
+                    if keep_cache:
+                        np.copyto(z, gates)
                     c = c_new
             return
         two = 2 * h_size
@@ -526,63 +547,55 @@ class RecurrentLayer(_ParamLayer):
 
     def _scan_backward(self, cache, dh_out):
         # each step's gate gradients overwrite that step's activations in
-        # the cached "act" buffer, read from a one-step copy; returns that
-        # buffer, now holding the gate gradients dz (slots, T, B, G*H)
+        # the cached "act" buffer; returns that buffer, now holding the gate
+        # gradients dz (slots, T, B, G*H). Per step, the activations are
+        # copied into the gate-major scratch ``act`` (G, slots, B, H), and
+        # the gradients are built in ``grad`` and copied back into dz
         h_stack = cache["h"]
         n_time = h_stack.shape[0]
         h_size = self.spec.size
         state_shape = h_stack.shape[1:]
         wh = cache["wh"]
         dz = cache["act"]
-        a = np.empty(dz[:, 0].shape, dtype=self.dtype)
+        dz_g = _gate_major(dz, self.n_gates)
+        act = np.empty((self.n_gates, *state_shape), dtype=self.dtype)
+        grad = np.empty_like(act)
         dh_next = np.zeros(state_shape, dtype=self.dtype)
         tmp = np.empty(state_shape, dtype=self.dtype)
 
         if self.cell == "lstm":
             c_stack = cache["c"]
             tc = np.empty(state_shape, dtype=self.dtype)
-            three = 3 * h_size
             wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
             dc = np.zeros(state_shape, dtype=self.dtype)
-            i = a[..., :h_size]
-            f = a[..., h_size : 2 * h_size]
-            o = a[..., 2 * h_size : three]
-            g = a[..., three:]
+            i, f, o, g = act
+            zi, zf, zo, zg = grad
             for t in range(n_time - 1, -1, -1):
                 dh = dh_out[t]
                 dh += dh_next
-                dzt = dz[:, t]
-                np.copyto(a, dzt)
+                np.copyto(act, dz_g[t])
                 np.tanh(c_stack[t], out=tc)  # recomputed: cheaper than a T-long stack
                 np.multiply(tc, tc, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 tmp *= dh
                 tmp *= o
                 dc += tmp
-                zo = dzt[..., 2 * h_size : three]
-                np.subtract(1.0, o, out=zo)
-                zo *= o
+                np.subtract(1.0, act[:3], out=grad[:3])  # i, f, o: (1 - x) * x
+                grad[:3] *= act[:3]
+                grad[:2] *= dc  # i, f
                 zo *= dh
                 zo *= tc
-                zi = dzt[..., :h_size]
-                np.subtract(1.0, i, out=zi)
-                zi *= i
-                zi *= dc
                 zi *= g
-                zf = dzt[..., h_size : 2 * h_size]
                 if t > 0:
-                    np.subtract(1.0, f, out=zf)
-                    zf *= f
-                    zf *= dc
                     zf *= c_stack[t - 1]
                 else:
                     zf[...] = 0.0  # c_prev at t=0 is zero
-                zg = dzt[..., three:]
                 np.multiply(g, g, out=zg)
                 np.subtract(1.0, zg, out=zg)
                 zg *= dc
                 zg *= i
-                np.matmul(dzt, wh_t, out=dh_next)
+                np.copyto(dz_g[t], grad)
+                np.matmul(dz[:, t], wh_t, out=dh_next)
                 dc *= f
             return dz
 
@@ -592,22 +605,18 @@ class RecurrentLayer(_ParamLayer):
         dh_acc = np.empty(state_shape, dtype=self.dtype)
         tmp2 = np.empty(state_shape, dtype=self.dtype)
         zeros_h = np.zeros(state_shape, dtype=self.dtype)
-        z = a[..., :h_size]
-        r = a[..., h_size:two]
-        n = a[..., two:]
+        z, r, n = act
+        dzp, dzr, dan = grad
         for t in range(n_time - 1, -1, -1):
             dh = dh_out[t]
             dh += dh_next
-            dzt = dz[:, t]
-            np.copyto(a, dzt)
+            np.copyto(act, dz_g[t])
             hp = h_stack[t - 1] if t > 0 else zeros_h
-            dzp = dzt[..., :h_size]
             np.subtract(n, hp, out=dzp)
             dzp *= dh
             np.subtract(1.0, z, out=tmp)
             dzp *= tmp
             dzp *= z
-            dan = dzt[..., two:]
             np.multiply(n, n, out=dan)
             np.subtract(1.0, dan, out=dan)
             dan *= dh
@@ -617,11 +626,11 @@ class RecurrentLayer(_ParamLayer):
             np.multiply(tmp2, r, out=tmp)
             dh_acc += tmp
             np.multiply(tmp2, hp, out=tmp)  # dr
-            dzr = dzt[..., h_size:two]
             np.subtract(1.0, r, out=dzr)
             dzr *= r
             dzr *= tmp
-            np.matmul(dzt[..., :two], wh_zr_t, out=tmp)
+            np.copyto(dz_g[t], grad)
+            np.matmul(dz[:, t, ..., :two], wh_zr_t, out=tmp)
             dh_acc += tmp
             dh_next, dh_acc = dh_acc, dh_next
         return dz
@@ -743,6 +752,11 @@ def _run_scans(calls):
         set_threads(saved)
     for future in futures:
         future.result()
+
+
+def _gate_major(z, n_gates):
+    """Gate-major view (T, G, slots, B, H) of slot-major gates ``z`` (slots, T, B, G*H)."""
+    return z.reshape(*z.shape[:3], n_gates, z.shape[3] // n_gates).transpose(1, 3, 0, 2, 4)
 
 
 def _shifted_states(h):

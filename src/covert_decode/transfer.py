@@ -182,14 +182,15 @@ def transfer_sweep(
         )
         grid += [(seed, budget, budget_sets[budget], test_idx) for budget in plan.budgets]
     seeds, _, subsets, _ = zip(*grid)
-    frozen = freeze_recurrent(source_model.clone())
-    cached = head_input_features(frozen, covert.data, train_config.batch_size)
-    heads = [_head_model(frozen, seed, plan.reinit_head) for seed in seeds]
-    hash_before = frozen.recurrent_param_hash()
+    # the heads own copies of the dense arrays and the body pass only reads
+    # the recurrent ones, so the source itself is hashed around the head fits
+    cached = head_input_features(source_model, covert.data, train_config.batch_size)
+    heads = [_head_model(source_model, seed, plan.reinit_head) for seed in seeds]
+    hash_before = source_model.recurrent_param_hash()
     ft_config = replace(train_config, max_epochs=plan.fine_tune_max_epochs, patience=0,
                         validation_fraction=0.0)
     train_models(heads, cached, covert.labels, subsets, ft_config, seeds)
-    hash_after = frozen.recurrent_param_hash()
+    hash_after = source_model.recurrent_param_hash()
     if hash_before != hash_after:
         raise RuntimeError("freeze contract violated: recurrent parameters changed")
     runs = [

@@ -175,18 +175,21 @@ class TestFeatureFormat:
 class TestModelCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         specs = classifier_specs("bilstm", 6, hidden=(5, 4), dropout=(0.3, 0.2), n_classes=3)
-        model = build_model(specs, seed=11)
-        model.set_frozen(0, True)
-        p1 = fileio.save_model(model, tmp_path / "m1.rmdl")
-        assert p1.read_bytes() == reference_model_bytes(model)
-        loaded = fileio.load_model(p1)
-        p2 = fileio.save_model(loaded, tmp_path / "m2.rmdl")
-        assert p1.read_bytes() == p2.read_bytes()
-        assert loaded.freeze_flags() == model.freeze_flags()
-        assert loaded.rng_seed == model.rng_seed
-        for (ka, pa), (kb, pb) in zip(model.param_blocks(), loaded.param_blocks()):
-            assert ka == kb
-            np.testing.assert_array_equal(pa, pb)
+        # layers 0, 1 and 2 hold parameters; 3 is softmax
+        for frozen in [(0,), (), (0, 1, 2)]:
+            model = build_model(specs, seed=11)
+            for i in frozen:
+                model.set_frozen(i, True)
+            p1 = fileio.save_model(model, tmp_path / "m1.rmdl")
+            assert p1.read_bytes() == reference_model_bytes(model)
+            loaded = fileio.load_model(p1)
+            p2 = fileio.save_model(loaded, tmp_path / "m2.rmdl")
+            assert p1.read_bytes() == p2.read_bytes()
+            assert loaded.freeze_flags() == model.freeze_flags()
+            assert loaded.rng_seed == model.rng_seed
+            for (ka, pa), (kb, pb) in zip(model.param_blocks(), loaded.param_blocks()):
+                assert ka == kb
+                np.testing.assert_array_equal(pa, pb)
 
     def test_forward_identical_after_reload(self, tmp_path):
         specs = classifier_specs("bigru", 4, hidden=(4,), dropout=(0.2,), n_classes=2)
@@ -343,6 +346,16 @@ def _extra_freeze_flag(header):
     header["freeze_flags"].append(True)
 
 
+def _freeze_flag(index, value):
+    def edit(header):
+        header["freeze_flags"][index] = value
+    return edit
+
+
+def _freeze_flags_string(header):
+    header["freeze_flags"] = "0" * len(header["freeze_flags"])
+
+
 def _seed(value):
     def edit(header):
         header["rng_seed"] = value
@@ -380,6 +393,11 @@ BAD_VALUES = [
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _zero_size)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _unknown_spec_key)),
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _extra_freeze_flag)),
+    # freeze flags are JSON booleans, and false on layers without parameters
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _freeze_flag(0, "no"))),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _freeze_flag(0, 1))),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _freeze_flag(-1, True))),
+    (".rmdl", lambda raw: _edit_rmdl_header(raw, _freeze_flags_string)),
     (".rmdl", _ndim_beyond_numpy),
     # the seed must be a JSON integer, not something int() accepts
     (".rmdl", lambda raw: _edit_rmdl_header(raw, _seed("7"))),
@@ -390,7 +408,9 @@ BAD_VALUES = [
     (".epoc", _label_beyond_names),
 ]
 BAD_VALUE_IDS = ["rmdl-no-layer-specs", "rmdl-empty-layer-specs", "rmdl-size-zero", "rmdl-unknown-spec-key",
-                 "rmdl-freeze-flags-too-long", "rmdl-ndim-beyond-numpy", "rmdl-seed-string",
+                 "rmdl-freeze-flags-too-long", "rmdl-freeze-flag-string", "rmdl-freeze-flag-one",
+                 "rmdl-frozen-softmax", "rmdl-freeze-flags-string", "rmdl-ndim-beyond-numpy",
+                 "rmdl-seed-string",
                  "rmdl-seed-float", "rmdl-seed-bool", "ften-condition-7", "epoc-condition-7",
                  "epoc-label-beyond-class-names"]
 

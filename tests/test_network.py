@@ -131,6 +131,21 @@ def random_gru_params(rng, d, h):
     }
 
 
+class TestSigmoid:
+    def test_matches_the_clipped_formula_bit_for_bit(self):
+        # the scan oracles call this sigmoid too, so its bits are pinned here
+        edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, 30.0, -30.0, 30.000002, -30.000002,
+                 88.0, 95.0, -95.0, 1e30, -1e30]
+        for dtype in (np.float32, np.float64):
+            x = np.concatenate([edges, 40 * np.random.default_rng(0).standard_normal(10000)])
+            x = x.astype(dtype)
+            want = 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+            np.testing.assert_array_equal(sigmoid(x), want)
+            out = x.copy()
+            assert sigmoid(out, out=out) is out
+            np.testing.assert_array_equal(out, want)
+
+
 class TestLstmStep:
     def test_zero_parameters_zero_output(self):
         params = {"wx": np.zeros((3, 8)), "wh": np.zeros((2, 8)), "b": np.zeros(8)}

@@ -168,6 +168,44 @@ class TestModelsMatchOneWorker:
         for a, b in zip(one, two):
             assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
+    def test_workers_allocate_nothing(self, workers, monkeypatch, kind):
+        # every buffer an eval scan's threads touch comes from the calling
+        # thread (module docstring, "Threads"): record each np.empty, np.zeros
+        # and np.empty_like call made in network, with its thread
+        calls = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                value = getattr(np, name)
+                if name not in ("empty", "zeros", "empty_like"):
+                    return value
+
+                def recorded(*args, **kwargs):
+                    calls.append((name, threading.current_thread()))
+                    return value(*args, **kwargs)
+
+                return recorded
+
+        spec = LayerSpec(kind=kind, input_size=3, size=4)
+        layers = [RecurrentLayer(spec, init_params(spec, substream(m, "init"))) for m in range(2)]
+        xs = [np.ones((3, 6, 3), dtype=np.float32) for _ in layers]
+        splits = workers(2)
+        monkeypatch.setattr(network, "np", RecordingNumpy())
+        scan = RecurrentLayer._scan
+        scan_threads = []
+
+        def recording(self, *args):
+            scan_threads.append(threading.current_thread())
+            return scan(self, *args)
+
+        monkeypatch.setattr(RecurrentLayer, "_scan", recording)
+        RecurrentLayer.forward_slots(layers, xs)
+        assert len(splits) == 1 and len(splits[0]) == 2
+        assert threading.current_thread() in scan_threads
+        assert len(set(scan_threads)) == 2
+        assert calls and all(thread is threading.current_thread() for _, thread in calls)
+
     def test_training_scans_stay_in_the_calling_thread(self, workers, monkeypatch):
         threads = []
         scan = RecurrentLayer._scan

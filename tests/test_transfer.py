@@ -11,6 +11,7 @@ from covert_decode import transfer
 from covert_decode.containers import Condition, FeatureTensor
 from covert_decode.errors import DataError
 from covert_decode.network import (
+    RecurrentModel,
     _dropout_mask,
     build_model,
     classifier_specs,
@@ -213,10 +214,16 @@ class TestFreeze:
             assert run["recurrent_hash_before"] == model.recurrent_param_hash()
             assert run["recurrent_hash_after"] == model.recurrent_param_hash()
 
-    def test_dense_changes_under_fine_tune(self, trained_heads):
+    def test_dense_changes_under_fine_tune(self, trained_heads, monkeypatch):
         model = small_model()
         before = [(k, v.copy()) for k, v in model.param_blocks()]
         flags = model.freeze_flags()
+
+        def clone(self):
+            raise AssertionError("the sweep copied a model")
+
+        # the sweep hashes the source itself; a copy at paper width is 20 MiB
+        monkeypatch.setattr(RecurrentModel, "clone", clone)
         one_cell_sweep(model, toy_tensor(), TrainConfig(learning_rate=3e-3, max_epochs=5),
                        seed=0)
         ((head,),) = trained_heads
