@@ -8,7 +8,7 @@ envelope correlation tracks the requested coupling.
 
 import numpy as np
 
-from covert_decode import analytic_signal, envelope, fine_structure
+from covert_decode import hilbert_parts
 from covert_decode.synth import (
     SynthSpec,
     generate_paired,
@@ -22,12 +22,10 @@ def main():
     idx = np.arange(n)
     modulation = 1.0 + 0.5 * np.cos(2 * np.pi * idx / n)
     x = modulation * np.cos(2 * np.pi * 50 * idx / n)
-    a = analytic_signal(x)
-    env = envelope(x)
-    tfs = fine_structure(x)
+    imag, env, tfs = hilbert_parts(x)
     print("amplitude-modulated tone:")
     print(f"  max |imag - quadrature|     : "
-          f"{np.abs(a.imag_part - modulation * np.sin(2 * np.pi * 50 * idx / n)).max():.2e}")
+          f"{np.abs(imag - modulation * np.sin(2 * np.pi * 50 * idx / n)).max():.2e}")
     print(f"  max |envelope - modulation| : {np.abs(env - modulation).max():.2e}")
     print(f"  fine structure range        : [{tfs.min():.3f}, {tfs.max():.3f}]")
     mask = env > 1e-9

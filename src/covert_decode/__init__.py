@@ -18,32 +18,22 @@ from .errors import (
     NumericError,
 )
 from .evaluation import (
-    FoldPlan,
     bonferroni,
     confusion_matrix,
     holdout_split,
     paired_t_test,
     stratified_kfold,
 )
-from .features import (
-    AnalyticSignal,
-    analytic_signal,
-    envelope,
-    envelope_correlation,
-    extract_features,
-    fine_structure,
-)
-from .ica import IcaDecomposition, fastica_decompose, ica_reconstruct
+from .features import envelope_correlation, extract_features, hilbert_parts
+from .ica import fastica_decompose, ica_reconstruct
 from .network import (
     LayerSpec,
     RecurrentModel,
     build_model,
     classifier_specs,
-    softmax,
 )
-from .optim import AdamState, adam_step, init_adam
+from .optim import adam_step, init_adam
 from .preprocessing import (
-    FilterCoefficients,
     design_butterworth_bandpass,
     design_notch,
     epoch_and_baseline,
@@ -51,13 +41,11 @@ from .preprocessing import (
 )
 from .synth import SynthSpec, generate_paired, write_manifest
 from .training import TrainConfig, train_model
-from .transfer import TransferPlan, freeze_recurrent, transfer_sweep
+from .transfer import TransferPlan, transfer_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
-    "AnalyticSignal",
     "Condition",
     "ConfigError",
     "CovertDecodeError",
@@ -68,10 +56,7 @@ __all__ = [
     "EpochingError",
     "FeatureTensor",
     "FileFormatError",
-    "FilterCoefficients",
     "FilterDesignError",
-    "FoldPlan",
-    "IcaDecomposition",
     "LayerSpec",
     "NumericError",
     "RecurrentModel",
@@ -79,27 +64,23 @@ __all__ = [
     "TrainConfig",
     "TransferPlan",
     "adam_step",
-    "analytic_signal",
     "bonferroni",
     "build_model",
     "classifier_specs",
     "confusion_matrix",
     "design_butterworth_bandpass",
     "design_notch",
-    "envelope",
     "envelope_correlation",
     "epoch_and_baseline",
     "extract_features",
     "fastica_decompose",
     "filter_zero_phase",
-    "fine_structure",
-    "freeze_recurrent",
     "generate_paired",
+    "hilbert_parts",
     "holdout_split",
     "ica_reconstruct",
     "init_adam",
     "paired_t_test",
-    "softmax",
     "stratified_kfold",
     "train_model",
     "transfer_sweep",

@@ -151,6 +151,3 @@ class FeatureTensor(_Trials):
 
     def envelope_block(self) -> np.ndarray:
         return self.data[:, :, : self.n_channels]
-
-    def fine_structure_block(self) -> np.ndarray:
-        return self.data[:, :, self.n_channels :]

@@ -1,9 +1,13 @@
 """Analytic-signal features: envelope, temporal fine structure, and
 cross-condition envelope correlation.
 
-The envelope is the magnitude of the analytic signal; the fine structure is
-the signal normalized by its envelope, so envelope * fine structure
-reconstructs the input wherever the envelope clears the floor.
+``hilbert_parts`` is the one analytic-signal transform: for every series along
+an axis it returns the Hilbert transform (the imaginary part of the analytic
+signal), the envelope (its magnitude) and the fine structure (the signal over
+the envelope, floored at ``max(env_floor_rel * peak envelope,
+ABSOLUTE_ENV_FLOOR)``), so envelope * fine structure reconstructs the input
+wherever the envelope clears the floor. ``extract_features`` calls it on each
+trial along time.
 """
 
 from dataclasses import dataclass
@@ -15,17 +19,6 @@ from .errors import ConfigError, DataError
 
 DEFAULT_ENV_FLOOR_REL = 1e-12
 ABSOLUTE_ENV_FLOOR = 1e-20
-
-
-@dataclass
-class AnalyticSignal:
-    """Real signal paired with its Hilbert transform (the imaginary part)."""
-
-    real_part: np.ndarray
-    imag_part: np.ndarray
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.real_part, self.imag_part)
 
 
 def _analytic_weights(n: int) -> np.ndarray:
@@ -41,37 +34,32 @@ def _analytic_weights(n: int) -> np.ndarray:
     return w
 
 
-def analytic_signal(x: np.ndarray) -> AnalyticSignal:
-    """Analytic signal of a 1-D real vector via the frequency-domain method."""
+def hilbert_parts(x: np.ndarray, axis: int = 0, env_floor_rel: float = DEFAULT_ENV_FLOOR_REL):
+    """(Hilbert transform, envelope, fine structure) of every series along
+    ``axis`` (batched FFT), each shaped like ``x``.
+
+    The envelope is >= |x|; the fine structure lies in [-1, 1]. Raises
+    DataError if a series is shorter than 4 samples, or if its envelope peak is
+    not finite: a NaN or infinite sample, or an overflow in the transform,
+    makes exactly that series' peak non-finite.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
-    if x.size < 4:
-        raise ValueError(f"signal too short for the analytic transform: {x.size} < 4 samples")
-    return AnalyticSignal(real_part=x.copy(), imag_part=_analytic_imag_along_time(x, axis=0))
-
-
-def _analytic_imag_along_time(x: np.ndarray, axis: int) -> np.ndarray:
-    """Hilbert transform of every series along ``axis`` (batched FFT)."""
     n = x.shape[axis]
+    if n < 4:
+        raise DataError(f"series too short for the analytic transform: {n} < 4 samples")
     shape = [1] * x.ndim
     shape[axis] = n
     w = _analytic_weights(n).reshape(shape)
-    return np.fft.ifft(np.fft.fft(x, axis=axis) * w, axis=axis).imag
-
-
-def envelope(x: np.ndarray) -> np.ndarray:
-    """Instantaneous amplitude: |x + j H{x}|. Non-negative, >= |x| everywhere."""
-    return analytic_signal(x).magnitude()
-
-
-def fine_structure(x: np.ndarray, env_floor: float = ABSOLUTE_ENV_FLOOR) -> np.ndarray:
-    """Signal normalized by its envelope (floored), bounded in [-1, 1]."""
-    if env_floor <= 0:
-        raise ValueError(f"env_floor must be positive, got {env_floor}")
-    x = np.asarray(x, dtype=np.float64)
-    env = envelope(x)
-    return x / np.maximum(env, env_floor)
+    # a non-finite series is reported below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        imag = np.fft.ifft(np.fft.fft(x, axis=axis) * w, axis=axis).imag
+        env = np.hypot(x, imag)
+    peak = env.max(axis=axis, keepdims=True)
+    if not np.isfinite(peak).all():
+        raise DataError("signal contains NaN or infinite samples, or overflows the analytic "
+                        "transform; envelope features need finite data")
+    floor = np.maximum(env_floor_rel * peak, ABSOLUTE_ENV_FLOOR)
+    return imag, env, x / np.maximum(env, floor)
 
 
 def extract_features(epochs: EpochSet, env_floor_rel: float = DEFAULT_ENV_FLOOR_REL) -> FeatureTensor:
@@ -86,18 +74,12 @@ def extract_features(epochs: EpochSet, env_floor_rel: float = DEFAULT_ENV_FLOOR_
         raise ConfigError(f"env_floor_rel must be positive, got {env_floor_rel}")
     if epochs.n_trials == 0:
         raise DataError("cannot extract features from an empty epoch set")
-    if epochs.n_timesteps < 4:
-        raise DataError("epochs too short for the analytic transform (need >= 4 samples)")
 
-    x = epochs.data  # (trials, time, channels)
-    out = np.empty((epochs.n_trials, epochs.n_timesteps, 2 * epochs.n_channels))
-    for t in range(epochs.n_trials):
-        trial = x[t]
-        imag = _analytic_imag_along_time(trial, axis=0)
-        env = np.hypot(trial, imag)
-        floor = np.maximum(env_floor_rel * env.max(axis=0), ABSOLUTE_ENV_FLOOR)
-        out[t, :, : epochs.n_channels] = env
-        out[t, :, epochs.n_channels :] = trial / np.maximum(env, floor)
+    c = epochs.n_channels
+    out = np.empty((epochs.n_trials, epochs.n_timesteps, 2 * c))
+    for t, trial in enumerate(epochs.data):  # (time, channels)
+        _, out[t, :, :c], out[t, :, c:] = hilbert_parts(trial, axis=0,
+                                                        env_floor_rel=env_floor_rel)
     return FeatureTensor(
         data=out,
         labels=epochs.labels.copy(),

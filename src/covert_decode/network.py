@@ -64,7 +64,6 @@ them, so no memory lands in a per-thread malloc arena. The threads call only
 the scan internals and ``sigmoid``.
 """
 
-import copy
 import functools
 import hashlib
 import os
@@ -828,9 +827,6 @@ class RecurrentModel:
         if self.layers[index] is None:
             raise ValueError(f"layer {index} ({self.specs[index].kind}) has no parameters")
         self.layers[index].frozen = bool(frozen)
-
-    def clone(self) -> "RecurrentModel":
-        return copy.deepcopy(self)
 
     # -- inference / training passes
 

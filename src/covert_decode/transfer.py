@@ -23,7 +23,7 @@ import numpy as np
 from .containers import FeatureTensor
 from .errors import ConfigError, DataError
 from .evaluation import bonferroni, paired_t_test
-from .network import RECURRENT_KINDS, LayerSpec, RecurrentModel, build_model, init_params
+from .network import LayerSpec, RecurrentModel, build_model, init_params
 from .rng import substream
 
 # train_model stays importable here: perfbench/recorder.py wraps
@@ -63,19 +63,6 @@ class TransferPlan:
             raise ConfigError("need at least one seed")
         if self.fine_tune_max_epochs < 1:
             raise ConfigError(f"fine_tune_max_epochs must be >= 1, got {self.fine_tune_max_epochs}")
-
-
-def freeze_recurrent(model: RecurrentModel) -> RecurrentModel:
-    """Freeze every recurrent layer in place; the dense head stays trainable.
-
-    Idempotent. Optimizer state for frozen parameters is discarded simply by
-    never creating it: Adam state is initialized from trainable parameters
-    only.
-    """
-    for i, spec in enumerate(model.specs):
-        if spec.kind in RECURRENT_KINDS:
-            model.set_frozen(i, True)
-    return model
 
 
 def nested_budget_indices(labels, budgets, test_fraction: float, seed: int):

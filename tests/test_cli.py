@@ -255,6 +255,20 @@ def test_non_finite_recording_is_data_error(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_epochs_are_data_error(tmp_path, capsys, bad):
+    # without the check, features wrote NaN features and train failed later
+    # with a non-finite loss (exit 4)
+    data = np.random.default_rng(0).standard_normal((3, 16, 2))
+    data[2, 5, 1] = bad
+    epochs = EpochSet(data=data, labels=[0, 1, 0], condition=Condition.OVERT,
+                      sample_rate_hz=100.0, class_names=["a", "b"])
+    bad_file = fileio.write_epochs(epochs, tmp_path / "bad.epoc")
+    _run_expecting_data_error(["features", "--input", str(bad_file)], tmp_path / "bad.ften",
+                              capsys, "NaN or infinite")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.epoc"]
+
+
 def test_bad_passband_fails_before_io(workspace, capsys):
     # input path does not even exist: the design error must surface first
     code = main(["preprocess", "--input", str(workspace / "missing.eegr"),

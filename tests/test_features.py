@@ -1,4 +1,5 @@
-"""Analytic signal, envelope/fine-structure features, envelope correlation."""
+"""The analytic-signal transform, envelope/fine-structure features, envelope
+correlation."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covert_decode.containers import Condition, EpochSet, FeatureTensor
-from covert_decode.features import (
-    analytic_signal,
-    envelope,
-    envelope_correlation,
-    extract_features,
-    fine_structure,
-)
+from covert_decode.errors import DataError
+from covert_decode.features import envelope_correlation, extract_features, hilbert_parts
 
 
 def hilbert_kernel_oracle(x):
@@ -40,39 +36,44 @@ def hilbert_kernel_oracle(x):
     return out
 
 
+def imag_part(x):
+    return hilbert_parts(x)[0]
+
+
+def env_part(x):
+    return hilbert_parts(x)[1]
+
+
+def tfs_part(x):
+    return hilbert_parts(x)[2]
+
+
 class TestAnalyticSignal:
     def test_integer_bin_cosine_gives_sine(self):
         n = 1000
         for k in (1, 7, 50, 499):
             x = np.cos(2 * np.pi * k * np.arange(n) / n)
-            a = analytic_signal(x)
             np.testing.assert_allclose(
-                a.imag_part, np.sin(2 * np.pi * k * np.arange(n) / n), atol=1e-9
+                imag_part(x), np.sin(2 * np.pi * k * np.arange(n) / n), atol=1e-9
             )
 
     def test_zero_input_zero_output(self):
-        a = analytic_signal(np.zeros(64))
-        np.testing.assert_array_equal(a.imag_part, 0.0)
+        np.testing.assert_array_equal(imag_part(np.zeros(64)), 0.0)
 
     def test_matches_circular_kernel_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256)
-        expected = hilbert_kernel_oracle(x)
-        a = analytic_signal(x)
-        np.testing.assert_allclose(a.imag_part, expected, atol=1e-9)
+        np.testing.assert_allclose(imag_part(x), hilbert_kernel_oracle(x), atol=1e-9)
 
     def test_oracle_odd_length(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(129)
-        np.testing.assert_allclose(
-            analytic_signal(x).imag_part, hilbert_kernel_oracle(x), atol=1e-9
-        )
+        np.testing.assert_allclose(imag_part(x), hilbert_kernel_oracle(x), atol=1e-9)
 
     def test_negative_frequencies_vanish(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
-        a = analytic_signal(x)
-        spectrum = np.fft.fft(a.real_part + 1j * a.imag_part)
+        spectrum = np.fft.fft(x + 1j * imag_part(x))
         negative = spectrum[101:]
         assert np.abs(negative).max() / np.abs(spectrum).max() < 1e-9
 
@@ -88,49 +89,61 @@ class TestAnalyticSignal:
         else:
             w[1 : (n + 1) // 2] = 2.0
         expected = np.fft.ifft(np.fft.fft(x) * w).imag
-        np.testing.assert_array_equal(analytic_signal(x).imag_part, expected)
+        np.testing.assert_array_equal(imag_part(x), expected)
 
-    def test_real_part_is_input(self):
-        x = np.random.default_rng(6).standard_normal(50)
-        np.testing.assert_array_equal(analytic_signal(x).real_part, x)
+    @pytest.mark.parametrize("n", [4, 5, 128, 129, 1000])
+    def test_columns_match_1d_calls(self, n):
+        # extract_features runs the transform down each trial's (time,
+        # channel) block; demo 03 runs it on one series
+        block = np.random.default_rng(n).standard_normal((n, 7))
+        block[:, 3] = 0.0
+        parts = hilbert_parts(block, axis=0)
+        for c in range(block.shape[1]):
+            for got, want in zip(parts, hilbert_parts(block[:, c])):
+                np.testing.assert_array_equal(got[:, c], want)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_signal(np.zeros(3))
+        with pytest.raises(DataError, match="too short"):
+            hilbert_parts(np.zeros(3))
 
-    def test_non_1d_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_signal(np.zeros((4, 4)))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    @pytest.mark.parametrize("n", [4, 5, 64, 1001])
+    def test_non_finite_series_rejected(self, bad, n):
+        for at in (0, n // 2, n - 1):
+            block = np.random.default_rng(n).standard_normal((n, 3))
+            block[at, 1] = bad
+            with pytest.raises(DataError, match="NaN or infinite"):
+                hilbert_parts(block, axis=0)
 
 
 class TestEnvelope:
     def test_constant_amplitude_tone(self):
         n = 1000
         x = 2.5 * np.cos(2 * np.pi * 30 * np.arange(n) / n)
-        np.testing.assert_allclose(envelope(x), 2.5, atol=1e-9)
+        np.testing.assert_allclose(env_part(x), 2.5, atol=1e-9)
 
     def test_zeros(self):
-        np.testing.assert_array_equal(envelope(np.zeros(32)), 0.0)
+        np.testing.assert_array_equal(env_part(np.zeros(32)), 0.0)
 
     def test_amplitude_modulated_tone(self):
         n = 1000
         idx = np.arange(n)
         modulation = 1.0 + 0.5 * np.cos(2 * np.pi * idx / n)
         x = modulation * np.cos(2 * np.pi * 50 * idx / n)
-        env = envelope(x)
+        env = env_part(x)
         central = slice(n // 10, 9 * n // 10)
         np.testing.assert_allclose(env[central], modulation[central], atol=1e-3)
 
     def test_dominates_signal_magnitude(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(512)
-        assert np.all(envelope(x) >= np.abs(x) - 1e-12)
+        assert np.all(env_part(x) >= np.abs(x) - 1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.1, max_value=100.0), st.integers(min_value=0, max_value=2**31))
     def test_positive_scale_equivariance(self, alpha, seed):
         x = np.random.default_rng(seed).standard_normal(128)
-        np.testing.assert_allclose(envelope(alpha * x), alpha * envelope(x), rtol=1e-9)
+        np.testing.assert_allclose(env_part(alpha * x), alpha * env_part(x), rtol=1e-9)
 
 
 class TestFineStructure:
@@ -138,33 +151,32 @@ class TestFineStructure:
         n = 1000
         x = 3.0 * np.cos(2 * np.pi * 40 * np.arange(n) / n)
         np.testing.assert_allclose(
-            fine_structure(x), np.cos(2 * np.pi * 40 * np.arange(n) / n), atol=1e-9
+            tfs_part(x), np.cos(2 * np.pi * 40 * np.arange(n) / n), atol=1e-9
         )
 
     def test_zeros_with_floor(self):
-        np.testing.assert_array_equal(fine_structure(np.zeros(16), env_floor=1e-12), 0.0)
+        _, _, tfs = hilbert_parts(np.zeros(16), env_floor_rel=1e-12)
+        np.testing.assert_array_equal(tfs, 0.0)
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(300)
-        floor = 1e-12
-        env = envelope(x)
-        tfs = fine_structure(x, env_floor=floor)
-        mask = env > floor
+        _, env, tfs = hilbert_parts(x)
+        mask = env > 1e-12 * env.max()
         np.testing.assert_allclose((tfs * env)[mask], x[mask], rtol=1e-12, atol=1e-15)
 
     def test_bounded(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
             x = rng.standard_normal(200) * rng.uniform(0.01, 100)
-            tfs = fine_structure(x)
+            tfs = tfs_part(x)
             assert np.all(tfs >= -1.0) and np.all(tfs <= 1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.5, max_value=20.0))
     def test_scale_invariance(self, alpha):
         x = np.random.default_rng(13).standard_normal(100)
-        np.testing.assert_allclose(fine_structure(alpha * x), fine_structure(x), atol=1e-9)
+        np.testing.assert_allclose(tfs_part(alpha * x), tfs_part(x), atol=1e-9)
 
 
 def make_epochs(data, labels=None, fs=500.0):
@@ -199,23 +211,23 @@ class TestExtractFeatures:
         tone = 2.0 * np.cos(2 * np.pi * 8 * np.arange(n) / n)
         epochs = make_epochs(tone.reshape(1, n, 1))
         tensor = extract_features(epochs)
-        np.testing.assert_allclose(tensor.data[0, :, 0], envelope(tone), atol=1e-9)
-        expected_tfs = tone / np.maximum(envelope(tone), 1e-12 * envelope(tone).max())
-        np.testing.assert_allclose(tensor.data[0, :, 1], expected_tfs, atol=1e-9)
+        _, env, tfs = hilbert_parts(tone)
+        np.testing.assert_array_equal(tensor.data[0, :, 0], env)
+        np.testing.assert_array_equal(tensor.data[0, :, 1], tfs)
 
     def test_envelope_block_nonnegative_tfs_bounded(self):
         rng = np.random.default_rng(22)
         epochs = make_epochs(rng.standard_normal((4, 100, 3)))
         tensor = extract_features(epochs)
         assert np.all(tensor.envelope_block() >= 0.0)
-        assert np.all(np.abs(tensor.fine_structure_block()) <= 1.0)
+        assert np.all(np.abs(tensor.data[:, :, tensor.n_channels:]) <= 1.0)
 
     def test_reconstruction_per_trial_channel(self):
         rng = np.random.default_rng(23)
         epochs = make_epochs(rng.standard_normal((3, 80, 4)))
         tensor = extract_features(epochs)
         env = tensor.envelope_block()
-        tfs = tensor.fine_structure_block()
+        tfs = tensor.data[:, :, tensor.n_channels:]
         np.testing.assert_allclose(env * tfs, epochs.data, atol=1e-9)
 
     def test_labels_and_metadata_preserved(self):

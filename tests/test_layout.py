@@ -1,12 +1,14 @@
 """Package layering: modules use only each other's public names, the CLI
 leaves error typing to the library, only fileio's publisher writes files and
-only its opener opens them for reading, and only network.init_params draws
-initial weights."""
+only its opener opens them for reading, only network.init_params draws
+initial weights, and every exported name has a caller outside tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import covert_decode
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "covert_decode"
 
@@ -158,3 +160,35 @@ def test_fileio_does_not_build_models():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not imported & {"build_model", "init_params"}
+
+
+REPO = PACKAGE.parent.parent
+
+
+def _referenced_names(path):
+    """Every name ``path`` imports, reads as a bare name or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # a public name that only tests call is code kept for the tests alone
+    exports = {alias.name: PACKAGE / f"{node.module}.py"
+               for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+    assert set(covert_decode.__all__) == set(exports)
+    callers = {path: _referenced_names(path)
+               for path in [*PACKAGE.glob("*.py"), *(REPO / "demos").glob("*.py"),
+                            *(REPO / "perfbench").glob("*.py")]
+               if path != PACKAGE / "__init__.py"}
+    unused = [name for name, home in sorted(exports.items())
+              if not any(name in names for path, names in callers.items() if path != home)]
+    assert unused == []

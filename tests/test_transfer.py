@@ -1,5 +1,6 @@
 """Freeze contract, budget nesting, fine-tuning, and the sweep bookkeeping."""
 
+import copy
 import json
 from dataclasses import replace
 from itertools import combinations
@@ -11,6 +12,7 @@ from covert_decode import transfer
 from covert_decode.containers import Condition, FeatureTensor
 from covert_decode.errors import DataError
 from covert_decode.network import (
+    RECURRENT_KINDS,
     RecurrentModel,
     _dropout_mask,
     build_model,
@@ -24,7 +26,6 @@ from covert_decode.evaluation import bonferroni, paired_t_test
 from covert_decode.training import TrainConfig, evaluate_accuracy, train_model
 from covert_decode.transfer import (
     TransferPlan,
-    freeze_recurrent,
     head_input_features,
     nested_budget_indices,
     transfer_sweep,
@@ -46,6 +47,15 @@ def toy_tensor(n_per_class=20, t_len=16, n_channels=3, n_classes=5, seed=0, scal
         condition=Condition.COVERT,
         class_names=[f"c{i}" for i in range(n_classes)],
     )
+
+
+def frozen_copy(model):
+    """A deep copy of ``model`` with every recurrent layer frozen."""
+    model = copy.deepcopy(model)
+    for i, spec in enumerate(model.specs):
+        if spec.kind in RECURRENT_KINDS:
+            model.set_frozen(i, True)
+    return model
 
 
 def reference_scratch_payload(plan, covert, source, config):
@@ -84,10 +94,10 @@ def reference_scratch_payload(plan, covert, source, config):
 def reference_fine_tune(frozen, covert, finetune_idx, test_idx, config, seed, reinit_head,
                         cached):
     """One transfer cell as it was computed before heads became fits of
-    train_models: a clone of the frozen source whose dense head trains on
+    train_models: a copy of the frozen source whose dense head trains on
     the cached features in a minibatch loop of its own. Frozen as the oracle
     for the heads. Returns (model, test accuracy)."""
-    model = freeze_recurrent(frozen.clone())
+    model = frozen_copy(frozen)
     i = [spec.kind for spec in model.specs].index("dense")
     head_dropout = model.specs[i - 1].dropout_rate if i > 0 else 0.0
     w, b = model.layers[i].params["w"], model.layers[i].params["b"]
@@ -121,7 +131,7 @@ def reference_fine_tune(frozen, covert, finetune_idx, test_idx, config, seed, re
 def reference_transfer_payload(plan, covert, source, config):
     """The sweep payload without scratch baselines, one reference_fine_tune
     per (seed, budget) cell."""
-    frozen = freeze_recurrent(source.clone())
+    frozen = frozen_copy(source)
     cached = head_input_features(frozen, covert.data, config.batch_size)
     ft_config = replace(config, max_epochs=plan.fine_tune_max_epochs, patience=0,
                         validation_fraction=0.0)
@@ -188,19 +198,10 @@ def small_model(n_features=6, seed=0):
 
 
 class TestFreeze:
-    def test_flags_set_and_idempotent(self):
-        model = small_model()
-        freeze_recurrent(model)
-        flags = model.freeze_flags()
-        assert flags[0] and flags[1]
-        assert not flags[2]  # dense stays trainable
-        freeze_recurrent(model)
-        assert model.freeze_flags() == flags
-
     def test_adam_state_covers_head_only(self):
-        from covert_decode.optim import init_adam
-
-        model = freeze_recurrent(small_model())
+        model = small_model()
+        model.set_frozen(0, True)
+        model.set_frozen(1, True)
         state = init_adam(model.trainable_params())
         assert set(state.m) == {"layer2.b", "layer2.w"}
 
@@ -219,11 +220,11 @@ class TestFreeze:
         before = [(k, v.copy()) for k, v in model.param_blocks()]
         flags = model.freeze_flags()
 
-        def clone(self):
+        def deepcopy(self, memo):
             raise AssertionError("the sweep copied a model")
 
         # the sweep hashes the source itself; a copy at paper width is 20 MiB
-        monkeypatch.setattr(RecurrentModel, "clone", clone)
+        monkeypatch.setattr(RecurrentModel, "__deepcopy__", deepcopy, raising=False)
         one_cell_sweep(model, toy_tensor(), TrainConfig(learning_rate=3e-3, max_epochs=5),
                        seed=0)
         ((head,),) = trained_heads
@@ -269,7 +270,7 @@ class TestBudgetNesting:
 
 class TestFineTune:
     def test_cached_head_features_match_full_forward(self):
-        model = freeze_recurrent(small_model())
+        model = small_model()
         tensor = toy_tensor(n_per_class=4)
         cached = head_input_features(model, tensor.data, batch_size=8)
         dense = model.layers[2]
@@ -459,7 +460,7 @@ class TestHeadsMatchReference:
         payload = transfer_sweep(plan, covert, source_model=source, train_config=config,
                                  include_scratch_baseline=False)
         (heads,) = trained_heads
-        frozen = freeze_recurrent(source.clone())
+        frozen = frozen_copy(source)
         cached = head_input_features(frozen, covert.data, config.batch_size)
         ft_config = replace(config, max_epochs=3, patience=0, validation_fraction=0.0)
         cells = [(seed, budget) for seed in plan.seeds for budget in plan.budgets]
