@@ -14,6 +14,12 @@ A command that exits 2 or 3 leaves its outputs as it found them: it checks
 its output paths and every input before its first write, and ``fileio``
 publishes each file whole. The one exception is a write that fails after
 the check (a full disk, say); outputs written before it stay.
+
+``preprocess`` runs FastICA only when its result can differ from its input:
+with nothing excluded (``ica_exclude`` empty) and all components kept
+(``ica_components`` 0 or the channel count), it checks the recording as
+FastICA would and keeps it as it is. The declared tolerance against the
+decompose-and-rebuild result is 1 float32 ulp per epoch sample.
 """
 
 import argparse
@@ -42,7 +48,7 @@ from .evaluation import (
 )
 from .experiments import make_report, run_cv, train_holdout
 from .features import envelope_correlation, extract_features
-from .ica import fastica_decompose, ica_reconstruct
+from .ica import fastica_decompose, ica_reconstruct, prepare_fastica
 from .network import RECURRENT_KINDS, classifier_specs
 from .preprocessing import (
     design_butterworth_bandpass,
@@ -138,9 +144,10 @@ def _filters(cfg: dict, rate: float):
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out, f"{args.out}.skipped.json", f"{args.out}.prov.json")
-    # design both filters before touching any input so config mistakes
-    # surface immediately
+    # design both filters and read the exclusions before touching any input
+    # so config mistakes surface immediately
     notch, bandpass = _filters(cfg, cfg["sample_rate_hz"])
+    excluded = parse_list(cfg["ica_exclude"], int, "ica_exclude")
     recording = fileio.read_recording(args.input)
     if recording.sample_rate_hz != cfg["sample_rate_hz"]:
         notch, bandpass = _filters(cfg, recording.sample_rate_hz)
@@ -150,17 +157,18 @@ def cmd_preprocess(args) -> int:
     recording = replace(recording, data=filter_zero_phase(recording.data, bandpass))
     if cfg["ica_enabled"]:
         n_components = cfg["ica_components"] or recording.n_channels
-        decomp = fastica_decompose(
-            recording,
-            n_components=n_components,
-            max_iter=cfg["ica_max_iter"],
-            tol=cfg["ica_tol"],
-            seed=cfg["seed"],
-        )
-        excluded = parse_list(cfg["ica_exclude"], int, "ica_exclude")
-        cleaned = ica_reconstruct(decomp, excluded)
-        del decomp
-        recording = replace(recording, data=cleaned)
+        ica_args = {"n_components": n_components, "max_iter": cfg["ica_max_iter"],
+                    "tol": cfg["ica_tol"]}
+        if not excluded and n_components == recording.n_channels:
+            # rebuilding from every component returns the input up to float64
+            # rounding: check the recording as FastICA would and keep it
+            prepare_fastica(recording, **ica_args)
+        else:
+            decomp = fastica_decompose(recording, seed=cfg["seed"], **ica_args)
+            # the rebuild overwrites the filtered data, which nothing reads again
+            recording = replace(recording,
+                                data=ica_reconstruct(decomp, excluded, out=recording.data))
+            del decomp
     epochs, skipped = epoch_and_baseline(
         recording,
         cfg["epoch_seconds"],

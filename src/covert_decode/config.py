@@ -24,7 +24,7 @@ PIPELINE_DEFAULTS = {
     "bandpass_low_hz": 0.5,
     "bandpass_high_hz": 80.0,
     "bandpass_order": 4,
-    "ica_enabled": True,
+    "ica_enabled": True,  # when FastICA runs: see cli's docstring
     "ica_components": 0,  # 0 means all channels
     "ica_max_iter": 200,
     "ica_tol": 1e-4,

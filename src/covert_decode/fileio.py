@@ -44,6 +44,10 @@ killed process, not a power loss. An OSError while making the directory or
 writing or renaming the temporary is a ConfigError naming the output path;
 ``check_outputs`` finds such paths before a command writes anything.
 
+The sample data of ``.eegr``, ``.epoc`` and ``.ften`` files is read through
+``samples``, which rejects a NaN or infinite value with a DataError naming the
+file; checkpoint weights are read as they are.
+
 Every reader opens its input through ``_open``: no file at the path is "input
 file not found", another OSError "cannot read", each a DataError (exit 3) or,
 for a config source, a ConfigError (exit 2); ``read_text`` decodes UTF-8.
@@ -183,6 +187,15 @@ class _Reader:
         raw = self.take(np.dtype(dtype).itemsize * math.prod(shape), what)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
+    def samples(self, shape: tuple, what: str) -> np.ndarray:
+        """f32 sample data; a DataError if it holds a NaN or infinite value.
+        min and max carry a NaN through and are infinite when an infinity is
+        present, so no full-size mask is made."""
+        data = self.array("<f4", shape, what)
+        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise DataError(f"{self.path}: {what} holds NaN or infinite values")
+        return data
+
 
 def _build(path, container, **fields):
     try:
@@ -213,7 +226,7 @@ def read_recording(path) -> EegRecording:
         labels = [r.string("channel label") for _ in range(n_channels)]
         (n_markers,) = r.unpack("<Q", "marker count")
         markers = list(_MARKER.iter_unpack(r.take(_MARKER.size * n_markers, "markers")))
-        data = r.array("<f4", (n_channels, n_samples), "sample data")
+        data = r.samples((n_channels, n_samples), "sample data")
     return _build(path, EegRecording, data=data.astype(np.float64), sample_rate_hz=sample_rate,
                   channel_labels=labels, markers=markers)
 
@@ -243,7 +256,7 @@ def read_epochs(path) -> EpochSet:
         sample_rate, n_classes = r.unpack("<dI", "sample rate and class count")
         class_names = [r.string("class name") for _ in range(n_classes)]
         labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
-        data = r.array("<f4", (n_trials, n_timesteps, n_channels), "epoch data")
+        data = r.samples((n_trials, n_timesteps, n_channels), "epoch data")
     return _build(path, EpochSet, data=data.astype(np.float64), labels=labels,
                   condition=condition, sample_rate_hz=sample_rate, class_names=class_names)
 
@@ -258,7 +271,7 @@ def read_features(path) -> FeatureTensor:
         r = _Reader(fh, path, FEATURES_MAGIC)
         n_trials, n_timesteps, n_features, condition = r.unpack("<IIIB", "header")
         labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
-        data = r.array("<f4", (n_trials, n_timesteps, n_features), "feature data")
+        data = r.samples((n_trials, n_timesteps, n_features), "feature data")
     n_classes = int(labels.max()) + 1 if n_trials else 1
     return _build(path, FeatureTensor, data=np.array(data, dtype=np.float32), labels=labels,
                   condition=condition, class_names=default_class_names(n_classes))

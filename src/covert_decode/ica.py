@@ -46,6 +46,50 @@ def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
     return (u * (1.0 / np.sqrt(s))) @ u.T @ w
 
 
+def prepare_fastica(recording: EegRecording, n_components: int, max_iter: int = 200,
+                    tol: float = 1e-4):
+    """FastICA's input checks, and the centered data and whitening basis the
+    sweep starts from.
+
+    Returns ``(means, centered, eigvals, eigvecs)``: the channel means, the
+    centered channel data and the eigenpairs of the channel covariance in
+    descending order. Raises ConfigError for a component count outside
+    [1, n_channels], ``max_iter`` below 1 or a non-positive ``tol``; DataError
+    if there are fewer samples than channels or the input holds NaN or
+    infinite samples; DegenerateInputError if the channel covariance is
+    rank-deficient.
+    """
+    x = recording.data
+    n_channels, n_samples = x.shape
+    if not 1 <= n_components <= n_channels:
+        raise ConfigError(
+            f"n_components must lie in [1, {n_channels}], got {n_components}"
+        )
+    if n_channels > n_samples:
+        raise DataError(f"need at least as many samples ({n_samples}) as channels ({n_channels})")
+    if max_iter < 1 or tol <= 0:
+        raise ConfigError("max_iter must be >= 1 and tol positive")
+
+    # any NaN or inf sample reaches every entry of its channel's row of cov,
+    # which is checked at once, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=1)
+        centered = x - means[:, np.newaxis]
+        cov = centered @ centered.T / (n_samples - 1)
+    if not np.isfinite(cov).all():
+        raise DataError("recording contains NaN or infinite samples; FastICA needs finite data")
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    bad = np.flatnonzero(eigvals <= _RANK_TOL * max(eigvals[0], _RANK_TOL))
+    if bad.size:
+        raise DegenerateInputError(
+            f"covariance is rank-deficient: whitened dimension {bad[0]} has "
+            f"(near-)zero variance; check for duplicated or constant channels"
+        )
+    return means, centered, eigvals, eigvecs
+
+
 def fastica_decompose(
     recording: EegRecording,
     n_components: int,
@@ -71,36 +115,11 @@ def fastica_decompose(
     the sources, so the call ends holding the sources and a transient
     centered input.
 
-    Raises DataError if the input holds NaN or infinite samples, and
-    DegenerateInputError if the channel covariance is rank-deficient.
+    Raises what :func:`prepare_fastica` raises.
     """
+    means, centered, eigvals, eigvecs = prepare_fastica(recording, n_components, max_iter, tol)
     x = recording.data
-    n_channels, n_samples = x.shape
-    if not 1 <= n_components <= n_channels:
-        raise ConfigError(
-            f"n_components must lie in [1, {n_channels}], got {n_components}"
-        )
-    if n_channels > n_samples:
-        raise DataError(f"need at least as many samples ({n_samples}) as channels ({n_channels})")
-    if max_iter < 1 or tol <= 0:
-        raise ConfigError("max_iter must be >= 1 and tol positive")
-
-    means = x.mean(axis=1)
-    centered = x - means[:, np.newaxis]
-    cov = centered @ centered.T / (n_samples - 1)
-    # any NaN or inf sample reaches every entry of its channel's row here
-    if not np.isfinite(cov).all():
-        raise DataError("recording contains NaN or infinite samples; FastICA needs finite data")
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    bad = np.flatnonzero(eigvals <= _RANK_TOL * max(eigvals[0], _RANK_TOL))
-    if bad.size:
-        raise DegenerateInputError(
-            f"covariance is rank-deficient: whitened dimension {bad[0]} has "
-            f"(near-)zero variance; check for duplicated or constant channels"
-        )
-
+    n_samples = x.shape[1]
     sel = slice(0, n_components)
     whitening = (eigvecs[:, sel] / np.sqrt(eigvals[sel])).T  # (k, n_channels)
     z = whitening @ centered
@@ -149,11 +168,13 @@ def fastica_decompose(
     )
 
 
-def ica_reconstruct(decomp: IcaDecomposition, excluded=()) -> np.ndarray:
+def ica_reconstruct(decomp: IcaDecomposition, excluded=(), out=None) -> np.ndarray:
     """Rebuild channel data with the given components removed.
 
     With an empty exclusion set this inverts the decomposition; excluding
-    everything leaves only the channel means.
+    everything leaves only the channel means. ``out``, if given, is a
+    C-contiguous float64 (n_channels, n_samples) array that receives the
+    result in place of a new one; the result's bits do not depend on it.
     """
     excluded = set(int(i) for i in excluded)
     for i in excluded:
@@ -161,15 +182,12 @@ def ica_reconstruct(decomp: IcaDecomposition, excluded=()) -> np.ndarray:
             raise ConfigError(
                 f"component index {i} out of range [0, {decomp.n_components})"
             )
-    kept = [i for i in range(decomp.n_components) if i not in excluded]
-    n_samples = decomp.sources.shape[1]
-    if not excluded:
-        # no fancy-index copies of mixing and the k x N sources
-        data = decomp.mixing @ decomp.sources
-    elif kept:
-        data = decomp.mixing[:, kept] @ decomp.sources[kept, :]
+    if excluded:
+        kept = [i for i in range(decomp.n_components) if i not in excluded]
+        data = np.matmul(decomp.mixing[:, kept], decomp.sources[kept, :], out=out)
     else:
-        data = np.zeros((decomp.mixing.shape[0], n_samples))
+        # no fancy-index copies of mixing and the k x N sources
+        data = np.matmul(decomp.mixing, decomp.sources, out=out)
     data += decomp.channel_means[:, np.newaxis]
     return data
 

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import covert_decode
-from covert_decode import fileio, synth, transfer
+from covert_decode import cli, fileio, synth, transfer
 from covert_decode.cli import main
 from covert_decode.config import PIPELINE_DEFAULTS, SYNTH_DEFAULTS
 from covert_decode.containers import Condition, EegRecording, EpochSet, FeatureTensor
+from covert_decode.ica import fastica_decompose, ica_reconstruct
 from covert_decode.network import build_model, classifier_specs
+from covert_decode.preprocessing import epoch_and_baseline
 from covert_decode.synth import SynthSpec
 from covert_decode.training import TrainConfig
 
@@ -269,6 +271,46 @@ def test_non_finite_epochs_are_data_error(tmp_path, capsys, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.epoc"]
 
 
+def _file_with(tmp_path, suffix, bad):
+    """A small file of this kind with one sample set to ``bad``."""
+    data = np.random.default_rng(0).standard_normal((2, 64) if suffix == ".eegr" else (4, 8, 2))
+    data[1, 5] = bad
+    path = tmp_path / f"bad{suffix}"
+    if suffix == ".eegr":
+        return fileio.write_recording(EegRecording(data=data, sample_rate_hz=100.0,
+                                                   channel_labels=["a", "b"]), path)
+    if suffix == ".epoc":
+        return fileio.write_epochs(EpochSet(data=data, labels=[0, 1, 0, 1],
+                                            condition=Condition.OVERT, sample_rate_hz=100.0,
+                                            class_names=["a", "b"]), path)
+    return fileio.write_features(FeatureTensor(data=data.astype(np.float32), labels=[0, 1, 0, 1],
+                                               condition=Condition.OVERT,
+                                               class_names=["a", "b"]), path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("suffix, what", [(".eegr", "sample data"), (".epoc", "epoch data"),
+                                          (".ften", "feature data")])
+def test_validate_rejects_non_finite_samples(tmp_path, capsys, suffix, what, bad):
+    path = _file_with(tmp_path, suffix, bad)
+    assert main(["validate", str(path)]) == 3
+    assert f"{path}: INVALID ({path}: {what} holds NaN or infinite values)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_non_finite_features_are_data_error(tmp_path, capsys, command):
+    # the reader rejects the file; before, a NaN trial's probabilities were all
+    # NaN, argmax scored it as class 0 and the command exited 0
+    features = fileio.read_features(_features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4)))
+    features.data[7, 2, 1] = np.nan
+    feats = fileio.write_features(features, tmp_path / "f.ften")
+    model = _gru_checkpoint(tmp_path / "m.rmdl", n_classes=5, favoured=0)
+    argv = {"evaluate": ["evaluate", "--model", str(model), "--features", str(feats)],
+            "train": ["train", "--features", str(feats), "--cv", "0", *TRAIN_OVERRIDES]}[command]
+    _run_expecting_data_error(argv, tmp_path / "out.json", capsys,
+                              f"{feats}: feature data holds NaN or infinite values")
+
+
 def test_bad_passband_fails_before_io(workspace, capsys):
     # input path does not even exist: the design error must surface first
     code = main(["preprocess", "--input", str(workspace / "missing.eegr"),
@@ -277,6 +319,18 @@ def test_bad_passband_fails_before_io(workspace, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "cutoff" in err or "low" in err
+
+
+@pytest.mark.parametrize("sets", [["ica_exclude=0;1"], ["ica_enabled=0", "ica_exclude=x"]])
+def test_bad_exclusion_list_fails_before_io(workspace, capsys, sets):
+    # the list is read with the filters, before the missing input and whether
+    # or not ICA runs
+    argv = ["preprocess", "--input", str(workspace / "missing.eegr"),
+            "--out", str(workspace / "x.epoc")]
+    for value in sets:
+        argv += ["--set", value]
+    assert main(argv) == 2
+    assert "bad int list for ica_exclude" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(workspace, capsys):
@@ -561,9 +615,8 @@ def test_fine_tune_epochs_checked_before_the_body_pass(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-def test_preprocess_peak_memory(tmp_path, capsys):
-    # each stage's input is freed once the next stage has read it, so the
-    # peak is FastICA's: the filtered recording plus two arrays of its size
+def _preprocess_peak(tmp_path, capsys, sets=()):
+    """Traced peak of one preprocess run over the size of its recording."""
     import scipy.signal  # noqa: F401  (imported lazily by preprocess; not part of its peak)
 
     n_channels, n_samples = 24, 60_000
@@ -578,6 +631,8 @@ def test_preprocess_peak_memory(tmp_path, capsys):
     argv = ["preprocess", "--input", str(tmp_path / "r.eegr"), "--out", str(tmp_path / "r.epoc"),
             "--set", "sample_rate_hz=250", "--set", "epoch_seconds=0.4",
             "--set", "bandpass_high_hz=60", "--set", "ica_max_iter=3"]
+    for value in sets:
+        argv += ["--set", value]
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -585,7 +640,108 @@ def test_preprocess_peak_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert "wrote 29 epochs" in capsys.readouterr().out
-    assert peak < 3.5 * array
+    return peak / array
+
+
+def test_preprocess_peak_memory(tmp_path, capsys):
+    # each stage's input is freed once the next stage has read it, so the
+    # peak is the filtered recording plus about two arrays of its size
+    assert _preprocess_peak(tmp_path, capsys) < 3.5
+
+
+# a component excluded (FastICA and the rebuild) and one dropped (FastICA
+# projects onto 23): the rebuild writes over the filtered data, so FastICA
+# runs add no more than an array to the peak
+@pytest.mark.parametrize("sets", [["ica_exclude=0"], ["ica_components=23"]])
+def test_preprocess_peak_memory_with_fastica(tmp_path, capsys, sets):
+    assert _preprocess_peak(tmp_path, capsys, sets) < 3.5
+
+
+def _preprocess_argv(recording_path, out, condition="overt", sets=()):
+    argv = ["preprocess", "--input", str(recording_path), "--out", str(out),
+            "--condition", condition, "--seed", "3", *TRAIN_OVERRIDES]
+    for value in sets:
+        argv += ["--set", value]
+    return argv
+
+
+# the workspace subject has 4 channels
+@pytest.mark.parametrize("sets, runs_fastica", [
+    ([], False),
+    (["ica_components=4"], False),
+    (["ica_exclude= , "], False),
+    (["ica_enabled=0", "ica_exclude=0"], False),
+    (["ica_exclude=0"], True),
+    (["ica_components=2"], True),
+])
+def test_preprocess_runs_fastica_only_when_it_can_change_the_data(
+        workspace, tmp_path, monkeypatch, sets, runs_fastica):
+    def fail(*args, **kwargs):
+        raise AssertionError("FastICA ran")
+
+    monkeypatch.setattr(cli, "fastica_decompose", fail)
+    argv = _preprocess_argv(workspace / "data" / "synthetic_overt.eegr", tmp_path / "o.epoc",
+                            sets=sets)
+    if runs_fastica:
+        with pytest.raises(AssertionError, match="FastICA ran"):
+            main(argv)
+    else:
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("condition", ["overt", "covert"])
+def test_kept_recording_is_within_one_float32_ulp_of_the_ica_round_trip(
+        workspace, tmp_path, monkeypatch, condition):
+    checked = []
+    real = cli.prepare_fastica
+
+    def prepare_and_keep(recording, **ica_args):
+        checked.append((recording, ica_args))
+        return real(recording, **ica_args)
+
+    monkeypatch.setattr(cli, "prepare_fastica", prepare_and_keep)
+    out = tmp_path / "kept.epoc"
+    source = workspace / "data" / f"synthetic_{condition}.eegr"
+    assert main(_preprocess_argv(source, out, condition)) == 0
+    ((filtered, ica_args),) = checked
+    # what preprocess did before it kept the recording: decompose and rebuild
+    # from every component, with the run's ICA settings
+    rebuilt = ica_reconstruct(fastica_decompose(filtered, seed=3, **ica_args), ())
+    x = filtered.data
+    assert np.abs(rebuilt - x).max() <= 1e-13 * np.abs(x).max()
+    epochs, _ = epoch_and_baseline(replace(filtered, data=rebuilt), 0.4,
+                                   PIPELINE_DEFAULTS["baseline_ms"],
+                                   condition=Condition.parse(condition))
+    np.testing.assert_array_max_ulp(fileio.read_epochs(out).data.astype(np.float32),
+                                    epochs.data.astype(np.float32), maxulp=1)
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("nan", 3, "sample data holds NaN or infinite values"),
+    ("duplicate", 3, "covariance is rank-deficient"),
+    ("ica_max_iter=0", 2, "max_iter must be >= 1 and tol positive"),
+    ("ica_components=99", 2, "n_components must lie in [1, 4], got 99"),
+])
+def test_preprocess_fails_alike_with_and_without_fastica(workspace, tmp_path, capsys, case,
+                                                         code, message):
+    source = workspace / "data" / "synthetic_overt.eegr"
+    sets = [case] if "=" in case else []
+    if not sets:
+        recording = fileio.read_recording(source)
+        data = recording.data.copy()
+        if case == "nan":
+            data[1, data.shape[1] // 2] = np.nan
+        else:
+            data[1] = data[0]
+        source = fileio.write_recording(replace(recording, data=data), tmp_path / "in.eegr")
+    errors = []
+    for path_sets in ([], ["ica_exclude=0"]):
+        assert main(_preprocess_argv(source, tmp_path / "o.epoc", sets=sets + path_sets)) == code
+        errors.append(capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if sets else ["in.eegr"])
+    assert errors[0] == errors[1]
+    assert message in errors[0]
+    assert "Traceback" not in errors[0]
 
 
 def test_synth_subject_must_be_a_bare_name(tmp_path, capsys):

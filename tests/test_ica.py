@@ -1,6 +1,7 @@
 """FastICA decomposition, reconstruction, and the artifact heuristic."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,8 +230,10 @@ class TestFastIca:
     def test_non_finite_sample_is_data_error(self, bad):
         data = np.random.default_rng(0).standard_normal((4, 3000))
         data[2, 1234] = bad
-        with pytest.raises(DataError, match="NaN or infinite"):
-            fastica_decompose(make_recording(data), 4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the DataError comes without numpy warnings
+            with pytest.raises(DataError, match="NaN or infinite"):
+                fastica_decompose(make_recording(data), 4, seed=0)
 
     def test_invalid_component_count(self):
         rec = make_recording(sawtooth_and_noise())
