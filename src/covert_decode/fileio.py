@@ -43,6 +43,8 @@ already there keeps its bytes. The file gets a plain ``open``'s permissions
 killed process, not a power loss. An OSError while making the directory or
 writing or renaming the temporary is a ConfigError naming the output path;
 ``check_outputs`` finds such paths before a command writes anything.
+Sample data goes out through ``_write_f32``, which converts it to f32 a
+block of about 4 MiB of rows at a time, so a writer holds no file-sized copy.
 
 The sample data of ``.eegr``, ``.epoc`` and ``.ften`` files is read through
 ``samples``, which rejects a NaN or infinite value with a DataError naming the
@@ -75,6 +77,8 @@ EPOCHS_MAGIC = b"EPOC"
 FEATURES_MAGIC = b"FTEN"
 MODEL_MAGIC = b"RMDL"
 _MARKER = struct.Struct("<QH")
+# writers convert sample data to f32 over blocks of rows of about this size
+_WRITE_BLOCK_BYTES = 2**22
 
 
 def _open(path, error=DataError):
@@ -138,6 +142,13 @@ def check_outputs(*paths):
         if problem:
             raise ConfigError(f"cannot write {path}: {problem}")
         seen.add(path.resolve())
+
+
+def _write_f32(fh, data):
+    """Write ``data`` row-major as little-endian f32, a block of rows at a time."""
+    rows = max(1, _WRITE_BLOCK_BYTES // max(1, 4 * math.prod(data.shape[1:])))
+    for r0 in range(0, len(data), rows):
+        fh.write(memoryview(np.ascontiguousarray(data[r0 : r0 + rows], dtype="<f4")))
 
 
 def _pack_string(text: str) -> bytes:
@@ -214,7 +225,7 @@ def write_recording(recording: EegRecording, path) -> Path:
         fh.write(struct.pack("<Q", len(recording.markers)))
         for marker in recording.markers:
             fh.write(_MARKER.pack(*marker))
-        fh.write(memoryview(np.ascontiguousarray(recording.data, dtype="<f4")))
+        _write_f32(fh, recording.data)
     return Path(path)
 
 
@@ -238,7 +249,7 @@ def _write_trials(path, magic: bytes, trials, between: bytes = b"") -> Path:
         fh.write(struct.pack("<IIIIB", 1, *trials.data.shape, int(trials.condition)))
         fh.write(between)
         fh.write(memoryview(np.ascontiguousarray(trials.labels, dtype="<u2")))
-        fh.write(memoryview(np.ascontiguousarray(trials.data, dtype="<f4")))
+        _write_f32(fh, trials.data)
     return Path(path)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import threads
 from .containers import EegRecording
 from .errors import ConfigError, DataError, DegenerateInputError
 from .rng import substream
@@ -41,7 +42,8 @@ class IcaDecomposition:
 
 def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
     # W <- (W W^T)^(-1/2) W keeps all rows orthonormal without favoring any
-    s, u = np.linalg.eigh(w @ w.T)
+    with threads.one_blas_thread():  # k x k LAPACK (threads module docstring)
+        s, u = np.linalg.eigh(w @ w.T)
     s = np.clip(s, 1e-18, None)
     return (u * (1.0 / np.sqrt(s))) @ u.T @ w
 
@@ -78,7 +80,8 @@ def prepare_fastica(recording: EegRecording, n_components: int, max_iter: int = 
         cov = centered @ centered.T / (n_samples - 1)
     if not np.isfinite(cov).all():
         raise DataError("recording contains NaN or infinite samples; FastICA needs finite data")
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    with threads.one_blas_thread():
+        eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     bad = np.flatnonzero(eigvals <= _RANK_TOL * max(eigvals[0], _RANK_TOL))
@@ -154,7 +157,8 @@ def fastica_decompose(
     # the loop views blk and sq would otherwise keep g and scratch alive
     del g, z, scratch, blk, sq
     sources = unmixing @ (x - means[:, np.newaxis])
-    mixing = np.linalg.pinv(unmixing)
+    with threads.one_blas_thread():
+        mixing = np.linalg.pinv(unmixing)
     descriptor = (
         f"fastica(symmetric, tanh, n_components={n_components}, "
         f"iterations={iterations}, converged={converged}, tol={tol})"

@@ -42,9 +42,9 @@ Scan buffers:
                  faster
 
 Threads: an eval pass splits a layer's slots into two contiguous groups, one
-per thread (the calling thread and one pool thread), when one step's
-recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS (2*B*H*G*H); each thread
-projects its own slots' inputs, in blocks of an equal share of
+per thread of the package pool (:mod:`covert_decode.threads`), when one
+step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS (2*B*H*G*H); each
+thread projects its own slots' inputs, in blocks of an equal share of
 EVAL_BLOCK_BYTES, and scans them. A bidirectional layer's directions thus run
 on separate cores; so do stacked fits. The gate is measured on one
 bidirectional layer's eval scan (T = 100, B 8..256, H 64..512, 2 cores): two
@@ -52,25 +52,16 @@ threads were faster in 16 of 19 shapes at or above it (median -10 %), about
 even between 2**23 FLOP and it, and slower in 21 of 23 below 2**23. At paper
 width every eval scan (batch 128) reaches it, no desk-scale one does.
 Training scans stay in the calling thread, since at batch 32 the split gained
-nothing. While the threads run, OpenBLAS is held to one thread, so the scans
-need as many cores as threads; the worker count is min(2, slots, usable
-cores, BLAS threads at call time), so OPENBLAS_NUM_THREADS=1 keeps every scan
-on one thread, and so does a numpy whose OpenBLAS thread calls cannot be
-found. Each slot keeps its GEMM shapes and the gate math is elementwise, so
-the split changes no bits (as long as BLAS gives a GEMM row the same bits on
-one thread as on several, which the merged eval chunks already rely on). The
-calling thread allocates every buffer the threads touch; they only write into
-them, so no memory lands in a per-thread malloc arena. The threads call only
-the scan internals and ``sigmoid``.
+nothing.
 """
 
 import functools
 import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import threads
 from .errors import ConfigError
 from .rng import substream
 
@@ -98,10 +89,8 @@ RECURRENT_KINDS = ("lstm", "gru", "bilstm", "bigru")
 # timesteps at a time, instead of the whole sequence, unless one timestep
 # alone is larger
 EVAL_BLOCK_BYTES = 4 * 2**20
-# an eval scan splits its slots over at most this many threads (see
-# "Threads"), and only when one step's recurrent GEMM of one slot,
-# 2*B*H*G*H FLOP, reaches SCAN_THREAD_FLOPS
-MAX_SCAN_WORKERS = 2
+# an eval scan splits its slots over threads (see "Threads") only when one
+# step's recurrent GEMM of one slot, 2*B*H*G*H FLOP, reaches SCAN_THREAD_FLOPS
 SCAN_THREAD_FLOPS = 2**25
 LAYER_KINDS = RECURRENT_KINDS + ("dense", "dropout", "softmax")
 
@@ -350,7 +339,7 @@ class RecurrentLayer(_ParamLayer):
                 steps = EVAL_BLOCK_BYTES // len(groups) // max(1, step_bytes)
                 blocks = _input_projections(layers, xs, slots, max(1, steps))
                 calls.append((head._scan, (blocks, buf, slots, False)))
-            _run_scans(calls)
+            threads.run(calls)
         h_stack = buf["h"]
         outputs = []
         for m, (layer, x) in enumerate(zip(layers, xs)):
@@ -683,74 +672,8 @@ def _slot_groups(n_slots, n_batch, h_size, n_gates):
     """Contiguous slot ranges, one per scan worker: one range unless one
     step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS."""
     step_flops = 2 * n_batch * h_size * n_gates * h_size
-    workers = _scan_workers(n_slots) if step_flops >= SCAN_THREAD_FLOPS else 1
-    return [slice(n_slots * i // workers, n_slots * (i + 1) // workers) for i in range(workers)]
-
-
-def _scan_workers(n_slots):
-    """How many threads a scan of ``n_slots`` slots may use: at most
-    MAX_SCAN_WORKERS, one per slot, core and BLAS thread; 1 when numpy's
-    OpenBLAS thread calls cannot be found."""
-    blas = _blas_thread_calls()
-    if blas is None:
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(MAX_SCAN_WORKERS, n_slots, cores or 1, blas[0]()))
-
-
-@functools.cache
-def _blas_thread_calls():
-    """numpy's OpenBLAS ``(get, set)`` thread-count functions, or None.
-
-    Looked up on first use, not at import, through numpy's extension module,
-    whose symbol scope holds the OpenBLAS it links.
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    set_.restype, set_.argtypes = None, [ctypes.c_int]
-    return get, set_
-
-
-_scan_pool = None
-
-
-def _run_scans(calls):
-    """Run ``calls``, (function, args) pairs over disjoint slot ranges, at
-    once: the first in this thread, the others in the scan pool, with
-    OpenBLAS on one thread until every call has returned. An exception in
-    any call is raised here, after all have finished."""
-    if len(calls) == 1:
-        fn, args = calls[0]
-        fn(*args)
-        return
-    import concurrent.futures
-
-    global _scan_pool
-    if _scan_pool is None:
-        _scan_pool = concurrent.futures.ThreadPoolExecutor(
-            MAX_SCAN_WORKERS - 1, thread_name_prefix="scan")
-    get_threads, set_threads = _blas_thread_calls()
-    saved = get_threads()
-    set_threads(1)
-    try:
-        futures = [_scan_pool.submit(fn, *args) for fn, args in calls[1:]]
-        try:
-            fn, args = calls[0]
-            fn(*args)
-        finally:
-            concurrent.futures.wait(futures)
-    finally:
-        set_threads(saved)
-    for future in futures:
-        future.result()
+    workers = threads.worker_count(n_slots) if step_flops >= SCAN_THREAD_FLOPS else 1
+    return threads.split(n_slots, workers)
 
 
 def _gate_major(z, n_gates):

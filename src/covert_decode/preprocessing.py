@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import threads
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .errors import ConfigError, EpochingError, FilterDesignError
 
@@ -116,6 +117,10 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
     Memory: the signals along the other axes are filtered in blocks of about
     4 MiB into one preallocated output, so the call holds the input, the
     output and a few block-sized buffers; each signal is filtered on its own.
+    Signals that span at least two blocks are split over the package's
+    threads (:mod:`covert_decode.threads`), each filtering its rows in
+    blocks of an equal share of the 4 MiB, so the buffers held at once do
+    not grow; the split changes no bits.
     """
     x = np.asarray(x, dtype=np.float64)
     n_taps = max(coeffs.numerator.size, coeffs.denominator.size)
@@ -131,10 +136,17 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
     moved = np.moveaxis(x, axis, -1)
     signals = moved.reshape(-1, moved.shape[-1])
     out = np.empty_like(signals)
-    rows = max(1, _FILTER_BLOCK_BYTES // (out.itemsize * out.shape[1]))
-    for r0 in range(0, len(out), rows):
-        out[r0 : r0 + rows] = sp_signal.sosfiltfilt(sos, signals[r0 : r0 + rows],
-                                                    padtype="even", padlen=padlen)
+    row_bytes = out.itemsize * out.shape[1]
+    parts = threads.block_split(len(out), row_bytes, _FILTER_BLOCK_BYTES)
+    rows = max(1, _FILTER_BLOCK_BYTES // len(parts) // row_bytes)
+
+    def filter_rows(part):
+        for r0 in range(part.start, part.stop, rows):
+            r1 = min(r0 + rows, part.stop)
+            out[r0:r1] = sp_signal.sosfiltfilt(sos, signals[r0:r1], padtype="even",
+                                               padlen=padlen)
+
+    threads.run([(filter_rows, (part,)) for part in parts])
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 

@@ -1,0 +1,135 @@
+"""One thread pool for the package: independent rows, trials or scan slots
+run on the calling thread and at most one pool thread at once.
+
+Who splits:
+  eval scans      a layer's slots, in two contiguous groups, when one step's
+                  recurrent GEMM is large enough (``network``, "Threads");
+                  training scans stay in the calling thread
+  filtering       ``preprocessing.filter_zero_phase``'s signal rows, when
+                  they span at least two of its 4 MiB blocks
+  features        ``features.extract_features``' trials, when they span at
+                  least two blocks of 4 MiB; the workers write into the
+                  caller's output
+
+Desk-size recordings and feature sets stay under both block gates, so they
+run in the calling thread and never start the pool thread.
+
+The worker count is min(MAX_WORKERS, items, usable cores, BLAS threads at
+call time). While the workers run, OpenBLAS is held to one thread, so they
+need as many cores as threads; OPENBLAS_NUM_THREADS=1 therefore keeps
+everything on one thread, and so does a numpy whose OpenBLAS thread calls
+cannot be found. Each row, trial and slot gets the operations it gets on one
+thread, so a split changes no bits (for the scans, as long as BLAS gives a
+GEMM row the same bits on one thread as on several, which the merged eval
+chunks already rely on). scipy's ``sosfilt`` loop, numpy's FFT and its
+ufuncs release the interpreter lock, which is what lets two workers gain.
+
+Memory: an eval scan's calling thread allocates every buffer its threads
+touch, and the threads only write into them, so no scan memory lands in a
+per-thread malloc arena; the scan threads call only the scan internals and
+``network.sigmoid``. A front-end worker does allocate: scipy's and the FFT's
+temporaries, for one block at a time (a share of a filter block, or one
+trial), land in the pool thread's arena and stay there for reuse; at paper
+scale the process peaked 6 to 8 MB higher than on one thread.
+
+Small LAPACK calls that do not split run inside ``one_blas_thread``: on a
+2-vCPU Xeon with OpenBLAS 0.3.31, a 64 x 64 ``eigh`` took about 47 ms on two
+fresh OpenBLAS threads and 0.5 ms on one, with the same bits.
+"""
+
+import contextlib
+import functools
+import os
+
+MAX_WORKERS = 2
+
+
+@functools.cache
+def _blas_thread_calls():
+    """numpy's OpenBLAS ``(get, set)`` thread-count functions, or None.
+
+    Looked up on first use, not at import, through numpy's extension module,
+    whose symbol scope holds the OpenBLAS it links.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+def worker_count(n_items):
+    """How many threads work on ``n_items`` independent items may use: at
+    most MAX_WORKERS, one per item, core and BLAS thread; 1 when numpy's
+    OpenBLAS thread calls cannot be found."""
+    blas = _blas_thread_calls()
+    if blas is None:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(MAX_WORKERS, n_items, cores or 1, blas[0]()))
+
+
+def split(n_items, parts):
+    """``parts`` contiguous, nearly equal slices of ``range(n_items)``."""
+    return [slice(n_items * i // parts, n_items * (i + 1) // parts) for i in range(parts)]
+
+
+def block_split(n_items, item_bytes, block_bytes):
+    """Slices of ``range(n_items)``, one per worker: one slice unless the
+    items, ``item_bytes`` each, span at least two blocks of ``block_bytes``."""
+    per_block = max(1, block_bytes // max(1, item_bytes))
+    return split(n_items, worker_count(n_items) if n_items > per_block else 1)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS to one thread in the body and restore the count it had,
+    also when the body raises; does nothing where the thread calls cannot be
+    found."""
+    blas = _blas_thread_calls()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
+_pool = None
+
+
+def run(calls):
+    """Run ``calls``, (function, args) pairs over disjoint items, at once:
+    the first in this thread, the others in the pool, with OpenBLAS on one
+    thread until every call has returned. An exception in any call is raised
+    here, after all have finished."""
+    if len(calls) == 1:
+        fn, args = calls[0]
+        fn(*args)
+        return
+    import concurrent.futures
+
+    global _pool
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(MAX_WORKERS - 1,
+                                                      thread_name_prefix="covert-decode")
+    with one_blas_thread():
+        futures = [_pool.submit(fn, *args) for fn, args in calls[1:]]
+        try:
+            fn, args = calls[0]
+            fn(*args)
+        finally:
+            concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()

@@ -172,6 +172,39 @@ class TestFeatureFormat:
             fileio.read_features(path)
 
 
+class TestSampleWriteBlocks:
+    """Writers convert sample data to f32 a block of rows at a time."""
+
+    WRITERS = {
+        "eegr": (sample_recording, fileio.write_recording, reference_recording_bytes),
+        "epoc": (sample_epochs, fileio.write_epochs, reference_epochs_bytes),
+        "ften": (sample_features, fileio.write_features, reference_features_bytes),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    @pytest.mark.parametrize("block_bytes", [1, 1300])
+    def test_blocks_keep_the_bytes(self, tmp_path, monkeypatch, kind, block_bytes):
+        # one row per block; then two trials per block, the last one short
+        make, write, reference = self.WRITERS[kind]
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK_BYTES", block_bytes)
+        value = make()
+        assert write(value, tmp_path / f"s.{kind}").read_bytes() == reference(value)
+
+    def test_write_holds_no_file_sized_copy(self, tmp_path, monkeypatch):
+        # 2 MiB of f32 samples written in 64 KiB blocks; converting the whole
+        # array at once would hold all 2 MiB
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK_BYTES", 2**16)
+        epochs = EpochSet(data=np.zeros((32, 256, 64)), labels=np.zeros(32, dtype=int),
+                          condition=Condition.OVERT, sample_rate_hz=500.0, class_names=["a"])
+        tracemalloc.start()
+        try:
+            fileio.write_epochs(epochs, tmp_path / "big.epoc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+
+
 class TestModelCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         specs = classifier_specs("bilstm", 6, hidden=(5, 4), dropout=(0.3, 0.2), n_classes=3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covert_decode import network
+from covert_decode import network, threads
 from covert_decode.network import (
     DenseLayer,
     LayerSpec,
@@ -680,7 +680,7 @@ class TestEvalMemory:
             tracemalloc.stop()
         return out, peak
 
-    @pytest.mark.skipif(network._blas_thread_calls() is None,
+    @pytest.mark.skipif(threads._blas_thread_calls() is None,
                         reason="numpy's OpenBLAS thread calls not found")
     @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
     def test_two_worker_eval_holds_the_same_blocks(self, kind, monkeypatch):
@@ -697,7 +697,7 @@ class TestEvalMemory:
         x = np.zeros((8, 512, spec.input_size), dtype=np.float32)
         peaks, outs = {}, {}
         for workers in (2, 1, 2):  # the first pass starts the thread pool
-            monkeypatch.setattr(network, "_scan_workers", lambda n_slots, w=workers: w)
+            monkeypatch.setattr(threads, "worker_count", lambda n_slots, w=workers: w)
             outs[workers], peaks[workers] = self.traced_forward(layer, x)
         np.testing.assert_array_equal(outs[1], outs[2])
         assert peaks[2] < peaks[1] + network.EVAL_BLOCK_BYTES // 4

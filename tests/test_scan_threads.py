@@ -4,11 +4,11 @@ A layer's eval scan splits its slots over two threads when one step's
 recurrent GEMM is large enough (``network.SCAN_THREAD_FLOPS``) and numpy's
 OpenBLAS lets it pin BLAS to one thread meanwhile; training scans stay in the
 calling thread. Here both gates are forced: SCAN_THREAD_FLOPS is 0 and the
-worker count is patched, so small shapes take the threaded path. Every
-output, loss, gradient and Adam-updated parameter must match the one-worker
-run exactly (``assert_array_equal``). CI also runs this file on two OpenBLAS
-threads, where the one-worker reference runs its GEMMs on two BLAS threads
-and each worker on one.
+package's worker count (``threads.worker_count``) is patched, so small shapes
+take the threaded path. Every output, loss, gradient and Adam-updated
+parameter must match the one-worker run exactly (``assert_array_equal``). CI
+also runs this file on two OpenBLAS threads, where the one-worker reference
+runs its GEMMs on two BLAS threads and each worker on one.
 """
 
 import os
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from covert_decode import network
+from covert_decode import network, threads
 from covert_decode.network import (
     LayerSpec,
     RecurrentLayer,
@@ -34,7 +34,7 @@ from covert_decode.rng import substream
 from covert_decode.training import _predict_proba_models, predict_proba, train_step
 
 needs_blas_calls = pytest.mark.skipif(
-    network._blas_thread_calls() is None, reason="numpy's OpenBLAS thread calls not found")
+    threads._blas_thread_calls() is None, reason="numpy's OpenBLAS thread calls not found")
 
 
 @pytest.mark.skipif("OPENBLAS_NUM_THREADS" not in os.environ,
@@ -43,7 +43,7 @@ def test_blas_thread_calls_found():
     # where OPENBLAS_NUM_THREADS is set (as in CI), a numpy whose OpenBLAS
     # thread calls are not found fails here instead of skipping every test
     # below, which would also leave every scan on one thread unnoticed
-    assert network._blas_thread_calls() is not None
+    assert threads._blas_thread_calls() is not None
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def workers(monkeypatch):
     monkeypatch.setattr(network, "SCAN_THREAD_FLOPS", 0)
 
     def use(n):
-        monkeypatch.setattr(network, "_scan_workers", lambda n_slots: min(n, n_slots))
+        monkeypatch.setattr(threads, "worker_count", lambda n_slots: min(n, n_slots))
         splits.clear()
         return splits
 
@@ -207,24 +207,24 @@ class TestModelsMatchOneWorker:
         assert calls and all(thread is threading.current_thread() for _, thread in calls)
 
     def test_training_scans_stay_in_the_calling_thread(self, workers, monkeypatch):
-        threads = []
+        calls = []
         scan = RecurrentLayer._scan
 
         def recording(self, blocks, buf, slots, keep_cache):
-            threads.append((keep_cache, threading.current_thread() is threading.main_thread()))
+            calls.append((keep_cache, threading.current_thread() is threading.main_thread()))
             return scan(self, blocks, buf, slots, keep_cache)
 
         monkeypatch.setattr(RecurrentLayer, "_scan", recording)
         workers(2)
         model_run("bilstm", 5, frozen=False)
-        assert (True, True) in threads and (False, False) in threads
-        assert all(main for keep_cache, main in threads if keep_cache)
+        assert (True, True) in calls and (False, False) in calls
+        assert all(main for keep_cache, main in calls if keep_cache)
 
 
 @needs_blas_calls
 class TestWorkerCount:
     def test_small_scans_stay_on_one_thread(self, monkeypatch):
-        monkeypatch.setattr(network, "_scan_workers", lambda n_slots: 2)
+        monkeypatch.setattr(threads, "worker_count", lambda n_slots: 2)
         # a desk-scale step (H = 32) is far below the gate; both layers of
         # paper_train's eval passes (batch 128, H = 512 and 256) reach it
         assert len(network._slot_groups(8, 128, 32, 4)) == 1
@@ -234,22 +234,22 @@ class TestWorkerCount:
         assert len(network._slot_groups(2, 32, 256, 4)) == 1
 
     def test_bounded_by_slots_cores_and_blas_threads(self, monkeypatch):
-        blas = network._blas_thread_calls()
-        monkeypatch.setattr(network, "_blas_thread_calls", lambda: (lambda: 8, blas[1]))
-        assert network._scan_workers(1) == 1
-        assert network._scan_workers(6) == min(2, len(network.os.sched_getaffinity(0)))
-        monkeypatch.setattr(network, "_blas_thread_calls", lambda: (lambda: 1, blas[1]))
-        assert network._scan_workers(6) == 1
+        blas = threads._blas_thread_calls()
+        monkeypatch.setattr(threads, "_blas_thread_calls", lambda: (lambda: 8, blas[1]))
+        assert threads.worker_count(1) == 1
+        assert threads.worker_count(6) == min(2, len(os.sched_getaffinity(0)))
+        monkeypatch.setattr(threads, "_blas_thread_calls", lambda: (lambda: 1, blas[1]))
+        assert threads.worker_count(6) == 1
 
     def test_one_thread_without_blas_calls(self, monkeypatch):
-        monkeypatch.setattr(network, "_blas_thread_calls", lambda: None)
-        assert network._scan_workers(4) == 1
+        monkeypatch.setattr(threads, "_blas_thread_calls", lambda: None)
+        assert threads.worker_count(4) == 1
 
 
 @needs_blas_calls
 class TestWorkerThreads:
     def test_blas_on_one_thread_while_workers_run(self, workers, monkeypatch):
-        get_threads, set_threads = network._blas_thread_calls()
+        get_threads, set_threads = threads._blas_thread_calls()
         saved = get_threads()
         seen = []
         scan = RecurrentLayer._scan
@@ -277,7 +277,7 @@ class TestWorkerThreads:
             self, workers, monkeypatch, failing_start):
         # the slot range starting at 0 runs in the calling thread, the other
         # in the pool thread
-        get_threads, set_threads = network._blas_thread_calls()
+        get_threads, set_threads = threads._blas_thread_calls()
         saved = get_threads()
         scan = RecurrentLayer._scan
 
@@ -301,5 +301,5 @@ class TestWorkerThreads:
             assert get_threads() == 2
         finally:
             set_threads(saved)
-        scan_threads = [t for t in threading.enumerate() if t.name.startswith("scan")]
-        assert len(scan_threads) <= network.MAX_SCAN_WORKERS - 1
+        pool_threads = [t for t in threading.enumerate() if t.name.startswith("covert-decode")]
+        assert len(pool_threads) <= threads.MAX_WORKERS - 1
