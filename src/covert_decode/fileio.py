@@ -47,8 +47,9 @@ Sample data goes out through ``_write_f32``, which converts it to f32 a
 block of about 4 MiB of rows at a time, so a writer holds no file-sized copy.
 
 The sample data of ``.eegr``, ``.epoc`` and ``.ften`` files is read through
-``samples``, which rejects a NaN or infinite value with a DataError naming the
-file; checkpoint weights are read as they are.
+``samples``, straight into the array it returns, which rejects a NaN or
+infinite value with a DataError naming the file; checkpoint weights are read
+as they are.
 
 Every reader opens its input through ``_open``: no file at the path is "input
 file not found", another OSError "cannot read", each a DataError (exit 3) or,
@@ -172,12 +173,15 @@ class _Reader:
         if version != 1:
             raise FileFormatError(f"{path}: unsupported version {version}")
 
-    def take(self, n: int, what: str) -> bytes:
+    def _check_left(self, n: int, what: str):
         left = self.size - self.fh.tell()
         if n > left:
             raise FileFormatError(
                 f"{self.path}: truncated while reading {what} ({n} bytes declared, {left} left)"
             )
+
+    def take(self, n: int, what: str) -> bytes:
+        self._check_left(n, what)
         raw = self.fh.read(n)
         if len(raw) != n:
             raise FileFormatError(f"{self.path}: truncated while reading {what}")
@@ -199,10 +203,14 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
     def samples(self, shape: tuple, what: str) -> np.ndarray:
-        """f32 sample data; a DataError if it holds a NaN or infinite value.
-        min and max carry a NaN through and are infinite when an infinity is
-        present, so no full-size mask is made."""
-        data = self.array("<f4", shape, what)
+        """f32 sample data, read straight into a new writable array; a
+        DataError if it holds a NaN or infinite value. min and max carry a
+        NaN through and are infinite when an infinity is present, so no
+        full-size mask is made."""
+        self._check_left(4 * math.prod(shape), what)
+        data = np.empty(shape, dtype="<f4")
+        if self.fh.readinto(data) != data.nbytes:
+            raise FileFormatError(f"{self.path}: truncated while reading {what}")
         if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise DataError(f"{self.path}: {what} holds NaN or infinite values")
         return data
@@ -284,7 +292,7 @@ def read_features(path) -> FeatureTensor:
         labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
         data = r.samples((n_trials, n_timesteps, n_features), "feature data")
     n_classes = int(labels.max()) + 1 if n_trials else 1
-    return _build(path, FeatureTensor, data=np.array(data, dtype=np.float32), labels=labels,
+    return _build(path, FeatureTensor, data=data.astype(np.float32, copy=False), labels=labels,
                   condition=condition, class_names=default_class_names(n_classes))
 
 

@@ -92,6 +92,9 @@ EVAL_BLOCK_BYTES = 4 * 2**20
 # an eval scan splits its slots over threads (see "Threads") only when one
 # step's recurrent GEMM of one slot, 2*B*H*G*H FLOP, reaches SCAN_THREAD_FLOPS
 SCAN_THREAD_FLOPS = 2**25
+# init_params splits a recurrent layer's per-gate QRs over threads only at
+# widths H >= INIT_QR_THREAD_WIDTH (measured in covert_decode.threads)
+INIT_QR_THREAD_WIDTH = 128
 LAYER_KINDS = RECURRENT_KINDS + ("dense", "dropout", "softmax")
 
 
@@ -229,10 +232,17 @@ def param_shapes(spec: LayerSpec) -> dict:
 def init_params(spec: LayerSpec, rng, dtype=np.float32):
     """One layer's parameters drawn from ``rng`` in :func:`param_shapes` order (None
     if it has none): Glorot-uniform input and dense weights (Glorot & Bengio, 2010),
-    orthogonal recurrent weights per gate, zero biases but the LSTM forget gate's 1."""
+    orthogonal recurrent weights per gate, zero biases but the LSTM forget gate's 1.
+
+    Each gate's recurrent block is ``q * sign(diag(r))`` of the QR of one
+    standard-normal (H, H) draw. The draws come in order; the QRs run after
+    the layer's last draw, written into the gate's columns of a float64 array,
+    and split over the package pool when H reaches INIT_QR_THREAD_WIDTH (see
+    :mod:`covert_decode.threads`). Every array is converted to ``dtype`` last.
+    """
     h = spec.size
     limit = np.sqrt(6.0 / (spec.input_size + spec.size))
-    params = {}
+    values, blocks = {}, []
     for name, shape in param_shapes(spec).items():
         if name.endswith("b"):
             value = np.zeros(shape)
@@ -240,13 +250,20 @@ def init_params(spec: LayerSpec, rng, dtype=np.float32):
                 value[h : 2 * h] = 1.0  # forget-gate bias opens the cell path early
         elif name.endswith("wh"):
             value = np.empty(shape)
-            for g in range(0, shape[1], h):
-                q, r = np.linalg.qr(rng.standard_normal((h, h)))
-                value[:, g : g + h] = q * np.sign(np.diag(r))
+            blocks += [(value[:, g : g + h], rng.standard_normal((h, h)))
+                       for g in range(0, shape[1], h)]
         else:
             value = rng.uniform(-limit, limit, size=shape)
-        params[name] = value.astype(dtype)
-    return params or None
+        values[name] = value
+
+    def orthogonalize(part):
+        for columns, draw in blocks[part]:
+            q, r = np.linalg.qr(draw)
+            np.multiply(q, np.sign(np.diag(r)), out=columns)
+
+    workers = threads.worker_count(len(blocks)) if h >= INIT_QR_THREAD_WIDTH else 1
+    threads.run([(orthogonalize, (part,)) for part in threads.split(len(blocks), workers)])
+    return {name: value.astype(dtype) for name, value in values.items()} or None
 
 
 class _ParamLayer:
@@ -476,6 +493,7 @@ class RecurrentLayer(_ParamLayer):
             layer._route(dout, dh_out[:, m * n_dir : (m + 1) * n_dir])
 
         dz = head._scan_backward(scan, dh_out)
+        del dh_out  # freed before the weight-gradient GEMMs, where the pass peaks
         dxs = []
         for m, layer in enumerate(layers):
             dxs.append(layer._param_grads(dz, scan, m, need_input_grad))
@@ -501,26 +519,31 @@ class RecurrentLayer(_ParamLayer):
     def _param_grads(self, dz, scan, m, need_input_grad):
         """Weight gradients and input gradient of layer ``m`` of a stacked scan.
 
-        One GEMM per direction, each over that slot's (T*B) rows only.
+        One GEMM per direction, each over that slot's (T*B) rows only. Each
+        direction's input-gradient GEMM writes into one time-major (T, B, D)
+        scratch, which then takes the time-major copy of that direction's
+        inputs for its ``wx`` gradient, so no direction allocates either.
         """
         x = self._cache["x"]
         n_batch, n_time, d_in = x.shape
         h_size = self.spec.size
         dx = np.zeros_like(x) if need_input_grad else None
+        x_t = np.empty((n_time, n_batch, d_in), dtype=x.dtype)
+        rows = x_t.reshape(-1, d_in)
         for d, direction in enumerate(self.directions):
             slot = m * self.n_dir + d
             dz_flat = dz[slot].reshape(-1, dz.shape[-1])  # (T*B, G*H) view
             if need_input_grad:
-                wx = self.params[f"{direction}_wx"]
-                dx_d = (dz_flat @ wx.T).reshape(n_time, n_batch, -1).transpose(1, 0, 2)
+                np.matmul(dz_flat, self.params[f"{direction}_wx"].T, out=rows)
+                dx_d = x_t.transpose(1, 0, 2)
                 if direction == "bw":
                     dx += dx_d[:, ::-1]
                 else:
                     dx += dx_d
             if not self.frozen:
                 seq = x if direction == "fw" else x[:, ::-1]
-                seq_t = np.ascontiguousarray(seq.transpose(1, 0, 2))
-                self.grads[f"{direction}_wx"] = seq_t.reshape(-1, d_in).T @ dz_flat
+                np.copyto(x_t, seq.transpose(1, 0, 2))
+                self.grads[f"{direction}_wx"] = rows.T @ dz_flat
                 h_prev = _shifted_states(scan["h"][:, slot])
                 if self.cell == "lstm":
                     self.grads[f"{direction}_wh"] = h_prev.reshape(-1, h_size).T @ dz_flat

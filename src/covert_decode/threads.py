@@ -10,19 +10,29 @@ Who splits:
   features        ``features.extract_features``' trials, when they span at
                   least two blocks of 4 MiB; the workers write into the
                   caller's output
+  init QRs        ``network.init_params``' per-gate QR factorizations of a
+                  recurrent layer's weights, in two contiguous halves, when
+                  the width H reaches ``network.INIT_QR_THREAD_WIDTH`` (128);
+                  the workers write into the caller's float64 weights. On a
+                  2-vCPU Xeon with OpenBLAS 0.3.31, eight (H, H) float64 QRs
+                  took (best of 15) 0.90 ms on one thread and 0.99 ms split
+                  at H = 64, 7.3 and 5.2 ms at 128, 32 and 23 ms at 256, and
+                  211 and 108 ms at 512; on two OpenBLAS threads, unsplit,
+                  they took 1.2, 19, 46 and 227 ms
 
-Desk-size recordings and feature sets stay under both block gates, so they
+Desk-size recordings, feature sets and models stay under every gate, so they
 run in the calling thread and never start the pool thread.
 
 The worker count is min(MAX_WORKERS, items, usable cores, BLAS threads at
 call time). While the workers run, OpenBLAS is held to one thread, so they
 need as many cores as threads; OPENBLAS_NUM_THREADS=1 therefore keeps
 everything on one thread, and so does a numpy whose OpenBLAS thread calls
-cannot be found. Each row, trial and slot gets the operations it gets on one
-thread, so a split changes no bits (for the scans, as long as BLAS gives a
-GEMM row the same bits on one thread as on several, which the merged eval
-chunks already rely on). scipy's ``sosfilt`` loop, numpy's FFT and its
-ufuncs release the interpreter lock, which is what lets two workers gain.
+cannot be found. Each row, trial, slot and QR block gets the operations it
+gets on one thread, so a split changes no bits (for the scans, as long as
+BLAS gives a GEMM row the same bits on one thread as on several, which the
+merged eval chunks already rely on; for the init QRs, as long as LAPACK's QR
+does). scipy's ``sosfilt`` loop, numpy's FFT and its ufuncs release the
+interpreter lock, which is what lets two workers gain.
 
 Memory: an eval scan's calling thread allocates every buffer its threads
 touch, and the threads only write into them, so no scan memory lands in a
@@ -30,7 +40,11 @@ per-thread malloc arena; the scan threads call only the scan internals and
 ``network.sigmoid``. A front-end worker does allocate: scipy's and the FFT's
 temporaries, for one block at a time (a share of a filter block, or one
 trial), land in the pool thread's arena and stay there for reuse; at paper
-scale the process peaked 6 to 8 MB higher than on one thread.
+scale the process peaked 6 to 8 MB higher than on one thread. So do numpy's
+QR temporaries for the init QRs: after synth, features and a BiLSTM and a
+BiGRU 512/256 were built, RSS read 153 MB with the QRs split against 139 MB
+unsplit (138 MB split with MALLOC_ARENA_MAX=1), and the arena keeps them
+resident through training.
 
 Small LAPACK calls that do not split run inside ``one_blas_thread``: on a
 2-vCPU Xeon with OpenBLAS 0.3.31, a 64 x 64 ``eigh`` took about 47 ms on two

@@ -171,6 +171,25 @@ class TestFeatureFormat:
         with pytest.raises(FileFormatError, match="zz.ften"):
             fileio.read_features(path)
 
+    def test_read_holds_the_samples_once(self, tmp_path):
+        # 2 MiB of f32 samples are read straight into the returned array: a
+        # bytes object plus a copy of it would peak at twice that
+        tensor = FeatureTensor(data=np.ones((32, 256, 64), dtype=np.float32),
+                               labels=np.arange(32) % 2, condition=Condition.OVERT,
+                               class_names=["a", "b"])
+        path = fileio.write_features(tensor, tmp_path / "big.ften")
+        tracemalloc.start()
+        try:
+            loaded = fileio.read_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = tensor.data.nbytes
+        assert samples <= peak < samples + 2**16
+        assert loaded.data.dtype == np.float32 and loaded.data.flags.writeable
+        loaded.data[0, 0, 0] = 2.0
+        np.testing.assert_array_equal(loaded.data[1:], tensor.data[1:])
+
 
 class TestSampleWriteBlocks:
     """Writers convert sample data to f32 a block of rows at a time."""

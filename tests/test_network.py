@@ -701,3 +701,26 @@ class TestEvalMemory:
             outs[workers], peaks[workers] = self.traced_forward(layer, x)
         np.testing.assert_array_equal(outs[1], outs[2])
         assert peaks[2] < peaks[1] + network.EVAL_BLOCK_BYTES // 4
+
+
+class TestBackwardMemory:
+    @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
+    def test_backward_holds_two_input_sized_arrays(self, kind):
+        # a wide input and a narrow layer, so input-sized arrays dominate: the
+        # input gradient and one time-major scratch, which takes each
+        # direction's input-gradient product and then its input copy for the
+        # wx gradient. The weight gradients and state-sized arrays add about
+        # a fifth of the input here; a fresh product and a fresh copy per
+        # direction, each made while the last was alive, peaked at 4.2x
+        spec = LayerSpec(kind, 256, 8)
+        layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
+        x = np.random.default_rng(0).standard_normal((16, 32, 256)).astype(np.float32)
+        dout = np.ones_like(layer.forward(x, training=True))
+        tracemalloc.start()
+        try:
+            dx = layer.backward(dout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == x.shape
+        assert peak < 2.5 * x.nbytes

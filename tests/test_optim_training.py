@@ -1,5 +1,7 @@
 """Adam updates and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,62 @@ class TestAdam:
         state = init_adam(params)
         adam_step(params, {}, state)
         assert state.t == 1
+
+    @staticmethod
+    def formula_step(params, grads, state):
+        """The update as whole-array expressions, one set of temporaries per key."""
+        state.t += 1
+        b1, b2 = state.beta1, state.beta2
+        bias1, bias2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+        for key, grad in grads.items():
+            m, v = state.m[key], state.v[key]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            params[key] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+    @staticmethod
+    def float32_problem(seed):
+        rng = np.random.default_rng(seed)
+        shapes = {"a": (64, 48), "b": (48,), "c": (3, 5, 7), "d": (200,)}
+        params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        grads = [{k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)).astype(np.float32)
+                  for k, s in shapes.items() if k != "c" or step != 1} for step in range(3)]
+        return params, grads
+
+    def test_in_place_update_matches_the_formula_bit_for_bit(self):
+        params, grads = self.float32_problem(0)
+        formula = {k: v.copy() for k, v in params.items()}
+        state, formula_state = init_adam(params), init_adam(formula)
+        for step_grads in grads:  # "c" has no gradient in the second step
+            adam_step(params, step_grads, state)
+            self.formula_step(formula, step_grads, formula_state)
+        for key in params:
+            np.testing.assert_array_equal(params[key], formula[key], err_msg=key)
+            np.testing.assert_array_equal(state.m[key], formula_state.m[key], err_msg=key)
+            np.testing.assert_array_equal(state.v[key], formula_state.v[key], err_msg=key)
+
+    def test_update_allocates_no_array_per_key(self):
+        # eight keys of 256 KiB and one of 512 KiB: the update holds two
+        # scratch buffers the size of the largest parameter, whatever the
+        # number of keys; one set of temporaries per key held at least four
+        # arrays of the key's size at once
+        rng = np.random.default_rng(1)
+        shapes = {f"k{i}": (256, 256) for i in range(8)} | {"big": (512, 256)}
+        params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        state = init_adam(params)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = params["big"].nbytes
+        assert 2 * largest <= peak < 2 * largest + 2**16
 
 
 def toy_features(n_per_class=12, t_len=20, n_classes=3, seed=0):
