@@ -371,7 +371,8 @@ def _envelope_tables(overt_path, covert_path) -> dict:
 
 def _accuracy_rows(train_reports) -> list:
     """The accuracy table: a row per subject and a column per model, each cell
-    a train report's CV mean or else its holdout accuracy."""
+    a train report's CV mean or else its holdout accuracy. A report without
+    an accuracy, or a second one for a subject and model, is a DataError."""
     rows, models = {}, []
     for path in train_reports:
         report = fileio.load_json(path)
@@ -383,8 +384,12 @@ def _accuracy_rows(train_reports) -> list:
             raise DataError(f"{path}: 'cv' and 'holdout' must be objects")
         source = report.get("cv") or report.get("holdout") or {}
         acc = source.get("mean_accuracy", source.get("holdout_accuracy"))
-        if not (acc is None or type(acc) in (int, float) and abs(acc) <= sys.float_info.max):
+        if acc is None:
+            raise DataError(f"{path}: no CV mean or holdout accuracy")
+        if not (type(acc) in (int, float) and abs(acc) <= sys.float_info.max):
             raise DataError(f"{path}: accuracy {acc!r} is not a finite number")
+        if model in rows.get(subject, {}):
+            raise DataError(f"{path}: a second {model} report for subject {subject!r}")
         if model not in models:
             models.append(model)
         rows.setdefault(subject, {})[model] = acc

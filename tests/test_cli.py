@@ -1112,6 +1112,31 @@ def test_report_checks_every_input_before_writing(tmp_path, capsys):
     assert _tree(tmp_path) == before
 
 
+def test_report_two_train_reports_of_one_subject_and_model_is_data_error(tmp_path, capsys):
+    # without a "subject" key both files are subject "train", after their stem
+    paths = []
+    for name, acc in (("s1", 0.5), ("s2", 0.133333)):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "train.json")
+        paths[-1].write_text(json.dumps({"model": "gru", "holdout": {"holdout_accuracy": acc}}))
+    out_dir = tmp_path / "t"
+    captured = _expect_exit_3(["report", "--train-report", str(paths[0]), "--train-report",
+                               str(paths[1]), "--out-dir", str(out_dir)], capsys)
+    assert f"{paths[1]}: a second gru report for subject 'train'" in captured.err
+    assert not out_dir.exists()
+
+
+def test_report_train_report_without_accuracy_is_data_error(tmp_path, capsys):
+    # a transfer report passed as a train report has neither "cv" nor "holdout"
+    transfer_report = tmp_path / "transfer.json"
+    transfer_report.write_text(json.dumps({"model": "gru", "summary": [], "runs": []}))
+    out_dir = tmp_path / "t"
+    captured = _expect_exit_3(["report", "--train-report", str(transfer_report),
+                               "--out-dir", str(out_dir)], capsys)
+    assert f"{transfer_report}: no CV mean or holdout accuracy" in captured.err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "transfer"])
 def test_two_outputs_at_one_path_rejected_before_work(tmp_path, capsys, monkeypatch, command):
     feats = _features_file(tmp_path / "f.ften", np.repeat(np.arange(5), 4))

@@ -19,30 +19,7 @@ from covert_decode import features, ica, preprocessing, threads
 from covert_decode.containers import Condition, EegRecording, EpochSet, default_class_names
 from covert_decode.errors import DataError
 
-needs_blas_calls = pytest.mark.skipif(
-    threads._blas_thread_calls() is None, reason="numpy's OpenBLAS thread calls not found")
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """``workers(n)`` lets every later split use up to ``n`` threads;
-    returns the list of call counts that ``threads.run`` receives."""
-    runs = []
-    run = threads.run
-
-    def recorded(calls):
-        runs.append(len(calls))
-        return run(calls)
-
-    monkeypatch.setattr(threads, "run", recorded)
-
-    def use(n):
-        monkeypatch.setattr(threads, "worker_count", lambda n_items: min(n, n_items))
-        runs.clear()
-        return runs
-
-    return use
-
+from conftest import needs_blas_calls
 
 N_SAMPLES = 120
 ROW_BYTES = 8 * N_SAMPLES

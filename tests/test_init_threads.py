@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from covert_decode import network, threads
+from covert_decode import network
 from covert_decode.network import (
     RECURRENT_KINDS,
     LayerSpec,
@@ -25,30 +25,7 @@ from covert_decode.network import (
 )
 from covert_decode.rng import substream
 
-DEFAULT = None
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """``workers(n)`` lets every later split use up to ``n`` threads (the
-    package default for DEFAULT); returns the list of call counts that
-    ``threads.run`` receives."""
-    runs = []
-    run, worker_count = threads.run, threads.worker_count
-
-    def recorded(calls):
-        runs.append(len(calls))
-        return run(calls)
-
-    monkeypatch.setattr(threads, "run", recorded)
-
-    def use(n):
-        count = worker_count if n is DEFAULT else (lambda n_items: min(n, n_items))
-        monkeypatch.setattr(threads, "worker_count", count)
-        runs.clear()
-        return runs
-
-    return use
+DEFAULT = None  # workers(DEFAULT) keeps the package's worker count
 
 
 def blocks_of(model):

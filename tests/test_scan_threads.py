@@ -33,8 +33,7 @@ from covert_decode.optim import init_adam
 from covert_decode.rng import substream
 from covert_decode.training import _predict_proba_models, predict_proba, train_step
 
-needs_blas_calls = pytest.mark.skipif(
-    threads._blas_thread_calls() is None, reason="numpy's OpenBLAS thread calls not found")
+from conftest import needs_blas_calls
 
 
 @pytest.mark.skipif("OPENBLAS_NUM_THREADS" not in os.environ,
