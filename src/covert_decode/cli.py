@@ -121,10 +121,9 @@ def cmd_synth(args) -> int:
     recordings = args.emit == "recordings"
     fileio.check_outputs(*synth.manifest_paths(args.out, args.subject, recordings).values())
     overt, covert, manifest = synth.generate_paired(spec)
-    datasets = {"overt": overt, "covert": covert}
     if recordings:
-        datasets = {name: synth.to_recording(epochs, gap_seconds=gap_seconds, seed=seed)
-                    for name, epochs in datasets.items()}
+        overt, covert = synth.to_recordings([overt, covert], gap_seconds=gap_seconds, seed=seed)
+    datasets = {"overt": overt, "covert": covert}
     manifest_path = synth.write_manifest(
         datasets, args.out, subject=args.subject, seed=seed, class_names=list(spec.class_names)
     )

@@ -10,6 +10,14 @@ the correlation approaches 1 (so rho = 1 with no noise reproduces the overt
 signal exactly). Envelope shapes are smoothed random walks rather than fixed
 bumps, which keeps classes from being separable by a single template value.
 
+At paper scale the work splits over the package's threads
+(:mod:`covert_decode.threads`): ``generate_paired`` fills its trials in two
+contiguous halves when one trial holds at least 2**14 channel-samples and
+at most 10,000 timesteps and the trials span at least two blocks of 4 MiB, and ``to_recordings`` builds
+the overt and covert recordings at once when they span at least two blocks.
+Every trial and recording draws from its own substreams, so the split
+changes no bits; desk-size subjects stay in the calling thread.
+
 ``scipy.ndimage`` is imported inside the smoothing function, so that importing
 the package (and every command but ``synth``) does not pay for loading it.
 """
@@ -19,11 +27,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
+from . import fileio, threads
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .errors import ConfigError
 from .features import envelope_correlation, extract_features
 from .rng import substream
+
+# trials split over threads only where one trial holds at least this many
+# channel-samples and the trials span at least two blocks (see
+# covert_decode.threads); the two recordings of a pair split where they span
+# at least two blocks
+_SPLIT_TRIAL_SAMPLES = 2**14
+_SPLIT_BLOCK_BYTES = 2**22
+# a trial's projections are dot products over its timesteps; OpenBLAS splits
+# a dot product longer than 10,000 elements over its threads, which changes
+# the sum's bits, so longer trials stay in the calling thread
+_SPLIT_MAX_TIMESTEPS = 10_000
 
 
 @dataclass
@@ -175,15 +194,14 @@ def generate_paired(spec: SynthSpec):
     covert = np.empty(shape)
     labels = np.repeat(np.arange(spec.n_classes), spec.trials_per_class)
 
-    trial = 0
-    for cls in range(spec.n_classes):
-        components = templates[cls]
-        for j in range(spec.trials_per_class):
+    def fill(trials):
+        for trial in range(trials.start, trials.stop):
+            cls, j = divmod(trial, spec.trials_per_class)
             rng_shared = substream(spec.seed, "trial", cls, j)
             rng_extra = substream(spec.seed, "covert_jitter", cls, j)
             overt_sum = np.zeros((spec.n_channels, spec.n_timesteps))
             covert_sum = np.zeros((spec.n_channels, spec.n_timesteps))
-            for comp in components:
+            for comp in templates[cls]:
                 jit_shared = _smooth_standardized(rng_shared, spec.n_timesteps, sigma)
                 jit_shared = _orthogonalized(jit_shared, comp.base_std)
                 jit_shared = _orthogonalized(jit_shared, comp.mixed_std)
@@ -227,7 +245,13 @@ def generate_paired(spec: SynthSpec):
                 covert_sum += spec.noise_sigma * noise_c.standard_normal(covert_sum.shape)
             overt[trial] = overt_sum.T
             covert[trial] = covert_sum.T
-            trial += 1
+
+    trial_samples = spec.n_timesteps * spec.n_channels
+    if trial_samples >= _SPLIT_TRIAL_SAMPLES and spec.n_timesteps <= _SPLIT_MAX_TIMESTEPS:
+        parts = threads.block_split(spec.n_trials, 2 * 8 * trial_samples, _SPLIT_BLOCK_BYTES)
+    else:
+        parts = [slice(0, spec.n_trials)]
+    threads.run([(fill, (part,)) for part in parts])
 
     common = dict(sample_rate_hz=spec.sample_rate_hz, class_names=list(spec.class_names))
     overt_set = EpochSet(data=overt, labels=labels, condition=Condition.OVERT, **common)
@@ -278,26 +302,49 @@ def to_recording(epochs: EpochSet, gap_seconds: float = 0.25, seed: int = 0) -> 
     The lead-in and inter-trial gaps leave room for pre-stimulus baseline
     windows; markers point at each trial's first sample.
     """
-    fs = epochs.sample_rate_hz
-    gap = int(round(gap_seconds * fs))
-    if gap < 1:
-        raise ConfigError("gap_seconds must cover at least one sample")
-    t = epochs.n_timesteps
-    n_samples = gap + epochs.n_trials * (t + gap)
-    rng = substream(seed, "gaps", int(epochs.condition))
-    sigma = float(np.std(epochs.data)) * 0.1
-    data = sigma * rng.standard_normal((epochs.n_channels, n_samples))
-    markers = []
-    for i in range(epochs.n_trials):
-        start = gap + i * (t + gap)
-        data[:, start : start + t] = epochs.data[i].T
-        markers.append((start, int(epochs.labels[i])))
-    return EegRecording(
-        data=data,
-        sample_rate_hz=fs,
-        channel_labels=[f"ch_{i:02d}" for i in range(epochs.n_channels)],
-        markers=markers,
-    )
+    return to_recordings([epochs], gap_seconds, seed)[0]
+
+
+def to_recordings(epoch_sets, gap_seconds: float = 0.25, seed: int = 0) -> list:
+    """:func:`to_recording` of each epoch set. Recordings that span at least
+    two blocks of 4 MiB are built over the package's threads; each draws its
+    gap noise from its own condition's substream, so the split changes no
+    bits."""
+    gap_and_length = []
+    for epochs in epoch_sets:
+        gap = int(round(gap_seconds * epochs.sample_rate_hz))
+        if gap < 1:
+            raise ConfigError("gap_seconds must cover at least one sample")
+        gap_and_length.append((gap, gap + epochs.n_trials * (epochs.n_timesteps + gap)))
+    # in this thread: np.std's epoch-sized temporary would stay resident in
+    # a pool thread's malloc arena
+    sigmas = [float(np.std(epochs.data)) * 0.1 for epochs in epoch_sets]
+    recordings = [None] * len(epoch_sets)
+
+    def build(indices):
+        for k in range(indices.start, indices.stop):
+            epochs, (gap, n_samples) = epoch_sets[k], gap_and_length[k]
+            rng = substream(seed, "gaps", int(epochs.condition))
+            data = rng.standard_normal((epochs.n_channels, n_samples))
+            data *= sigmas[k]
+            t = epochs.n_timesteps
+            markers = []
+            for i in range(epochs.n_trials):
+                start = gap + i * (t + gap)
+                data[:, start : start + t] = epochs.data[i].T
+                markers.append((start, int(epochs.labels[i])))
+            recordings[k] = EegRecording(
+                data=data,
+                sample_rate_hz=epochs.sample_rate_hz,
+                channel_labels=[f"ch_{i:02d}" for i in range(epochs.n_channels)],
+                markers=markers,
+            )
+
+    recording_bytes = max((8 * e.n_channels * n for e, (_, n) in zip(epoch_sets, gap_and_length)),
+                          default=0)
+    parts = threads.block_split(len(epoch_sets), recording_bytes, _SPLIT_BLOCK_BYTES)
+    threads.run([(build, (part,)) for part in parts])
+    return recordings
 
 
 def manifest_paths(directory, subject: str, recordings: bool) -> dict:
@@ -320,18 +367,20 @@ def write_manifest(
     objects go to .eegr files, EpochSet objects to .epoc files.
     """
     recordings = all(isinstance(dataset, EegRecording) for dataset in datasets.values())
+    wanted = EegRecording if recordings else EpochSet
+    for dataset in datasets.values():  # every kind checked before the first write
+        if not isinstance(dataset, wanted):
+            raise TypeError(f"need all EegRecording or all EpochSet, got {type(dataset).__name__}")
     paths = manifest_paths(directory, subject, recordings)
+    conditions = [Condition.parse(name).name.lower() for name in datasets]
     files = []
-    for name, dataset in datasets.items():
-        condition = Condition.parse(name).name.lower()
+    for condition, dataset in zip(conditions, datasets.values()):
         if recordings:
             kind, path = "recording", fileio.write_recording(dataset, paths[condition])
-        elif isinstance(dataset, EpochSet):
+        else:
             kind, path = "epochs", fileio.write_epochs(dataset, paths[condition])
             if class_names is None:
                 class_names = list(dataset.class_names)
-        else:
-            raise TypeError(f"need all EegRecording or all EpochSet, got {type(dataset).__name__}")
         files.append({"path": path.name, "condition": condition, "kind": kind,
                       "sha256": fileio.sha256_file(path)})
     manifest = {"schema": 1, "subject": subject, "seed": seed, "class_names": class_names,

@@ -19,6 +19,26 @@ Who splits:
                   at H = 64, 7.3 and 5.2 ms at 128, 32 and 23 ms at 256, and
                   211 and 108 ms at 512; on two OpenBLAS threads, unsplit,
                   they took 1.2, 19, 46 and 227 ms
+  synth           ``synth.generate_paired``'s trials, in two contiguous
+                  halves, when one trial holds at least 2**14 channel-samples
+                  and at most 10,000 timesteps (OpenBLAS threads a longer dot
+                  product, which changes its bits) and the trials span at
+                  least two blocks of 4 MiB; and
+                  ``synth.to_recordings``' overt and covert recordings, when
+                  they span at least two blocks. Each trial and recording
+                  draws from its own substreams and writes only its own rows.
+                  130 trials of 64 channels, median of 9 in each of two sweeps
+                  on a 2-vCPU Xeon, ms:
+
+                      channel-samples per trial   one thread   split
+                      6,400 (paper_train)         104-106      128-153
+                      9,600                       124-148      134-174
+                      12,800                      156-187      154-164
+                      25,600                      242-257      190-242
+                      64,000 (paper_frontend)     547-622      330-455
+
+                  The paper-scale recording pair (64 x 67,625 samples each)
+                  took 191-239 ms on one thread and 132-140 ms split
 
 Desk-size recordings, feature sets and models stay under every gate, so they
 run in the calling thread and never start the pool thread.
@@ -31,7 +51,8 @@ cannot be found. Each row, trial, slot and QR block gets the operations it
 gets on one thread, so a split changes no bits (for the scans, as long as
 BLAS gives a GEMM row the same bits on one thread as on several, which the
 merged eval chunks already rely on; for the init QRs, as long as LAPACK's QR
-does). scipy's ``sosfilt`` loop, numpy's FFT and its ufuncs release the
+does; for synth's projections, as long as BLAS's dot product does).
+scipy's ``sosfilt`` loop, numpy's FFT and its ufuncs release the
 interpreter lock, which is what lets two workers gain.
 
 Memory: an eval scan's calling thread allocates every buffer its threads
@@ -44,7 +65,15 @@ scale the process peaked 6 to 8 MB higher than on one thread. So do numpy's
 QR temporaries for the init QRs: after synth, features and a BiLSTM and a
 BiGRU 512/256 were built, RSS read 153 MB with the QRs split against 139 MB
 unsplit (138 MB split with MALLOC_ARENA_MAX=1), and the arena keeps them
-resident through training.
+resident through training. synth's workers allocate one trial's temporaries
+at a time; a recording's gap-noise draw (34.6 MB at paper scale) is above
+glibc's 32 MiB mmap limit and goes back to the system when freed. An
+epoch-sized temporary is not: with ``np.std(epochs.data)`` (30.7 MB) in the
+pool thread, RSS after the paper-scale ``synth`` command read 118 MB and its
+peak 242 MB, so ``to_recordings`` takes each recording's spread in the
+calling thread. With that, RSS after ``paper_frontend``'s set-up (that
+command, in one process) reads 86.8-87.0 MB unsplit and 87.7-88.8 MB split,
+with peaks of 211.4-211.5 and 212.2-213.2 MB.
 
 Small LAPACK calls that do not split run inside ``one_blas_thread``: on a
 2-vCPU Xeon with OpenBLAS 0.3.31, a 64 x 64 ``eigh`` took about 47 ms on two

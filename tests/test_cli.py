@@ -3,6 +3,7 @@ determinism of emitted artifacts."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -46,13 +47,49 @@ TRAIN_OVERRIDES = [
 ]
 
 
+def _chain(root):
+    """The commands that take the workspace subject from its recordings to
+    the report tables, each writing into ``root``."""
+    def path(name):
+        return str(root / name)
+
+    commands = []
+    for condition in ("overt", "covert"):
+        commands += [
+            ["preprocess", "--input", path(f"data/synthetic_{condition}.eegr"),
+             "--out", path(f"{condition}.epoc"), "--condition", condition, "--seed", "3",
+             *TRAIN_OVERRIDES],
+            ["features", "--input", path(f"{condition}.epoc"), "--out", path(f"{condition}.ften"),
+             *TRAIN_OVERRIDES],
+        ]
+    return commands + [
+        ["train", "--features", path("overt.ften"), "--model", "bilstm", "--cv", "3",
+         "--seed", "1", "--out", path("train.json"), "--checkpoint", path("model.rmdl"),
+         *TRAIN_OVERRIDES],
+        ["evaluate", "--model", path("model.rmdl"), "--features", path("covert.ften"),
+         "--out", path("eval.json"), *TRAIN_OVERRIDES],
+        ["transfer", "--source", path("model.rmdl"), "--covert", path("covert.ften"),
+         "--budgets", "0.3,0.4", "--seeds", "2", "--out", path("transfer.json"), "--seed", "0",
+         *TRAIN_OVERRIDES, "--set", "fine_tune_max_epochs=3"],
+        ["report", "--train-report", path("train.json"), "--transfer-report",
+         path("transfer.json"), "--overt-features", path("overt.ften"),
+         "--covert-features", path("covert.ften"), "--out-dir", path("tables")],
+    ]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
+    """The miniature subject taken through the whole CLI chain once: synth,
+    preprocess and features for each condition, train, evaluate, transfer and
+    report. Tests only read these files, and write under their own
+    ``tmp_path``, so they pass alone and in any order."""
     root = tmp_path_factory.mktemp("cli")
     spec = root / "subject.kv"
     spec.write_text(SYNTH_SPEC)
     assert main(["synth", "--spec", str(spec), "--out", str(root / "data"),
                  "--seed", "3"]) == 0
+    for argv in _chain(root):
+        assert main(argv) == 0, argv
     return root
 
 
@@ -70,28 +107,18 @@ def test_synth_emits_manifest_and_recordings(workspace):
 def test_preprocess_and_features_chain(workspace):
     root = workspace
     for condition in ("overt", "covert"):
-        code = main(
-            ["preprocess", "--input", str(root / "data" / f"synthetic_{condition}.eegr"),
-             "--out", str(root / f"{condition}.epoc"), "--condition", condition,
-             "--seed", "3", *TRAIN_OVERRIDES]
-        )
-        assert code == 0
         assert (root / f"{condition}.epoc").exists()
         skipped = json.loads((root / f"{condition}.epoc.skipped.json").read_text())
         assert skipped["n_skipped"] == 0
-        code = main(
-            ["features", "--input", str(root / f"{condition}.epoc"),
-             "--out", str(root / f"{condition}.ften"), *TRAIN_OVERRIDES]
-        )
-        assert code == 0
+        assert (root / f"{condition}.ften").exists()
     overt = fileio.read_features(root / "overt.ften")
     assert overt.n_features == 8  # 4 channels -> 8 feature columns
     assert overt.n_timesteps == 100
 
 
-def test_feature_run_is_byte_identical(workspace):
+def test_feature_run_is_byte_identical(workspace, tmp_path):
     root = workspace
-    out2 = root / "overt_again.ften"
+    out2 = tmp_path / "overt_again.ften"
     assert main(["features", "--input", str(root / "overt.epoc"),
                  "--out", str(out2), *TRAIN_OVERRIDES]) == 0
     assert out2.read_bytes() == (root / "overt.ften").read_bytes()
@@ -99,12 +126,6 @@ def test_feature_run_is_byte_identical(workspace):
 
 def test_train_evaluate_transfer_report(workspace):
     root = workspace
-    code = main(
-        ["train", "--features", str(root / "overt.ften"), "--model", "bilstm",
-         "--cv", "3", "--seed", "1", "--out", str(root / "train.json"),
-         "--checkpoint", str(root / "model.rmdl"), *TRAIN_OVERRIDES]
-    )
-    assert code == 0
     report = json.loads((root / "train.json").read_text())
     assert report["schema"] == 1
     assert report["cv"]["k"] == 3
@@ -113,37 +134,16 @@ def test_train_evaluate_transfer_report(workspace):
     assert report["config"]["hidden_units"] == "6,4"
     assert report["inputs"][0]["sha256"] == fileio.sha256_file(root / "overt.ften")
 
-    code = main(
-        ["evaluate", "--model", str(root / "model.rmdl"),
-         "--features", str(root / "covert.ften"),
-         "--out", str(root / "eval.json"), *TRAIN_OVERRIDES]
-    )
-    assert code == 0
     ev = json.loads((root / "eval.json").read_text())
     assert 0.0 <= ev["accuracy"] <= 1.0
     assert len(ev["confusion"]) == 5
 
-    code = main(
-        ["transfer", "--source", str(root / "model.rmdl"),
-         "--covert", str(root / "covert.ften"), "--budgets", "0.3,0.4",
-         "--seeds", "2", "--out", str(root / "transfer.json"),
-         "--seed", "0", *TRAIN_OVERRIDES, "--set", "fine_tune_max_epochs=3"]
-    )
-    assert code == 0
     tr = json.loads((root / "transfer.json").read_text())
     assert len(tr["runs"]) == 4  # 2 budgets x 2 seeds
     assert (root / "transfer.csv").exists()
     for run in tr["runs"]:
         assert run["recurrent_hash_before"] == run["recurrent_hash_after"]
 
-    code = main(
-        ["report", "--train-report", str(root / "train.json"),
-         "--transfer-report", str(root / "transfer.json"),
-         "--overt-features", str(root / "overt.ften"),
-         "--covert-features", str(root / "covert.ften"),
-         "--out-dir", str(root / "tables")]
-    )
-    assert code == 0
     tables = {p.name for p in (root / "tables").iterdir()}
     assert {"accuracy_table.csv", "transfer_budgets.csv",
             "envelope_means.csv", "envelope_correlation.csv"} <= tables
@@ -201,14 +201,14 @@ def test_commands_import_only_the_scipy_they_use(workspace, tmp_path):
     assert seen == {"import": [], "transfer": ["scipy.special"]}
 
 
-def test_report_regeneration_idempotent(workspace):
-    root = workspace
-    before = (root / "tables" / "transfer_budgets.csv").read_bytes()
+def test_report_regeneration_idempotent(workspace, tmp_path):
+    tables = shutil.copytree(workspace / "tables", tmp_path / "tables")
+    before = (tables / "transfer_budgets.csv").read_bytes()
     assert main(
-        ["report", "--transfer-report", str(root / "transfer.json"),
-         "--out-dir", str(root / "tables")]
+        ["report", "--transfer-report", str(workspace / "transfer.json"),
+         "--out-dir", str(tables)]
     ) == 0
-    assert (root / "tables" / "transfer_budgets.csv").read_bytes() == before
+    assert (tables / "transfer_budgets.csv").read_bytes() == before
 
 
 def test_validate_accepts_good_files(workspace, capsys):
@@ -227,16 +227,16 @@ def test_validate_rejects_tampered_file(workspace, tmp_path):
     assert main(["validate", str(bad)]) == 3
 
 
-def test_missing_input_exit_code_and_message(workspace, capsys):
+def test_missing_input_exit_code_and_message(workspace, tmp_path, capsys):
     code = main(["features", "--input", str(workspace / "nope.epoc"),
-                 "--out", str(workspace / "x.ften")])
+                 "--out", str(tmp_path / "x.ften")])
     assert code == 3
     assert "nope.epoc" in capsys.readouterr().err
 
 
-def test_directory_input_is_data_error(workspace, capsys):
+def test_directory_input_is_data_error(workspace, tmp_path, capsys):
     code = main(["features", "--input", str(workspace / "data"),
-                 "--out", str(workspace / "x.ften")])
+                 "--out", str(tmp_path / "x.ften")])
     assert code == 3
     assert f"input file not found: {workspace / 'data'}" in capsys.readouterr().err
 
@@ -311,10 +311,10 @@ def test_non_finite_features_are_data_error(tmp_path, capsys, command):
                               f"{feats}: feature data holds NaN or infinite values")
 
 
-def test_bad_passband_fails_before_io(workspace, capsys):
+def test_bad_passband_fails_before_io(workspace, tmp_path, capsys):
     # input path does not even exist: the design error must surface first
     code = main(["preprocess", "--input", str(workspace / "missing.eegr"),
-                 "--out", str(workspace / "x.epoc"),
+                 "--out", str(tmp_path / "x.epoc"),
                  "--set", "bandpass_low_hz=80", "--set", "bandpass_high_hz=0.5"])
     assert code == 2
     err = capsys.readouterr().err
@@ -322,20 +322,20 @@ def test_bad_passband_fails_before_io(workspace, capsys):
 
 
 @pytest.mark.parametrize("sets", [["ica_exclude=0;1"], ["ica_enabled=0", "ica_exclude=x"]])
-def test_bad_exclusion_list_fails_before_io(workspace, capsys, sets):
+def test_bad_exclusion_list_fails_before_io(workspace, tmp_path, capsys, sets):
     # the list is read with the filters, before the missing input and whether
     # or not ICA runs
     argv = ["preprocess", "--input", str(workspace / "missing.eegr"),
-            "--out", str(workspace / "x.epoc")]
+            "--out", str(tmp_path / "x.epoc")]
     for value in sets:
         argv += ["--set", value]
     assert main(argv) == 2
     assert "bad int list for ica_exclude" in capsys.readouterr().err
 
 
-def test_unknown_config_key_rejected(workspace, capsys):
+def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     code = main(["features", "--input", str(workspace / "overt.epoc"),
-                 "--out", str(workspace / "y.ften"), "--set", "typo_key=1"])
+                 "--out", str(tmp_path / "y.ften"), "--set", "typo_key=1"])
     assert code == 2
     assert "typo_key" in capsys.readouterr().err
 

@@ -152,6 +152,14 @@ class TestManifest:
         assert len(manifest["files"]) == 2
         assert {f["kind"] for f in manifest["files"]} == {"recording"}
 
+    @pytest.mark.parametrize("second", ["recording", "not a dataset"])
+    def test_mixed_kinds_write_nothing(self, tmp_path, second):
+        overt, covert, _ = generate_paired(small_spec(trials_per_class=1))
+        other = to_recording(covert) if second == "recording" else second
+        with pytest.raises(TypeError, match="need all EegRecording or all EpochSet"):
+            write_manifest({"overt": overt, "covert": other}, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_tampered_magic_detected(self, tmp_path):
         spec = small_spec(trials_per_class=1)
         overt, covert, _ = generate_paired(spec)
