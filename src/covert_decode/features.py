@@ -20,9 +20,6 @@ from .errors import ConfigError, DataError
 
 DEFAULT_ENV_FLOOR_REL = 1e-12
 ABSOLUTE_ENV_FLOOR = 1e-20
-# trials split over threads only where they span at least two blocks of this
-# size, so desk-size feature sets stay in the calling thread
-_SPLIT_BLOCK_BYTES = 2**22
 
 
 def _analytic_weights(n: int) -> np.ndarray:
@@ -73,9 +70,9 @@ def extract_features(epochs: EpochSet, env_floor_rel: float = DEFAULT_ENV_FLOOR_
     fine-structure columns. The fine-structure floor is relative to each
     trial-channel's envelope peak (with a tiny absolute fallback), so silent
     channels map to zeros instead of noise blow-ups. Trials that span at
-    least two blocks of 4 MiB are split over the package's threads
-    (:mod:`covert_decode.threads`), which write into one output; the split
-    changes no bits.
+    least two blocks of ``threads.BLOCK_BYTES`` are split over the package's
+    threads (:mod:`covert_decode.threads`), which write into one output; the
+    split changes no bits.
     """
     if env_floor_rel <= 0:
         raise ConfigError(f"env_floor_rel must be positive, got {env_floor_rel}")
@@ -91,7 +88,7 @@ def extract_features(epochs: EpochSet, env_floor_rel: float = DEFAULT_ENV_FLOOR_
             _, out[t, :, :c], out[t, :, c:] = hilbert_parts(data[t], axis=0,
                                                             env_floor_rel=env_floor_rel)
 
-    parts = threads.block_split(len(data), data[0].nbytes, _SPLIT_BLOCK_BYTES)
+    parts = threads.block_split(len(data), data[0].nbytes)
     threads.run([(extract, (part,)) for part in parts])
     return FeatureTensor(
         data=out,

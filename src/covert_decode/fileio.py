@@ -44,7 +44,8 @@ killed process, not a power loss. An OSError while making the directory or
 writing or renaming the temporary is a ConfigError naming the output path;
 ``check_outputs`` finds such paths before a command writes anything.
 Sample data goes out through ``_write_f32``, which converts it to f32 a
-block of about 4 MiB of rows at a time, so a writer holds no file-sized copy.
+block of about ``threads.BLOCK_BYTES`` of rows at a time, so a writer holds
+no file-sized copy.
 
 The sample data of ``.eegr``, ``.epoc`` and ``.ften`` files is read through
 ``samples``, straight into the array it returns, which rejects a NaN or
@@ -68,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import threads
 from .containers import EegRecording, EpochSet, FeatureTensor, default_class_names
 from .errors import ConfigError, DataError, FileFormatError
 from .network import (RECURRENT_KINDS, LayerSpec, RecurrentModel, classifier_specs, param_shapes,
@@ -78,8 +80,6 @@ EPOCHS_MAGIC = b"EPOC"
 FEATURES_MAGIC = b"FTEN"
 MODEL_MAGIC = b"RMDL"
 _MARKER = struct.Struct("<QH")
-# writers convert sample data to f32 over blocks of rows of about this size
-_WRITE_BLOCK_BYTES = 2**22
 
 
 def _open(path, error=DataError):
@@ -147,7 +147,7 @@ def check_outputs(*paths):
 
 def _write_f32(fh, data):
     """Write ``data`` row-major as little-endian f32, a block of rows at a time."""
-    rows = max(1, _WRITE_BLOCK_BYTES // max(1, 4 * math.prod(data.shape[1:])))
+    rows = max(1, threads.BLOCK_BYTES // max(1, 4 * math.prod(data.shape[1:])))
     for r0 in range(0, len(data), rows):
         fh.write(memoryview(np.ascontiguousarray(data[r0 : r0 + rows], dtype="<f4")))
 

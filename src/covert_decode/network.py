@@ -23,8 +23,8 @@ Scan buffers:
                  one GEMM written in place and its weight gradients read
                  it as a view; step t of every slot is ``zx[:, t]``
   states         (T, slots, B, H)
-  eval passes    project their inputs EVAL_BLOCK_BYTES of gates at a time
-                 into one reused block and keep only the state sequence
+  eval passes    project their inputs ``threads.BLOCK_BYTES`` of gates at a
+                 time into one reused block and keep only the state sequence
   step scratch   (G, slots, B, H), gate-major, so each gate is one
                  contiguous (slots, B, H) block: at desk widths an
                  elementwise ufunc over a strided gate slice such as
@@ -42,17 +42,12 @@ Scan buffers:
                  faster
 
 Threads: an eval pass splits a layer's slots into two contiguous groups, one
-per thread of the package pool (:mod:`covert_decode.threads`), when one
-step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS (2*B*H*G*H); each
-thread projects its own slots' inputs, in blocks of an equal share of
-EVAL_BLOCK_BYTES, and scans them. A bidirectional layer's directions thus run
-on separate cores; so do stacked fits. The gate is measured on one
-bidirectional layer's eval scan (T = 100, B 8..256, H 64..512, 2 cores): two
-threads were faster in 16 of 19 shapes at or above it (median -10 %), about
-even between 2**23 FLOP and it, and slower in 21 of 23 below 2**23. At paper
-width every eval scan (batch 128) reaches it, no desk-scale one does.
-Training scans stay in the calling thread, since at batch 32 the split gained
-nothing.
+per thread of the package pool, when one step's recurrent GEMM of one slot
+reaches SCAN_THREAD_FLOPS (measured in :mod:`covert_decode.threads`, "Who
+splits"); each thread projects its own slots' inputs, in blocks of an equal
+share of ``threads.BLOCK_BYTES``, and scans them. A bidirectional layer's
+directions thus run on separate cores; so do stacked fits. Training scans
+stay in the calling thread.
 """
 
 import functools
@@ -84,11 +79,6 @@ def sigmoid(x, out=None):
 
 RECURRENT_KINDS = ("lstm", "gru", "bilstm", "bigru")
 
-# target size of one block of eval-mode input projections (every slot's gate
-# pre-activations): an eval pass projects at most this many bytes of
-# timesteps at a time, instead of the whole sequence, unless one timestep
-# alone is larger
-EVAL_BLOCK_BYTES = 4 * 2**20
 # an eval scan splits its slots over threads (see "Threads") only when one
 # step's recurrent GEMM of one slot, 2*B*H*G*H FLOP, reaches SCAN_THREAD_FLOPS
 SCAN_THREAD_FLOPS = 2**25
@@ -237,8 +227,9 @@ def init_params(spec: LayerSpec, rng, dtype=np.float32):
     Each gate's recurrent block is ``q * sign(diag(r))`` of the QR of one
     standard-normal (H, H) draw. The draws come in order; the QRs run after
     the layer's last draw, written into the gate's columns of a float64 array,
-    and split over the package pool when H reaches INIT_QR_THREAD_WIDTH (see
-    :mod:`covert_decode.threads`). Every array is converted to ``dtype`` last.
+    and split over the package pool when H reaches INIT_QR_THREAD_WIDTH
+    (measured in :mod:`covert_decode.threads`, "Who splits"). Every array is
+    converted to ``dtype`` last.
     """
     h = spec.size
     limit = np.sqrt(6.0 / (spec.input_size + spec.size))
@@ -261,8 +252,8 @@ def init_params(spec: LayerSpec, rng, dtype=np.float32):
             q, r = np.linalg.qr(draw)
             np.multiply(q, np.sign(np.diag(r)), out=columns)
 
-    workers = threads.worker_count(len(blocks)) if h >= INIT_QR_THREAD_WIDTH else 1
-    threads.run([(orthogonalize, (part,)) for part in threads.split(len(blocks), workers)])
+    parts = threads.split(len(blocks), h >= INIT_QR_THREAD_WIDTH)
+    threads.run([(orthogonalize, (part,)) for part in parts])
     return {name: value.astype(dtype) for name, value in values.items()} or None
 
 
@@ -299,8 +290,9 @@ class RecurrentLayer(_ParamLayer):
     one GEMM per slot from a D-wide time-major copy of the inputs, straight
     into the slot's slab of the gate buffer. A training pass projects the
     whole sequence, which its cache keeps; an eval pass projects blocks of
-    at most EVAL_BLOCK_BYTES each, so it holds its state sequence plus one
-    block and no T-long gate buffer. The GEMM rows
+    at most ``threads.BLOCK_BYTES`` each (one timestep where that alone is
+    larger), so it holds its state sequence plus one block and no T-long
+    gate buffer. The GEMM rows
     are ordered and grouped differently from a whole-sequence projection,
     but BLAS gives each row of a GEMM the same bits whatever the row count
     (only a lone row, computed as a GEMV, rounds differently, and no block
@@ -347,13 +339,14 @@ class RecurrentLayer(_ParamLayer):
             scan = {"wh": wh, "act": block[1], **{k: buf[k] for k in ("h", "c", "rh") if k in buf}}
         else:
             # each worker projects its own slots, in blocks of an equal share
-            # of EVAL_BLOCK_BYTES
-            groups = _slot_groups(len(wh), n_batch, head.spec.size, head.n_gates)
+            # of threads.BLOCK_BYTES (module docstring, "Threads")
+            step_flops = 2 * n_batch * head.spec.size * head.n_gates * head.spec.size
+            groups = threads.split(len(wh), step_flops >= SCAN_THREAD_FLOPS)
             calls = []
             slot_step_bytes = n_batch * wh.shape[2] * head.dtype.itemsize
             for slots in groups:
                 step_bytes = (slots.stop - slots.start) * slot_step_bytes
-                steps = EVAL_BLOCK_BYTES // len(groups) // max(1, step_bytes)
+                steps = threads.BLOCK_BYTES // len(groups) // max(1, step_bytes)
                 blocks = _input_projections(layers, xs, slots, max(1, steps))
                 calls.append((head._scan, (blocks, buf, slots, False)))
             threads.run(calls)
@@ -689,14 +682,6 @@ def _input_projections(layers, xs, slots, steps):
             yield t0, zx[:, :n]
 
     return blocks()
-
-
-def _slot_groups(n_slots, n_batch, h_size, n_gates):
-    """Contiguous slot ranges, one per scan worker: one range unless one
-    step's recurrent GEMM of one slot reaches SCAN_THREAD_FLOPS."""
-    step_flops = 2 * n_batch * h_size * n_gates * h_size
-    workers = threads.worker_count(n_slots) if step_flops >= SCAN_THREAD_FLOPS else 1
-    return threads.split(n_slots, workers)
 
 
 def _gate_major(z, n_gates):

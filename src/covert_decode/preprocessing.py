@@ -16,9 +16,6 @@ from . import threads
 from .containers import Condition, EegRecording, EpochSet, default_class_names
 from .errors import ConfigError, EpochingError, FilterDesignError
 
-# target size of one block of signals; sosfiltfilt holds a few padded copies of it
-_FILTER_BLOCK_BYTES = 2**22
-
 
 @dataclass
 class FilterCoefficients:
@@ -115,12 +112,12 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
     several digits.
 
     Memory: the signals along the other axes are filtered in blocks of about
-    4 MiB into one preallocated output, so the call holds the input, the
-    output and a few block-sized buffers; each signal is filtered on its own.
-    Signals that span at least two blocks are split over the package's
-    threads (:mod:`covert_decode.threads`), each filtering its rows in
-    blocks of an equal share of the 4 MiB, so the buffers held at once do
-    not grow; the split changes no bits.
+    ``threads.BLOCK_BYTES`` into one preallocated output, so the call holds
+    the input, the output and sosfiltfilt's few padded copies of a block;
+    each signal is filtered on its own. Signals that span at least two blocks
+    are split over the package's threads (:mod:`covert_decode.threads`),
+    each filtering its rows in blocks of an equal share of the block, so the
+    buffers held at once do not grow; the split changes no bits.
     """
     x = np.asarray(x, dtype=np.float64)
     n_taps = max(coeffs.numerator.size, coeffs.denominator.size)
@@ -137,8 +134,8 @@ def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1)
     signals = moved.reshape(-1, moved.shape[-1])
     out = np.empty_like(signals)
     row_bytes = out.itemsize * out.shape[1]
-    parts = threads.block_split(len(out), row_bytes, _FILTER_BLOCK_BYTES)
-    rows = max(1, _FILTER_BLOCK_BYTES // len(parts) // row_bytes)
+    parts = threads.block_split(len(out), row_bytes)
+    rows = max(1, threads.BLOCK_BYTES // len(parts) // row_bytes)
 
     def filter_rows(part):
         for r0 in range(part.start, part.stop, rows):

@@ -11,12 +11,13 @@ signal exactly). Envelope shapes are smoothed random walks rather than fixed
 bumps, which keeps classes from being separable by a single template value.
 
 At paper scale the work splits over the package's threads
-(:mod:`covert_decode.threads`): ``generate_paired`` fills its trials in two
-contiguous halves when one trial holds at least 2**14 channel-samples and
-at most 10,000 timesteps and the trials span at least two blocks of 4 MiB, and ``to_recordings`` builds
-the overt and covert recordings at once when they span at least two blocks.
-Every trial and recording draws from its own substreams, so the split
-changes no bits; desk-size subjects stay in the calling thread.
+(:mod:`covert_decode.threads`, "Who splits", gives the gates):
+``generate_paired`` fills its trials in two contiguous halves, and
+``to_recordings`` builds the overt and covert recordings at once. Every
+trial and recording draws from its own substreams, so the split changes no
+bits; desk-size subjects stay in the calling thread. ``generate_paired``
+projects on one BLAS thread, so its bits do not depend on the host's BLAS
+thread count either.
 
 ``scipy.ndimage`` is imported inside the smoothing function, so that importing
 the package (and every command but ``synth``) does not pay for loading it.
@@ -34,15 +35,9 @@ from .features import envelope_correlation, extract_features
 from .rng import substream
 
 # trials split over threads only where one trial holds at least this many
-# channel-samples and the trials span at least two blocks (see
-# covert_decode.threads); the two recordings of a pair split where they span
-# at least two blocks
+# channel-samples and the trials span at least two blocks (measured in
+# covert_decode.threads)
 _SPLIT_TRIAL_SAMPLES = 2**14
-_SPLIT_BLOCK_BYTES = 2**22
-# a trial's projections are dot products over its timesteps; OpenBLAS splits
-# a dot product longer than 10,000 elements over its threads, which changes
-# the sum's bits, so longer trials stay in the calling thread
-_SPLIT_MAX_TIMESTEPS = 10_000
 
 
 @dataclass
@@ -184,7 +179,6 @@ def generate_paired(spec: SynthSpec):
     amplitude attenuation, correlation-scaled extra phase jitter, and
     independent measurement noise. Fully deterministic for a fixed seed.
     """
-    templates = _build_templates(spec)
     t_axis = np.arange(spec.n_timesteps) / spec.sample_rate_hz
     sigma = _envelope_sigma_samples(spec)
     decorrelation = np.sqrt(max(0.0, 1.0 - spec.cross_condition_rho**2))
@@ -247,11 +241,15 @@ def generate_paired(spec: SynthSpec):
             covert[trial] = covert_sum.T
 
     trial_samples = spec.n_timesteps * spec.n_channels
-    if trial_samples >= _SPLIT_TRIAL_SAMPLES and spec.n_timesteps <= _SPLIT_MAX_TIMESTEPS:
-        parts = threads.block_split(spec.n_trials, 2 * 8 * trial_samples, _SPLIT_BLOCK_BYTES)
+    if trial_samples >= _SPLIT_TRIAL_SAMPLES:
+        parts = threads.block_split(spec.n_trials, 2 * 8 * trial_samples)
     else:
         parts = [slice(0, spec.n_trials)]
-    threads.run([(fill, (part,)) for part in parts])
+    # projections on one BLAS thread (threads docstring, "synth"), with the
+    # split sized above: inside, the worker count reads 1
+    with threads.one_blas_thread():
+        templates = _build_templates(spec)
+        threads.run([(fill, (part,)) for part in parts])
 
     common = dict(sample_rate_hz=spec.sample_rate_hz, class_names=list(spec.class_names))
     overt_set = EpochSet(data=overt, labels=labels, condition=Condition.OVERT, **common)
@@ -307,9 +305,9 @@ def to_recording(epochs: EpochSet, gap_seconds: float = 0.25, seed: int = 0) -> 
 
 def to_recordings(epoch_sets, gap_seconds: float = 0.25, seed: int = 0) -> list:
     """:func:`to_recording` of each epoch set. Recordings that span at least
-    two blocks of 4 MiB are built over the package's threads; each draws its
-    gap noise from its own condition's substream, so the split changes no
-    bits."""
+    two blocks of ``threads.BLOCK_BYTES`` are built over the package's
+    threads; each draws its gap noise from its own condition's substream, so
+    the split changes no bits."""
     gap_and_length = []
     for epochs in epoch_sets:
         gap = int(round(gap_seconds * epochs.sample_rate_hz))
@@ -342,7 +340,7 @@ def to_recordings(epoch_sets, gap_seconds: float = 0.25, seed: int = 0) -> list:
 
     recording_bytes = max((8 * e.n_channels * n for e, (_, n) in zip(epoch_sets, gap_and_length)),
                           default=0)
-    parts = threads.block_split(len(epoch_sets), recording_bytes, _SPLIT_BLOCK_BYTES)
+    parts = threads.block_split(len(epoch_sets), recording_bytes)
     threads.run([(build, (part,)) for part in parts])
     return recordings
 

@@ -1,15 +1,27 @@
 """One thread pool for the package: independent rows, trials or scan slots
 run on the calling thread and at most one pool thread at once.
 
+``split(n_items, gate)`` gives each worker a contiguous slice where the
+caller's gate holds; ``block_split`` gates on the items spanning at least two
+blocks of BLOCK_BYTES (4 MiB), the package's one working-set block (filter
+rows, eval projections, float32 writes; a split worker takes a share of it).
+
 Who splits:
   eval scans      a layer's slots, in two contiguous groups, when one step's
-                  recurrent GEMM is large enough (``network``, "Threads");
-                  training scans stay in the calling thread
+                  recurrent GEMM of one slot, 2*B*H*G*H FLOP, reaches
+                  ``network.SCAN_THREAD_FLOPS`` (2**25). On one bidirectional
+                  layer's eval scan (T = 100, B 8..256, H 64..512, 2 cores),
+                  two threads were faster in 16 of 19 shapes at or above it
+                  (median -10 %), about even between 2**23 FLOP and it, and
+                  slower in 21 of 23 below 2**23. At paper width every eval
+                  scan (batch 128) reaches it, no desk-scale one does.
+                  Training scans stay in the calling thread, since at batch
+                  32 the split gained nothing
   filtering       ``preprocessing.filter_zero_phase``'s signal rows, when
-                  they span at least two of its 4 MiB blocks
+                  they span at least two blocks
   features        ``features.extract_features``' trials, when they span at
-                  least two blocks of 4 MiB; the workers write into the
-                  caller's output
+                  least two blocks; the workers write into the caller's
+                  output
   init QRs        ``network.init_params``' per-gate QR factorizations of a
                   recurrent layer's weights, in two contiguous halves, when
                   the width H reaches ``network.INIT_QR_THREAD_WIDTH`` (128);
@@ -20,13 +32,17 @@ Who splits:
                   211 and 108 ms at 512; on two OpenBLAS threads, unsplit,
                   they took 1.2, 19, 46 and 227 ms
   synth           ``synth.generate_paired``'s trials, in two contiguous
-                  halves, when one trial holds at least 2**14 channel-samples
-                  and at most 10,000 timesteps (OpenBLAS threads a longer dot
-                  product, which changes its bits) and the trials span at
-                  least two blocks of 4 MiB; and
+                  halves, when one trial holds at least
+                  ``synth._SPLIT_TRIAL_SAMPLES`` (2**14) channel-samples and
+                  the trials span at least two blocks; and
                   ``synth.to_recordings``' overt and covert recordings, when
                   they span at least two blocks. Each trial and recording
                   draws from its own substreams and writes only its own rows.
+                  ``generate_paired`` projects with BLAS dot products, which
+                  OpenBLAS threads above 10,000 elements with other bits, so
+                  they run inside ``one_blas_thread`` on every host, split or
+                  not (the split is sized first: the worker count reads the
+                  BLAS thread count).
                   130 trials of 64 channels, median of 9 in each of two sweeps
                   on a 2-vCPU Xeon, ms:
 
@@ -51,7 +67,7 @@ cannot be found. Each row, trial, slot and QR block gets the operations it
 gets on one thread, so a split changes no bits (for the scans, as long as
 BLAS gives a GEMM row the same bits on one thread as on several, which the
 merged eval chunks already rely on; for the init QRs, as long as LAPACK's QR
-does; for synth's projections, as long as BLAS's dot product does).
+does).
 scipy's ``sosfilt`` loop, numpy's FFT and its ufuncs release the
 interpreter lock, which is what lets two workers gain.
 
@@ -85,6 +101,7 @@ import functools
 import os
 
 MAX_WORKERS = 2
+BLOCK_BYTES = 2**22
 
 
 @functools.cache
@@ -119,16 +136,17 @@ def worker_count(n_items):
     return max(1, min(MAX_WORKERS, n_items, cores or 1, blas[0]()))
 
 
-def split(n_items, parts):
-    """``parts`` contiguous, nearly equal slices of ``range(n_items)``."""
+def split(n_items, gate=True):
+    """Contiguous, nearly equal slices of ``range(n_items)``: one per worker
+    (``worker_count``) where ``gate`` holds, else one."""
+    parts = worker_count(n_items) if gate else 1
     return [slice(n_items * i // parts, n_items * (i + 1) // parts) for i in range(parts)]
 
 
-def block_split(n_items, item_bytes, block_bytes):
-    """Slices of ``range(n_items)``, one per worker: one slice unless the
-    items, ``item_bytes`` each, span at least two blocks of ``block_bytes``."""
-    per_block = max(1, block_bytes // max(1, item_bytes))
-    return split(n_items, worker_count(n_items) if n_items > per_block else 1)
+def block_split(n_items, item_bytes):
+    """``split`` gated on the items, ``item_bytes`` each, spanning at least
+    two blocks of BLOCK_BYTES."""
+    return split(n_items, n_items > max(1, BLOCK_BYTES // max(1, item_bytes)))
 
 
 @contextlib.contextmanager

@@ -193,7 +193,7 @@ def _scan_bytes(model, n_rows, n_time, keep_cache):
             # training keeps the T-long gate buffer, the hidden states, the
             # cell (LSTM) or reset-gated (GRU) states and the output
             # gradients; an eval pass keeps only the hidden states (its
-            # projections come in blocks of network.EVAL_BLOCK_BYTES)
+            # projections come in blocks of threads.BLOCK_BYTES)
             width = layer.n_gates + 3 if keep_cache else 1
             per_state += layer.n_dir * spec.size * width
     return n_time * n_rows * per_state * model.dtype.itemsize

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from covert_decode import fileio
+from covert_decode import fileio, threads
 from covert_decode.cli import main
 from covert_decode.containers import Condition, EegRecording, EpochSet, FeatureTensor
 from covert_decode.errors import ConfigError, FileFormatError
@@ -205,14 +205,14 @@ class TestSampleWriteBlocks:
     def test_blocks_keep_the_bytes(self, tmp_path, monkeypatch, kind, block_bytes):
         # one row per block; then two trials per block, the last one short
         make, write, reference = self.WRITERS[kind]
-        monkeypatch.setattr(fileio, "_WRITE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", block_bytes)
         value = make()
         assert write(value, tmp_path / f"s.{kind}").read_bytes() == reference(value)
 
     def test_write_holds_no_file_sized_copy(self, tmp_path, monkeypatch):
         # 2 MiB of f32 samples written in 64 KiB blocks; converting the whole
         # array at once would hold all 2 MiB
-        monkeypatch.setattr(fileio, "_WRITE_BLOCK_BYTES", 2**16)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2**16)
         epochs = EpochSet(data=np.zeros((32, 256, 64)), labels=np.zeros(32, dtype=int),
                           condition=Condition.OVERT, sample_rate_hz=500.0, class_names=["a"])
         tracemalloc.start()

@@ -3,10 +3,11 @@ package's BLAS pin.
 
 ``filter_zero_phase`` splits its signal rows and ``extract_features`` its
 trials over the package's threads when the input spans at least two blocks.
-Here the block sizes are shrunk so that small inputs span several blocks,
-and the worker count (``threads.worker_count``) is forced to 1 for the
-reference run and to 2 for the split run; every output must match exactly
-(``assert_array_equal``). CI also runs this file on two OpenBLAS threads.
+Here the block size (``threads.BLOCK_BYTES``) is shrunk so that small
+inputs span several blocks, and the worker count (``threads.worker_count``)
+is forced to 1 for the reference run and to 2 for the split run; every
+output must match exactly (``assert_array_equal``). CI also runs this file
+on two OpenBLAS threads.
 """
 
 import threading
@@ -41,7 +42,7 @@ class TestFilterSplit:
     def test_matches_one_worker(self, workers, monkeypatch, n_rows, n_blocks):
         # two rows per block; a split worker's blocks are a half share, one
         # row, so each worker of the 7-block case filters several blocks
-        monkeypatch.setattr(preprocessing, "_FILTER_BLOCK_BYTES", 2 * ROW_BYTES)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2 * ROW_BYTES)
         assert -(-n_rows // 2) == n_blocks
         coeffs = preprocessing.design_butterworth_bandpass(4, 2.0, 30.0, 250.0)
         x = signals(n_rows)
@@ -53,7 +54,7 @@ class TestFilterSplit:
         assert_array_equal(one, two)
 
     def test_split_along_another_axis(self, workers, monkeypatch):
-        monkeypatch.setattr(preprocessing, "_FILTER_BLOCK_BYTES", 2 * ROW_BYTES)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2 * ROW_BYTES)
         coeffs = preprocessing.design_notch(50.0, 30.0, 250.0)
         x = np.random.default_rng(3).standard_normal((N_SAMPLES, 3, 5))
         workers(1)
@@ -70,7 +71,7 @@ class TestFeatureSplit:
     def test_matches_one_worker(self, workers, monkeypatch, n_trials):
         # one trial per block, so two or more trials split
         epochs = epoch_set(n_trials)
-        monkeypatch.setattr(features, "_SPLIT_BLOCK_BYTES", epochs.data[0].nbytes)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", epochs.data[0].nbytes)
         workers(1)
         one = features.extract_features(epochs)
         runs = workers(2)
@@ -82,7 +83,7 @@ class TestFeatureSplit:
     def test_nan_trial_in_the_pool_half_raises_the_same_error(self, workers, monkeypatch):
         epochs = epoch_set(4)
         epochs.data[3, 5, 1] = np.nan  # trials 2 and 3 go to the pool thread
-        monkeypatch.setattr(features, "_SPLIT_BLOCK_BYTES", epochs.data[0].nbytes)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", epochs.data[0].nbytes)
         failed_in = []
         hilbert_parts = features.hilbert_parts
 
@@ -115,9 +116,8 @@ def test_desk_sizes_stay_in_the_calling_thread(workers):
     features.extract_features(epoch_set(80, n_time=125, n_channels=16))
     # the paper-scale front end splits both: 64 channels of 67,625 samples,
     # 60 trials of 1000 x 64
-    assert threads.block_split(64, 8 * 67625, preprocessing._FILTER_BLOCK_BYTES) == [
-        slice(0, 32), slice(32, 64)]
-    assert len(threads.block_split(60, 8 * 1000 * 64, features._SPLIT_BLOCK_BYTES)) == 2
+    assert threads.block_split(64, 8 * 67625) == [slice(0, 32), slice(32, 64)]
+    assert len(threads.block_split(60, 8 * 1000 * 64)) == 2
     assert runs == [1, 1]
 
 

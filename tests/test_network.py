@@ -653,16 +653,16 @@ class TestStackedSlots:
 class TestEvalMemory:
     @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
     def test_eval_forward_peaks_below_one_gate_buffer(self, kind, monkeypatch):
-        # an eval pass projects its inputs in blocks of at most EVAL_BLOCK_BYTES
+        # an eval pass projects its inputs in blocks of at most BLOCK_BYTES
         # and keeps only its state sequence, so a sequence whose gates span
         # 16 such blocks never needs a T-long gate buffer (a 64 KiB block
         # keeps the sequence short)
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 2**16)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2**16)
         spec = LayerSpec(kind=kind, input_size=8, size=32)
         layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         n_batch = 8
         gate_step = layer.n_dir * n_batch * layer.n_gates * spec.size * 4
-        n_time = 16 * network.EVAL_BLOCK_BYTES // gate_step
+        n_time = 16 * threads.BLOCK_BYTES // gate_step
         gate_buffer = n_time * gate_step
         states = n_time * layer.n_dir * n_batch * spec.size * 4
         x = np.zeros((n_batch, n_time, spec.input_size), dtype=np.float32)
@@ -685,12 +685,12 @@ class TestEvalMemory:
     @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
     def test_two_worker_eval_holds_the_same_blocks(self, kind, monkeypatch):
         # with its directions on two threads, each projects its own slot in
-        # blocks of half of EVAL_BLOCK_BYTES, so the pass peaks where the
+        # blocks of half of BLOCK_BYTES, so the pass peaks where the
         # one-thread pass does, give or take a few small per-block input
         # copies and Python objects (a full block per thread would add
         # 256 KiB); the layer returns its final state, so the peak is the
         # state sequence plus the blocks
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 2**18)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2**18)
         monkeypatch.setattr(network, "SCAN_THREAD_FLOPS", 0)
         spec = LayerSpec(kind=kind, input_size=8, size=32, return_sequences=False)
         layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
@@ -700,7 +700,7 @@ class TestEvalMemory:
             monkeypatch.setattr(threads, "worker_count", lambda n_slots, w=workers: w)
             outs[workers], peaks[workers] = self.traced_forward(layer, x)
         np.testing.assert_array_equal(outs[1], outs[2])
-        assert peaks[2] < peaks[1] + network.EVAL_BLOCK_BYTES // 4
+        assert peaks[2] < peaks[1] + threads.BLOCK_BYTES // 4
 
 
 class TestBackwardMemory:

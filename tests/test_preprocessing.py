@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from covert_decode import preprocessing
+from covert_decode import preprocessing, threads
 from covert_decode.containers import EegRecording
 from covert_decode.errors import EpochingError, FilterDesignError
 from covert_decode.preprocessing import (
@@ -141,7 +141,7 @@ class TestZeroPhaseFilter:
         ],
     )
     def test_blocked_matches_one_sosfiltfilt_call(self, monkeypatch, shape, axis, block_bytes):
-        monkeypatch.setattr(preprocessing, "_FILTER_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", block_bytes)
         coeffs = design_butterworth_bandpass(4, 0.5, 80, 500)
         x = np.random.default_rng(2).standard_normal(shape)
         sos = sp_signal.tf2sos(coeffs.numerator, coeffs.denominator)
@@ -161,7 +161,7 @@ class TestZeroPhaseFilter:
         finally:
             tracemalloc.stop()
         assert out.shape == x.shape
-        assert peak < x.nbytes + 4 * preprocessing._FILTER_BLOCK_BYTES
+        assert peak < x.nbytes + 4 * threads.BLOCK_BYTES
 
 
 def make_recording(n_channels=2, n_samples=3000, markers=(), fs=500.0, data=None):

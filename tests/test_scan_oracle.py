@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from covert_decode import network, training
+from covert_decode import network, threads, training
 from covert_decode.network import (
     LayerSpec,
     RecurrentLayer,
@@ -398,7 +398,7 @@ class TestScanMatchesReference:
         live, ref = twin_layers(kind, n_layers, seed=3)
         layer = live[0]
         gate_step = n_layers * layer.n_dir * n_batch * layer.n_gates * layer.spec.size * 4
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", block_steps * gate_step)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", block_steps * gate_step)
         xs = inputs(n_layers, n_batch, 11, seed=4)
         for a, b in zip(RecurrentLayer.forward_slots(live, xs),
                         reference_forward_slots(ref, xs)):
@@ -410,7 +410,7 @@ class TestScanMatchesReference:
         # still gets at least two rows, as the whole-sequence GEMM had; a
         # lone row would go through a GEMV, which rounds differently at this
         # width
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 1)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 1)
         live, ref = twin_layers(kind, 1, d_in=64, h=32, seed=5)
         xs = inputs(1, 1, 9, d_in=64, seed=6)
         assert_array_equal(RecurrentLayer.forward_slots(live, xs)[0],

@@ -45,19 +45,26 @@ def test_blas_thread_calls_found():
     assert threads._blas_thread_calls() is not None
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """``workers(n)`` makes every later scan split over ``min(n, slots)``
-    threads, whatever its size; returns the list of slot splits it records."""
+def recorded_splits(monkeypatch):
+    """The (start, stop) ranges of every later ``threads.split``."""
     splits = []
-    slot_groups = network._slot_groups
+    split = threads.split
 
     def recorded(*args):
-        groups = slot_groups(*args)
-        splits.append([(g.start, g.stop) for g in groups])
-        return groups
+        parts = split(*args)
+        splits.append([(part.start, part.stop) for part in parts])
+        return parts
 
-    monkeypatch.setattr(network, "_slot_groups", recorded)
+    monkeypatch.setattr(threads, "split", recorded)
+    return splits
+
+
+@pytest.fixture
+def slot_splits(monkeypatch):
+    """``slot_splits(n)`` makes every later scan split over ``min(n, slots)``
+    threads, whatever its size; returns the ranges of every later
+    ``threads.split`` (``recorded_splits``)."""
+    splits = recorded_splits(monkeypatch)
     monkeypatch.setattr(network, "SCAN_THREAD_FLOPS", 0)
 
     def use(n):
@@ -108,20 +115,20 @@ class TestModelsMatchOneWorker:
     @pytest.mark.parametrize("kind", ["bilstm", "bigru"])
     @pytest.mark.parametrize("n_batch", [1, 5])
     @pytest.mark.parametrize("frozen", [False, True])
-    def test_bidirectional_model(self, workers, kind, n_batch, frozen):
-        workers(1)
+    def test_bidirectional_model(self, slot_splits, kind, n_batch, frozen):
+        slot_splits(1)
         one = model_run(kind, n_batch, frozen)
-        splits = workers(2)
+        splits = slot_splits(2)
         two = model_run(kind, n_batch, frozen)
         assert [(0, 1), (1, 2)] in splits  # fw and bw on separate threads
         assert_runs_equal(one, two)
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
     @pytest.mark.parametrize("n_models", [4, 3])
-    def test_stacked_models(self, workers, monkeypatch, kind, n_models):
+    def test_stacked_models(self, slot_splits, monkeypatch, kind, n_models):
         # four unidirectional models split 2 + 2, three split 1 + 2; eval
         # passes project one-step blocks, several per worker
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 1)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 1)
         specs = classifier_specs(kind, 3, hidden=(5, 4), dropout=(0.3, 0.2), n_classes=3)
         rng = np.random.default_rng(4)
         xs = [rng.standard_normal((4, 6, 3)).astype(np.float32) for _ in range(n_models)]
@@ -143,9 +150,9 @@ class TestModelsMatchOneWorker:
             out.update({f"eval{m}": p for m, p in enumerate(evals)})
             return out
 
-        workers(1)
+        slot_splits(1)
         one = run()
-        splits = workers(2)
+        splits = slot_splits(2)
         two = run()
         n_slots = n_models * (2 if kind.startswith("bi") else 1)
         assert [(0, n_slots // 2), (n_slots // 2, n_slots)] in splits
@@ -153,14 +160,14 @@ class TestModelsMatchOneWorker:
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
     @pytest.mark.parametrize("return_sequences", [True, False])
-    def test_layer_outputs(self, workers, kind, return_sequences):
+    def test_layer_outputs(self, slot_splits, kind, return_sequences):
         spec = LayerSpec(kind=kind, input_size=3, size=4, return_sequences=return_sequences)
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((5, 8, 3)).astype(np.float32) for _ in range(3)]
         layers = [RecurrentLayer(spec, init_params(spec, substream(m, "init"))) for m in range(3)]
-        workers(1)
+        slot_splits(1)
         one = RecurrentLayer.forward_slots(layers, xs)
-        splits = workers(2)
+        splits = slot_splits(2)
         two = RecurrentLayer.forward_slots(layers, xs)
         n_slots = 3 * layers[0].n_dir  # 3 + 3 or 1 + 2
         assert splits == [[(0, n_slots // 2), (n_slots // 2, n_slots)]]
@@ -168,7 +175,7 @@ class TestModelsMatchOneWorker:
             assert_array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm", "bigru"])
-    def test_workers_allocate_nothing(self, workers, monkeypatch, kind):
+    def test_workers_allocate_nothing(self, slot_splits, monkeypatch, kind):
         # every buffer an eval scan's threads touch comes from the calling
         # thread (module docstring, "Threads"): record each np.empty, np.zeros
         # and np.empty_like call made in network, with its thread
@@ -189,7 +196,7 @@ class TestModelsMatchOneWorker:
         spec = LayerSpec(kind=kind, input_size=3, size=4)
         layers = [RecurrentLayer(spec, init_params(spec, substream(m, "init"))) for m in range(2)]
         xs = [np.ones((3, 6, 3), dtype=np.float32) for _ in layers]
-        splits = workers(2)
+        splits = slot_splits(2)
         monkeypatch.setattr(network, "np", RecordingNumpy())
         scan = RecurrentLayer._scan
         scan_threads = []
@@ -205,7 +212,7 @@ class TestModelsMatchOneWorker:
         assert len(set(scan_threads)) == 2
         assert calls and all(thread is threading.current_thread() for _, thread in calls)
 
-    def test_training_scans_stay_in_the_calling_thread(self, workers, monkeypatch):
+    def test_training_scans_stay_in_the_calling_thread(self, slot_splits, monkeypatch):
         calls = []
         scan = RecurrentLayer._scan
 
@@ -214,7 +221,7 @@ class TestModelsMatchOneWorker:
             return scan(self, blocks, buf, slots, keep_cache)
 
         monkeypatch.setattr(RecurrentLayer, "_scan", recording)
-        workers(2)
+        slot_splits(2)
         model_run("bilstm", 5, frozen=False)
         assert (True, True) in calls and (False, False) in calls
         assert all(main for keep_cache, main in calls if keep_cache)
@@ -223,14 +230,19 @@ class TestModelsMatchOneWorker:
 @needs_blas_calls
 class TestWorkerCount:
     def test_small_scans_stay_on_one_thread(self, monkeypatch):
+        splits = recorded_splits(monkeypatch)
         monkeypatch.setattr(threads, "worker_count", lambda n_slots: 2)
         # a desk-scale step (H = 32) is far below the gate; both layers of
         # paper_train's eval passes (batch 128, H = 512 and 256) reach it
-        assert len(network._slot_groups(8, 128, 32, 4)) == 1
-        assert len(network._slot_groups(2, 128, 512, 4)) == 2
-        assert len(network._slot_groups(2, 128, 256, 3)) == 2
-        assert len(network._slot_groups(2, 128, 128, 4)) == 1
-        assert len(network._slot_groups(2, 32, 256, 4)) == 1
+        for n_layers, n_batch, kind, size in [(8, 128, "lstm", 32), (1, 128, "bilstm", 512),
+                                              (1, 128, "bigru", 256), (1, 128, "bilstm", 128),
+                                              (1, 32, "bilstm", 256)]:
+            spec = LayerSpec(kind=kind, input_size=1, size=size)
+            shapes = network.param_shapes(spec).items()
+            layers = [RecurrentLayer(spec, {k: np.zeros(v, np.float32) for k, v in shapes})
+                      for _ in range(n_layers)]
+            RecurrentLayer.forward_slots(layers, [np.zeros((n_batch, 1, 1))] * n_layers)
+        assert [len(parts) for parts in splits] == [1, 2, 2, 1, 1]
 
     def test_bounded_by_slots_cores_and_blas_threads(self, monkeypatch):
         blas = threads._blas_thread_calls()
@@ -247,7 +259,7 @@ class TestWorkerCount:
 
 @needs_blas_calls
 class TestWorkerThreads:
-    def test_blas_on_one_thread_while_workers_run(self, workers, monkeypatch):
+    def test_blas_on_one_thread_while_workers_run(self, slot_splits, monkeypatch):
         get_threads, set_threads = threads._blas_thread_calls()
         saved = get_threads()
         seen = []
@@ -262,9 +274,9 @@ class TestWorkerThreads:
         layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         set_threads(2)
         try:
-            workers(1)
+            slot_splits(1)
             layer.forward(np.ones((2, 5, 3), dtype=np.float32))
-            workers(2)
+            slot_splits(2)
             layer.forward(np.ones((2, 5, 3), dtype=np.float32))
             assert get_threads() == 2
         finally:
@@ -273,7 +285,7 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize("failing_start", [0, 1])
     def test_exception_reaches_caller_and_blas_threads_restored(
-            self, workers, monkeypatch, failing_start):
+            self, slot_splits, monkeypatch, failing_start):
         # the slot range starting at 0 runs in the calling thread, the other
         # in the pool thread
         get_threads, set_threads = threads._blas_thread_calls()
@@ -286,7 +298,7 @@ class TestWorkerThreads:
             return scan(self, blocks, buf, slots, keep_cache)
 
         monkeypatch.setattr(RecurrentLayer, "_scan", failing)
-        workers(2)
+        slot_splits(2)
         spec = LayerSpec(kind="bilstm", input_size=3, size=4)
         layer = RecurrentLayer(spec, init_params(spec, substream(0, "init")))
         x = np.ones((2, 5, 3), dtype=np.float32)

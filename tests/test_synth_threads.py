@@ -2,14 +2,17 @@
 
 ``generate_paired`` fills its trials in two contiguous halves when one trial
 holds at least ``synth._SPLIT_TRIAL_SAMPLES`` channel-samples and the trials
-span at least two blocks; ``to_recordings`` builds the two recordings of a
-pair at once when they span at least two blocks. Here the gates are shrunk so
-that small subjects split, and the worker count (``threads.worker_count``) is
-forced to 1 for the reference run and to 2 for the split run; every output
-must match exactly (``assert_array_equal``, or the written bytes). CI also
-runs this file on two OpenBLAS threads.
+span at least two blocks (``threads.BLOCK_BYTES``); ``to_recordings`` builds
+the two recordings of a pair at once when they span at least two blocks.
+Here the gates are shrunk so that small subjects split, and the worker count
+(``threads.worker_count``) is forced to 1 for the reference run and to 2 for
+the split run; every output must match exactly (``assert_array_equal``, or
+the written bytes). ``generate_paired``'s bits also must not depend on the
+BLAS thread count. CI also runs this file on two OpenBLAS threads.
 """
 
+import hashlib
+import os
 import threading
 
 import pytest
@@ -19,6 +22,8 @@ from covert_decode import synth, threads
 from covert_decode.cli import main
 from covert_decode.config import SYNTH_DEFAULTS
 from covert_decode.synth import SynthSpec, generate_paired, to_recordings
+
+from conftest import needs_blas_calls
 
 
 def spec(**overrides):
@@ -35,7 +40,7 @@ def small_gates(monkeypatch):
     monkeypatch.setattr(synth, "_SPLIT_TRIAL_SAMPLES", 1)
 
     def block_bytes(n_bytes):
-        monkeypatch.setattr(synth, "_SPLIT_BLOCK_BYTES", n_bytes)
+        monkeypatch.setattr(threads, "BLOCK_BYTES", n_bytes)
 
     return block_bytes
 
@@ -121,20 +126,59 @@ def test_paper_train_subject_stays_in_the_calling_thread(workers):
     assert runs == [1]
 
 
-@pytest.mark.parametrize("n_timesteps, n_runs", [(10_000, 2), (10_001, 1)])
-def test_trials_longer_than_a_one_thread_blas_dot_stay_unsplit(workers, small_gates,
-                                                               n_timesteps, n_runs):
-    # OpenBLAS threads a dot product above 10,000 elements and its sum then
-    # gets other bits than on one thread, so such trials do not split
+@pytest.mark.parametrize("n_timesteps", [10_000, 10_001])
+def test_trials_longer_than_a_one_thread_blas_dot_split_too(workers, small_gates, n_timesteps):
+    # OpenBLAS threads a dot product above 10,000 elements, but the
+    # projections run on one BLAS thread, split or not
     s = spec(n_classes=1, trials_per_class=2, n_channels=1, epoch_seconds=n_timesteps / 100)
     small_gates(trial_bytes(s))
     outputs = []
     for n in (1, 2):
         runs = workers(n)
         outputs.append(generate_paired(s))
-        assert runs == [min(n, n_runs)]
+        assert runs == [n]
     assert_array_equal(outputs[0][0].data, outputs[1][0].data)
     assert_array_equal(outputs[0][1].data, outputs[1][1].data)
+
+
+@needs_blas_calls
+@pytest.mark.parametrize("n_timesteps", [10_001, 20_000])
+def test_long_trials_get_the_same_bits_on_one_and_two_blas_threads(n_timesteps):
+    # the host's BLAS thread count does not reach the projections' dot
+    # products; at 4 trials of 2 channels nothing splits
+    s = SynthSpec(n_classes=2, trials_per_class=2, n_channels=2, sample_rate_hz=500.0,
+                  epoch_seconds=n_timesteps / 500, seed=0)
+    assert s.n_timesteps == n_timesteps
+    get_threads, set_threads = threads._blas_thread_calls()
+    saved = get_threads()
+    digests = []
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            assert get_threads() == n
+            overt, covert, _ = generate_paired(s)
+            digests.append(hashlib.sha256(overt.data.tobytes() + covert.data.tobytes()).digest())
+    finally:
+        set_threads(saved)
+    assert digests[0] == digests[1]
+
+
+@needs_blas_calls
+def test_the_split_is_sized_before_blas_is_held_to_one_thread(workers, small_gates):
+    # generate_paired holds BLAS to one thread for its projections; the
+    # package's worker count, read inside that, would always be 1
+    s = spec()
+    small_gates(trial_bytes(s))
+    get_threads, set_threads = threads._blas_thread_calls()
+    saved = get_threads()
+    set_threads(2)
+    try:
+        runs = workers(None)
+        generate_paired(s)
+        assert get_threads() == 2
+    finally:
+        set_threads(saved)
+    assert runs == [min(2, len(os.sched_getaffinity(0)))]
 
 
 def test_paper_frontend_subject_splits_both(workers):
@@ -143,8 +187,8 @@ def test_paper_frontend_subject_splits_both(workers):
     workers(2)
     n_samples = SYNTH_DEFAULTS["n_channels"] * 1000
     assert n_samples >= synth._SPLIT_TRIAL_SAMPLES
-    assert len(threads.block_split(60, 2 * 8 * n_samples, synth._SPLIT_BLOCK_BYTES)) == 2
-    assert len(threads.block_split(2, 8 * 64 * 67625, synth._SPLIT_BLOCK_BYTES)) == 2
+    assert len(threads.block_split(60, 2 * 8 * n_samples)) == 2
+    assert len(threads.block_split(2, 8 * 64 * 67625)) == 2
 
 
 def test_error_in_the_pool_half_reaches_the_caller(workers, small_gates, monkeypatch):
