@@ -147,13 +147,13 @@ def cmd_preprocess(args) -> int:
     # so config mistakes surface immediately
     notch, bandpass = _filters(cfg, cfg["sample_rate_hz"])
     excluded = parse_list(cfg["ica_exclude"], int, "ica_exclude")
-    recording = fileio.read_recording(args.input)
+    inputs = []
+    recording = fileio.read_recording(args.input, inputs)
     if recording.sample_rate_hz != cfg["sample_rate_hz"]:
         notch, bandpass = _filters(cfg, recording.sample_rate_hz)
 
-    # rebinding frees the raw and the pre-ICA arrays as soon as nothing reads them
-    recording = replace(recording, data=filter_zero_phase(recording.data, notch))
-    recording = replace(recording, data=filter_zero_phase(recording.data, bandpass))
+    # the filters overwrite the raw data, the reader's own float64 copy
+    filter_zero_phase(recording.data, notch, bandpass, out=recording.data)
     if cfg["ica_enabled"]:
         n_components = cfg["ica_components"] or recording.n_channels
         ica_args = {"n_components": n_components, "max_iter": cfg["ica_max_iter"],
@@ -176,7 +176,7 @@ def cmd_preprocess(args) -> int:
     )
     out_path = fileio.write_epochs(epochs, args.out)
     fileio.dump_json(skipped.to_dict(), str(out_path) + ".skipped.json")
-    fileio.write_provenance(out_path, "preprocess", [args.input], cfg)
+    fileio.write_provenance(out_path, "preprocess", inputs, cfg)
     print(
         f"wrote {epochs.n_trials} epochs ({epochs.n_timesteps} x {epochs.n_channels}) "
         f"to {out_path}; skipped {skipped.n_skipped} trials"
@@ -187,10 +187,11 @@ def cmd_preprocess(args) -> int:
 def cmd_features(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out, f"{args.out}.prov.json")
-    epochs = fileio.read_epochs(args.input)
+    inputs = []
+    epochs = fileio.read_epochs(args.input, inputs)
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
     out_path = fileio.write_features(tensor, args.out)
-    fileio.write_provenance(out_path, "features", [args.input], cfg)
+    fileio.write_provenance(out_path, "features", inputs, cfg)
     print(
         f"wrote features {tensor.n_trials} x {tensor.n_timesteps} x {tensor.n_features} "
         f"to {out_path}"
@@ -202,7 +203,8 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out, args.checkpoint)
     seed, kind, k = cfg["seed"], cfg["model"], cfg["cv_folds"]
-    features = fileio.read_features(args.features)
+    inputs = []
+    features = fileio.read_features(args.features, inputs)
     hidden = parse_list(cfg["hidden_units"], int, "hidden_units")
     dropout = parse_list(cfg["dropout_rates"], float, "dropout_rates")
     specs = classifier_specs(kind, features.n_features, hidden=hidden, dropout=dropout,
@@ -228,10 +230,9 @@ def cmd_train(args) -> int:
     payload["holdout"] = holdout
     print(f"holdout accuracy {holdout['holdout_accuracy']:.4f}")
 
-    inputs = [fileio.input_record(args.features)]
     if args.checkpoint:
         ckpt = fileio.save_model(model, args.checkpoint)
-        payload["checkpoint"] = fileio.input_record(ckpt)
+        payload["checkpoint"] = {"path": str(ckpt), "sha256": fileio.sha256_file(ckpt)}
         print(f"checkpoint saved to {ckpt}")
     report = make_report("train", cfg, payload, inputs=inputs, seeds=[seed])
     fileio.dump_json(report, args.out)
@@ -242,8 +243,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     fileio.check_outputs(args.out)
-    model = fileio.load_model(args.checkpoint)
-    features = fileio.read_features(args.features)
+    inputs = []
+    model = fileio.load_model(args.checkpoint, inputs)
+    features = fileio.read_features(args.features, inputs)
     _check_model_fits(model, features)
     # one prediction pass; the matrix is sized by the model, so classes the
     # file lacks get a row of zeros and a default name
@@ -261,12 +263,7 @@ def cmd_evaluate(args) -> int:
         "per_class_accuracy": class_acc,
         "n_trials": features.n_trials,
     }
-    report = make_report(
-        "evaluate",
-        cfg,
-        payload,
-        inputs=[fileio.input_record(args.checkpoint), fileio.input_record(args.features)],
-    )
+    report = make_report("evaluate", cfg, payload, inputs=inputs)
     fileio.dump_json(report, args.out)
     print(f"accuracy {accuracy:.4f} on {features.n_trials} trials; report at {args.out}")
     return 0
@@ -276,8 +273,9 @@ def cmd_transfer(args) -> int:
     cfg = _load_config(args)
     csv_path = Path(args.out).with_suffix(".csv")
     fileio.check_outputs(args.out, csv_path)
-    source = fileio.load_model(args.source)
-    covert = fileio.read_features(args.covert)
+    inputs = []
+    source = fileio.load_model(args.source, inputs)
+    covert = fileio.read_features(args.covert, inputs)
     _check_model_fits(source, covert, role="source model")
     plan = TransferPlan(
         budgets=tuple(parse_list(cfg["budgets"], float, "budgets")),
@@ -297,7 +295,7 @@ def cmd_transfer(args) -> int:
         "transfer",
         cfg,
         payload,
-        inputs=[fileio.input_record(args.source), fileio.input_record(args.covert)],
+        inputs=inputs,
         seeds=plan.seeds,
     )
     fileio.dump_json(report, args.out)

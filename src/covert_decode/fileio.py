@@ -35,6 +35,16 @@ size is compared with the bytes left in the file before the read, so a
 corrupt or hostile header raises FileFormatError rather than attempting a
 huge read; ``_build`` turns a container's ValueError into one as well.
 
+One read per input; digests from the bytes read; trailing bytes rejected.
+A reader given a list (``inputs``) feeds every byte it reads into a sha256
+and appends the file's ``{"path", "sha256"}`` record to it, which is what
+the commands put in their provenance and reports; a reader given none, as
+in ``validate`` and ``report``, hashes nothing. ``finish``, after the last
+read, raises FileFormatError when bytes are left over, so the digest is the
+file's sha256. ``sha256_file`` is left for files a command wrote (the synth
+manifest, the train checkpoint record) and for ``validate``'s manifest
+check.
+
 Every writer publishes through ``_publish``: it fills a temporary sibling
 (``.<name>.partial``) and ``os.replace`` moves it onto the final name, so a
 failed or killed writer never leaves a half-written file there, and a file
@@ -48,9 +58,13 @@ block of about ``threads.BLOCK_BYTES`` of rows at a time, so a writer holds
 no file-sized copy.
 
 The sample data of ``.eegr``, ``.epoc`` and ``.ften`` files is read through
-``samples``, straight into the array it returns, which rejects a NaN or
-infinite value with a DataError naming the file; checkpoint weights are read
-as they are.
+``samples``, straight into an f32 buffer, which rejects a NaN or infinite
+value with a DataError naming the file and returns the buffer converted to
+the dtype asked for; checkpoint weights are read as they are. Hashed sample
+data spanning at least two blocks of ``threads.BLOCK_BYTES`` is hashed in
+the pool thread while the calling thread checks and converts it, and the
+hash is joined before ``samples`` returns, so the f32 buffer lives no
+longer.
 
 Every reader opens its input through ``_open``: no file at the path is "input
 file not found", another OSError "cannot read", each a DataError (exit 3) or,
@@ -158,13 +172,18 @@ def _pack_string(text: str) -> bytes:
 
 
 class _Reader:
-    """Reads one open file whose every size comes from its own header."""
+    """Reads one open file whose every size comes from its own header; with
+    a list ``inputs``, feeds each byte it reads into a sha256 and appends
+    the file's record to the list in ``finish`` (module docstring)."""
 
-    def __init__(self, fh, path, magic: bytes):
+    def __init__(self, fh, path, magic: bytes, inputs=None):
         self.fh = fh
         self.path = path
         self.size = os.fstat(fh.fileno()).st_size
+        self.inputs = inputs
+        self.digest = None if inputs is None else hashlib.sha256()
         got = fh.read(4)
+        self._hash(got)
         if got != magic:
             raise FileFormatError(
                 f"{path}: bad magic {got!r}, expected {magic.decode('ascii')!r}"
@@ -185,7 +204,12 @@ class _Reader:
         raw = self.fh.read(n)
         if len(raw) != n:
             raise FileFormatError(f"{self.path}: truncated while reading {what}")
+        self._hash(raw)
         return raw
+
+    def _hash(self, raw):
+        if self.digest is not None:
+            self.digest.update(raw)
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -202,18 +226,47 @@ class _Reader:
         raw = self.take(np.dtype(dtype).itemsize * math.prod(shape), what)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
-    def samples(self, shape: tuple, what: str) -> np.ndarray:
-        """f32 sample data, read straight into a new writable array; a
+    def samples(self, shape: tuple, what: str, dtype) -> np.ndarray:
+        """f32 sample data, read straight into a new buffer and returned as a
+        new writable array of ``dtype`` (the buffer itself for float32); a
         DataError if it holds a NaN or infinite value. min and max carry a
         NaN through and are infinite when an infinity is present, so no
-        full-size mask is made."""
+        full-size mask is made. A hashed buffer is hashed in the pool thread
+        while this thread checks and converts it, when it spans at least two
+        blocks and the pool has a thread to spare."""
         self._check_left(4 * math.prod(shape), what)
         data = np.empty(shape, dtype="<f4")
         if self.fh.readinto(data) != data.nbytes:
             raise FileFormatError(f"{self.path}: truncated while reading {what}")
-        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
-            raise DataError(f"{self.path}: {what} holds NaN or infinite values")
-        return data
+        converted, held = [], [data]
+
+        def check_and_convert():
+            if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+                raise DataError(f"{self.path}: {what} holds NaN or infinite values")
+            converted.append(data.astype(dtype, copy=False))
+
+        def hash_buffer():
+            # popped, so a pool thread holds no reference once the call returns
+            self.digest.update(held.pop())
+
+        calls = [(check_and_convert, ())]
+        if self.digest is not None:
+            calls.append((hash_buffer, ()))
+        if len(threads.split(len(calls), data.nbytes > threads.BLOCK_BYTES)) > 1:
+            threads.run(calls)
+        else:
+            for fn, args in calls:
+                fn(*args)
+        return converted[0]
+
+    def finish(self):
+        """Reject bytes after the last read; append the file's record (path
+        and sha256) to ``inputs`` when it is a list."""
+        left = self.size - self.fh.tell()
+        if left:
+            raise FileFormatError(f"{self.path}: {left} trailing bytes after the last block")
+        if self.inputs is not None:
+            self.inputs.append({"path": str(self.path), "sha256": self.digest.hexdigest()})
 
 
 def _build(path, container, **fields):
@@ -237,16 +290,18 @@ def write_recording(recording: EegRecording, path) -> Path:
     return Path(path)
 
 
-def read_recording(path) -> EegRecording:
+def read_recording(path, inputs=None) -> EegRecording:
+    """The recording at ``path``; its record goes to ``inputs`` (``_Reader``)."""
     path = Path(path)
     with _open(path) as fh:
-        r = _Reader(fh, path, RECORDING_MAGIC)
+        r = _Reader(fh, path, RECORDING_MAGIC, inputs)
         n_channels, n_samples, sample_rate = r.unpack("<IQd", "header")
         labels = [r.string("channel label") for _ in range(n_channels)]
         (n_markers,) = r.unpack("<Q", "marker count")
         markers = list(_MARKER.iter_unpack(r.take(_MARKER.size * n_markers, "markers")))
-        data = r.samples((n_channels, n_samples), "sample data")
-    return _build(path, EegRecording, data=data.astype(np.float64), sample_rate_hz=sample_rate,
+        data = r.samples((n_channels, n_samples), "sample data", np.float64)
+        r.finish()
+    return _build(path, EegRecording, data=data, sample_rate_hz=sample_rate,
                   channel_labels=labels, markers=markers)
 
 
@@ -267,16 +322,18 @@ def write_epochs(epochs: EpochSet, path) -> Path:
     return _write_trials(path, EPOCHS_MAGIC, epochs, between)
 
 
-def read_epochs(path) -> EpochSet:
+def read_epochs(path, inputs=None) -> EpochSet:
+    """The epochs at ``path``; their record goes to ``inputs`` (``_Reader``)."""
     path = Path(path)
     with _open(path) as fh:
-        r = _Reader(fh, path, EPOCHS_MAGIC)
+        r = _Reader(fh, path, EPOCHS_MAGIC, inputs)
         n_trials, n_timesteps, n_channels, condition = r.unpack("<IIIB", "header")
         sample_rate, n_classes = r.unpack("<dI", "sample rate and class count")
         class_names = [r.string("class name") for _ in range(n_classes)]
         labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
-        data = r.samples((n_trials, n_timesteps, n_channels), "epoch data")
-    return _build(path, EpochSet, data=data.astype(np.float64), labels=labels,
+        data = r.samples((n_trials, n_timesteps, n_channels), "epoch data", np.float64)
+        r.finish()
+    return _build(path, EpochSet, data=data, labels=labels,
                   condition=condition, sample_rate_hz=sample_rate, class_names=class_names)
 
 
@@ -284,15 +341,17 @@ def write_features(features: FeatureTensor, path) -> Path:
     return _write_trials(path, FEATURES_MAGIC, features)
 
 
-def read_features(path) -> FeatureTensor:
+def read_features(path, inputs=None) -> FeatureTensor:
+    """The features at ``path``; their record goes to ``inputs`` (``_Reader``)."""
     path = Path(path)
     with _open(path) as fh:
-        r = _Reader(fh, path, FEATURES_MAGIC)
+        r = _Reader(fh, path, FEATURES_MAGIC, inputs)
         n_trials, n_timesteps, n_features, condition = r.unpack("<IIIB", "header")
         labels = r.array("<u2", (n_trials,), "labels").astype(np.int64)
-        data = r.samples((n_trials, n_timesteps, n_features), "feature data")
+        data = r.samples((n_trials, n_timesteps, n_features), "feature data", np.float32)
+        r.finish()
     n_classes = int(labels.max()) + 1 if n_trials else 1
-    return _build(path, FeatureTensor, data=data.astype(np.float32, copy=False), labels=labels,
+    return _build(path, FeatureTensor, data=data, labels=labels,
                   condition=condition, class_names=default_class_names(n_classes))
 
 
@@ -318,10 +377,11 @@ def save_model(model: RecurrentModel, path) -> Path:
     return Path(path)
 
 
-def load_model(path) -> RecurrentModel:
+def load_model(path, inputs=None) -> RecurrentModel:
+    """The checkpoint at ``path``; its record goes to ``inputs`` (``_Reader``)."""
     path = Path(path)
     with _open(path) as fh:
-        r = _Reader(fh, path, MODEL_MAGIC)
+        r = _Reader(fh, path, MODEL_MAGIC, inputs)
         (header_len,) = r.unpack("<I", "header length")
         raw = r.take(header_len, "header")
         try:
@@ -363,6 +423,7 @@ def load_model(path) -> RecurrentModel:
                 raise FileFormatError(f"{path}: parameter block {name!r} of shape {shape} "
                                       f"does not match the layer specs")
             params[name] = r.array("<f4", shape, f"parameter {name}").astype(np.float32)
+        r.finish()
     layers = [{name: params[f"layer{i}.{name}"] for name in param_shapes(spec)} or None
               for i, spec in enumerate(specs)]
     model = RecurrentModel(specs, layers, header["rng_seed"])
@@ -401,17 +462,14 @@ def load_json(path) -> dict:
     return obj
 
 
-def input_record(path) -> dict:
-    return {"path": str(Path(path)), "sha256": sha256_file(path)}
-
-
 def write_provenance(output_path, command: str, inputs, config: dict) -> Path:
-    """Sidecar provenance for binary artifacts: hashes of every input plus the
-    effective config. Reports embed the same records inline instead."""
+    """Sidecar provenance for binary artifacts: the input records a reader
+    appended to ``inputs`` (path and sha256 of the bytes the command read)
+    plus the effective config. Reports embed the same records inline."""
     record = {
         "command": command,
         "config": config,
-        "inputs": [input_record(p) for p in inputs],
+        "inputs": list(inputs),
         "output": str(output_path),
     }
     return dump_json(record, str(output_path) + ".prov.json")

@@ -102,49 +102,71 @@ def design_butterworth_bandpass(
     return _check_stable(FilterCoefficients(b, a, descriptor))
 
 
-def filter_zero_phase(x: np.ndarray, coeffs: FilterCoefficients, axis: int = -1) -> np.ndarray:
-    """Forward-backward filtering: zero net phase shift, magnitude |H|^2.
+def filter_zero_phase(x: np.ndarray, *filters: FilterCoefficients, axis: int = -1,
+                      out=None) -> np.ndarray:
+    """Forward-backward filtering through each of ``filters`` in turn: zero
+    net phase shift, magnitude the product of their |H|^2.
 
     Transients are suppressed by reflective edge padding of 3x the filter
-    order, so the signal must be longer than 3x the coefficient count.
-    Application runs on second-order sections internally; narrow band-passes
-    put poles close to the unit circle, where the direct (b, a) form loses
-    several digits.
+    order, so the signal must be longer than 3x each filter's coefficient
+    count; every filter is checked before any is applied. Application runs on
+    second-order sections internally; narrow band-passes put poles close to
+    the unit circle, where the direct (b, a) form loses several digits.
 
-    Memory: the signals along the other axes are filtered in blocks of about
-    ``threads.BLOCK_BYTES`` into one preallocated output, so the call holds
-    the input, the output and sosfiltfilt's few padded copies of a block;
-    each signal is filtered on its own. Signals that span at least two blocks
-    are split over the package's threads (:mod:`covert_decode.threads`),
-    each filtering its rows in blocks of an equal share of the block, so the
-    buffers held at once do not grow; the split changes no bits.
+    The signals along the other axes are filtered in blocks of about
+    ``threads.BLOCK_BYTES``: each block goes through every filter before the
+    next block starts, and each filter's result is written back into the
+    output, so the call holds the input, the output and sosfiltfilt's few
+    padded copies of one block for one filter. ``out``, if given, is a
+    float64 array of ``x``'s shape that receives the result in place of a
+    new one, and may be ``x`` itself; its signals must reshape to rows
+    without a copy (C order with ``axis`` first or last). Each signal is
+    filtered on its own, so the result's bits do not depend on the blocks or
+    on ``out``. Signals that span at least two blocks are split over the
+    package's threads (:mod:`covert_decode.threads`), each filtering its
+    rows in blocks of an equal share of the block, so the buffers held at
+    once do not grow; the split changes no bits.
     """
+    if not filters:
+        raise ValueError("filter_zero_phase needs at least one filter")
     x = np.asarray(x, dtype=np.float64)
-    n_taps = max(coeffs.numerator.size, coeffs.denominator.size)
-    if x.shape[axis] <= 3 * n_taps:
-        raise EpochingError(
-            f"signal length {x.shape[axis]} too short for zero-phase filtering "
-            f"(need > {3 * n_taps} samples for {coeffs.design_descriptor or 'this filter'})"
-        )
     from scipy import signal as sp_signal
 
-    padlen = 3 * (n_taps - 1)
-    sos = sp_signal.tf2sos(coeffs.numerator, coeffs.denominator)
+    stages = []
+    for coeffs in filters:
+        n_taps = max(coeffs.numerator.size, coeffs.denominator.size)
+        if x.shape[axis] <= 3 * n_taps:
+            raise EpochingError(
+                f"signal length {x.shape[axis]} too short for zero-phase filtering "
+                f"(need > {3 * n_taps} samples for {coeffs.design_descriptor or 'this filter'})"
+            )
+        stages.append((sp_signal.tf2sos(coeffs.numerator, coeffs.denominator), 3 * (n_taps - 1)))
     moved = np.moveaxis(x, axis, -1)
     signals = moved.reshape(-1, moved.shape[-1])
-    out = np.empty_like(signals)
-    row_bytes = out.itemsize * out.shape[1]
-    parts = threads.block_split(len(out), row_bytes)
+    if out is None:
+        rows_out = np.empty_like(signals)
+        out = np.moveaxis(rows_out.reshape(moved.shape), -1, axis)
+    elif out.shape != x.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {x.shape}")
+    else:
+        rows_out = np.moveaxis(out, axis, -1).reshape(signals.shape)
+        if not np.may_share_memory(rows_out, out):
+            raise ValueError("out's signals must reshape to rows without a copy")
+    row_bytes = rows_out.itemsize * rows_out.shape[1]
+    parts = threads.block_split(len(rows_out), row_bytes)
     rows = max(1, threads.BLOCK_BYTES // len(parts) // row_bytes)
 
     def filter_rows(part):
         for r0 in range(part.start, part.stop, rows):
             r1 = min(r0 + rows, part.stop)
-            out[r0:r1] = sp_signal.sosfiltfilt(sos, signals[r0:r1], padtype="even",
-                                               padlen=padlen)
+            block = signals[r0:r1]
+            for sos, padlen in stages:
+                rows_out[r0:r1] = sp_signal.sosfiltfilt(sos, block, padtype="even",
+                                                        padlen=padlen)
+                block = rows_out[r0:r1]
 
     threads.run([(filter_rows, (part,)) for part in parts])
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    return out
 
 
 @dataclass
@@ -189,7 +211,7 @@ def epoch_and_baseline(
     data = recording.data
     n_samples = recording.n_samples
     report = SkippedTrialReport()
-    trials = []
+    onsets = []
     labels = []
     for position, (m, label) in enumerate(recording.markers):
         if m - n_baseline < 0:
@@ -202,18 +224,22 @@ def epoch_and_baseline(
                 {"marker_position": position, "sample_index": m, "reason": "epoch past end"}
             )
             continue
-        baseline_mean = data[:, m - n_baseline : m].mean(axis=1)
-        epoch = data[:, m : m + n_timesteps].T - baseline_mean[np.newaxis, :]
-        trials.append(epoch)
+        onsets.append(m)
         labels.append(label)
-    report.kept = len(trials)
+    report.kept = len(onsets)
 
+    stacked = np.empty((len(onsets), n_timesteps, recording.n_channels))
+
+    def cut(part):
+        for k in range(part.start, part.stop):
+            m = onsets[k]
+            baseline_mean = data[:, m - n_baseline : m].mean(axis=1)
+            np.subtract(data[:, m : m + n_timesteps].T, baseline_mean, out=stacked[k])
+
+    trial_bytes = stacked.itemsize * n_timesteps * recording.n_channels
+    threads.run([(cut, (part,)) for part in threads.block_split(len(onsets), trial_bytes)])
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 1
-    if trials:
-        stacked = np.stack(trials, axis=0)
-    else:
-        stacked = np.zeros((0, n_timesteps, recording.n_channels))
     epochs = EpochSet(
         data=stacked,
         labels=labels,

@@ -18,7 +18,24 @@ Who splits:
                   Training scans stay in the calling thread, since at batch
                   32 the split gained nothing
   filtering       ``preprocessing.filter_zero_phase``'s signal rows, when
-                  they span at least two blocks
+                  they span at least two blocks; a worker runs every filter
+                  of the chain over one block of its rows before the next
+  epoching        ``preprocessing.epoch_and_baseline``'s kept trials, when
+                  they span at least two blocks; the workers write into the
+                  caller's (trials, T, C) array. paper_frontend's 60 trials
+                  of 1000 x 64, median of 21 on a 2-vCPU Xeon: 12.7 ms on
+                  one thread, 7.7 ms split
+  input digests   ``fileio._Reader.samples``' sha256 of the f32 sample
+                  buffer, in the pool thread while the calling thread checks
+                  it for NaN and infinity and converts it, when the buffer
+                  spans at least two blocks. Reading and digesting
+                  paper_frontend's inputs, median of 21 on a 2-vCPU Xeon: a
+                  64 x 67,625 recording took 25.0 ms inline and 19.0 ms
+                  overlapped, 60 epochs of 1000 x 64 took 21.1 and 15.1 ms;
+                  a read followed by a second pass of ``fileio.sha256_file``
+                  over the file took 30.3 and 21.7 ms. With the host's
+                  second core busy, the overlap and the epoch split gained
+                  nothing and lost about 1 ms
   features        ``features.extract_features``' trials, when they span at
                   least two blocks; the workers write into the caller's
                   output
@@ -68,8 +85,8 @@ gets on one thread, so a split changes no bits (for the scans, as long as
 BLAS gives a GEMM row the same bits on one thread as on several, which the
 merged eval chunks already rely on; for the init QRs, as long as LAPACK's QR
 does).
-scipy's ``sosfilt`` loop, numpy's FFT and its ufuncs release the
-interpreter lock, which is what lets two workers gain.
+scipy's ``sosfilt`` loop, numpy's FFT and its ufuncs, and hashlib's sha256
+release the interpreter lock, which is what lets two workers gain.
 
 Memory: an eval scan's calling thread allocates every buffer its threads
 touch, and the threads only write into them, so no scan memory lands in a
@@ -81,9 +98,11 @@ scale the process peaked 6 to 8 MB higher than on one thread. So do numpy's
 QR temporaries for the init QRs: after synth, features and a BiLSTM and a
 BiGRU 512/256 were built, RSS read 153 MB with the QRs split against 139 MB
 unsplit (138 MB split with MALLOC_ARENA_MAX=1), and the arena keeps them
-resident through training. synth's workers allocate one trial's temporaries
-at a time; a recording's gap-noise draw (34.6 MB at paper scale) is above
-glibc's 32 MiB mmap limit and goes back to the system when freed. An
+resident through training. The epoching workers hold one trial's baseline
+means at a time, and the digest worker allocates nothing. synth's workers
+allocate one trial's temporaries at a time; a recording's gap-noise draw
+(34.6 MB at paper scale) is above glibc's 32 MiB mmap limit and goes back
+to the system when freed. An
 epoch-sized temporary is not: with ``np.std(epochs.data)`` (30.7 MB) in the
 pool thread, RSS after the paper-scale ``synth`` command read 118 MB and its
 peak 242 MB, so ``to_recordings`` takes each recording's spread in the

@@ -649,6 +649,13 @@ def test_preprocess_peak_memory(tmp_path, capsys):
     assert _preprocess_peak(tmp_path, capsys) < 3.5
 
 
+def test_preprocess_filters_over_the_read_data(tmp_path, capsys):
+    # both filters write over the reader's float64 copy, one block at a time:
+    # the peak measured 2.02 arrays here, 3.02 when each filter returned a new
+    # array
+    assert _preprocess_peak(tmp_path, capsys) < 2.2
+
+
 # a component excluded (FastICA and the rebuild) and one dropped (FastICA
 # projects onto 23): the rebuild writes over the filtered data, so FastICA
 # runs add no more than an array to the peak

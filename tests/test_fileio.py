@@ -477,6 +477,19 @@ class TestBadFieldValues:
         assert main(["validate", str(path)]) == 3
 
 
+class TestTrailingBytes:
+    @pytest.mark.parametrize("suffix", [".eegr", ".epoc", ".ften", ".rmdl"])
+    def test_validate_rejects_them(self, tmp_path, capsys, suffix):
+        # every reader once read past its last block without looking
+        path, reader = _sample_files(tmp_path)[suffix]
+        path.write_bytes(path.read_bytes() + b"junk!")
+        assert main(["validate", str(path)]) == 3
+        assert (f"{path}: INVALID ({path}: 5 trailing bytes after the last block)"
+                in capsys.readouterr().out)
+        with pytest.raises(FileFormatError, match="5 trailing bytes"):
+            reader(path)
+
+
 class TestJsonHelpers:
     def test_dump_is_deterministic(self, tmp_path):
         obj = {"b": 2, "a": [1.5, {"z": True, "y": None}]}
@@ -485,13 +498,15 @@ class TestJsonHelpers:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_provenance_records_hashes(self, tmp_path):
-        data = tmp_path / "input.bin"
-        data.write_bytes(b"hello")
+        # the record a reader appends holds the sha256 of the bytes it read
+        data = fileio.write_features(sample_features(), tmp_path / "input.ften")
         out = tmp_path / "out.bin"
         out.write_bytes(b"result")
-        prov_path = fileio.write_provenance(out, "features", [data], {"seed": 1})
+        inputs = []
+        fileio.read_features(data, inputs)
+        prov_path = fileio.write_provenance(out, "features", inputs, {"seed": 1})
         prov = fileio.load_json(prov_path)
-        assert prov["inputs"][0]["sha256"] == fileio.sha256_file(data)
+        assert prov["inputs"] == [{"path": str(data), "sha256": fileio.sha256_file(data)}]
         assert prov["command"] == "features"
 
 

@@ -1,8 +1,9 @@
 """The front end's thread splits against one worker, bit for bit, and the
 package's BLAS pin.
 
-``filter_zero_phase`` splits its signal rows and ``extract_features`` its
-trials over the package's threads when the input spans at least two blocks.
+``filter_zero_phase`` splits its signal rows, ``epoch_and_baseline`` and
+``extract_features`` their trials over the package's threads when the input
+spans at least two blocks.
 Here the block size (``threads.BLOCK_BYTES``) is shrunk so that small
 inputs span several blocks, and the worker count (``threads.worker_count``)
 is forced to 1 for the reference run and to 2 for the split run; every
@@ -66,6 +67,54 @@ class TestFilterSplit:
 
 
 @needs_blas_calls
+class TestFilterChain:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_matches_one_call_per_filter(self, workers, monkeypatch, n_workers, in_place, axis):
+        # seven blocks of two signals: each block goes through both filters
+        # before the next one starts
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2 * ROW_BYTES)
+        notch = preprocessing.design_notch(50.0, 30.0, 250.0)
+        bandpass = preprocessing.design_butterworth_bandpass(4, 2.0, 30.0, 250.0)
+        x = signals(13) if axis == -1 else np.ascontiguousarray(signals(13).T)
+        workers(1)
+        want = preprocessing.filter_zero_phase(
+            preprocessing.filter_zero_phase(x, notch, axis=axis), bandpass, axis=axis)
+        runs = workers(n_workers)
+        out = x if in_place else None
+        got = preprocessing.filter_zero_phase(x, notch, bandpass, axis=axis, out=out)
+        assert runs == [n_workers]
+        assert (got is x) == in_place
+        assert_array_equal(got, want)
+
+
+@needs_blas_calls
+class TestEpochSplit:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_matches_one_worker(self, workers, monkeypatch, n_workers):
+        # two trials of 20 x 3 per block; the first and last markers lack
+        # headroom and are skipped, the six kept ones split
+        monkeypatch.setattr(threads, "BLOCK_BYTES", 2 * 8 * 20 * 3)
+        data = np.random.default_rng(5).standard_normal((3, 200))
+        markers = [(2, 0)] + [(10 + 25 * i, i % 2) for i in range(6)] + [(190, 1)]
+        recording = EegRecording(data=data, sample_rate_hz=100.0,
+                                 channel_labels=["a", "b", "c"], markers=markers)
+        workers(1)
+        want, want_report = preprocessing.epoch_and_baseline(recording, 0.2, 50.0)
+        runs = workers(n_workers)
+        got, report = preprocessing.epoch_and_baseline(recording, 0.2, 50.0)
+        assert runs == [n_workers]
+        assert report.to_dict() == want_report.to_dict()
+        assert [s["marker_position"] for s in report.skipped] == [0, 7]
+        assert got.data.shape == (6, 20, 3)
+        assert_array_equal(got.data, want.data)
+        assert_array_equal(got.labels, want.labels)
+        m = markers[1][0]
+        assert_array_equal(got.data[0], data[:, m : m + 20].T - data[:, m - 5 : m].mean(axis=1))
+
+
+@needs_blas_calls
 class TestFeatureSplit:
     @pytest.mark.parametrize("n_trials", [1, 2, 5])
     def test_matches_one_worker(self, workers, monkeypatch, n_trials):
@@ -112,13 +161,17 @@ def test_desk_sizes_stay_in_the_calling_thread(workers):
     # 80 trials of 125 samples
     runs = workers(2)
     coeffs = preprocessing.design_notch(50.0, 30.0, 250.0)
-    preprocessing.filter_zero_phase(np.zeros((16, 15022)), coeffs)
+    recording = EegRecording(data=np.zeros((16, 15022)), sample_rate_hz=250.0,
+                             channel_labels=[f"c{i}" for i in range(16)],
+                             markers=[(100 + 180 * i, i % 5) for i in range(80)])
+    preprocessing.filter_zero_phase(recording.data, coeffs, coeffs, out=recording.data)
+    preprocessing.epoch_and_baseline(recording, 0.5, 200.0)
     features.extract_features(epoch_set(80, n_time=125, n_channels=16))
-    # the paper-scale front end splits both: 64 channels of 67,625 samples,
-    # 60 trials of 1000 x 64
+    # the paper-scale front end splits all three: 64 channels of 67,625
+    # samples, 60 trials of 1000 x 64
     assert threads.block_split(64, 8 * 67625) == [slice(0, 32), slice(32, 64)]
     assert len(threads.block_split(60, 8 * 1000 * 64)) == 2
-    assert runs == [1, 1]
+    assert runs == [1, 1, 1]
 
 
 @needs_blas_calls

@@ -149,6 +149,18 @@ class TestZeroPhaseFilter:
         want = sp_signal.sosfiltfilt(sos, x, axis=axis, padtype="even", padlen=padlen)
         np.testing.assert_array_equal(filter_zero_phase(x, coeffs, axis=axis), want)
 
+    def test_out_must_take_the_rows_without_a_copy(self):
+        # filtered along a middle axis, a C-order array's signals are strided
+        # rows that only a copy would make
+        coeffs = design_notch(50, 30, 500)
+        x = np.zeros((3, 900, 4))
+        with pytest.raises(ValueError, match="without a copy"):
+            filter_zero_phase(x, coeffs, axis=1, out=x)
+        with pytest.raises(ValueError, match="float64 array of shape"):
+            filter_zero_phase(x, coeffs, axis=1, out=x.astype(np.float32))
+        y = np.zeros((3, 4, 900))
+        assert filter_zero_phase(y, coeffs, axis=-1, out=y) is y
+
     def test_peaks_at_output_plus_blocks(self):
         # sosfiltfilt holds about three padded copies of what it is given, so
         # filtering in blocks bounds the peak by a few blocks above the output
