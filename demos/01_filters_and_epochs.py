@@ -16,7 +16,7 @@ from covert_decode import (
     filter_zero_phase,
 )
 from covert_decode.preprocessing import magnitude_response
-from covert_decode.synth import SynthSpec, generate_paired, to_recording
+from covert_decode.synth import SynthSpec, generate_paired, to_recordings
 
 FS = 500.0
 
@@ -46,7 +46,7 @@ def main():
     # epoching a synthetic recording
     spec = SynthSpec(n_classes=3, trials_per_class=4, n_channels=6, seed=1)
     epochs_in, _, _ = generate_paired(spec)
-    recording = to_recording(epochs_in, gap_seconds=0.3, seed=1)
+    recording = to_recordings([epochs_in], gap_seconds=0.3, seed=1)[0]
     print(f"\nrecording: {recording.n_channels} ch x {recording.n_samples} samples, "
           f"{len(recording.markers)} markers")
     epochs, skipped = epoch_and_baseline(recording, 2.0, 100.0)

@@ -13,7 +13,9 @@ CLI maps errors to exit codes only in ``main``.
 A command that exits 2 or 3 leaves its outputs as it found them: it checks
 its output paths and every input before its first write, and ``fileio``
 publishes each file whole. The one exception is a write that fails after
-the check (a full disk, say); outputs written before it stay.
+the check (a full disk, say); outputs written before it stay. An output at
+the path of a file the command reads, config sources included, is a config
+error.
 
 ``preprocess`` runs FastICA only when its result can differ from its input:
 with nothing excluded (``ica_exclude`` empty) and all components kept
@@ -119,7 +121,8 @@ def cmd_synth(args) -> int:
     gap_seconds = cfg.pop("gap_seconds")
     spec = synth.SynthSpec(**cfg)
     recordings = args.emit == "recordings"
-    fileio.check_outputs(*synth.manifest_paths(args.out, args.subject, recordings).values())
+    fileio.check_outputs(*synth.manifest_paths(args.out, args.subject, recordings).values(),
+                         inputs=[args.config])
     overt, covert, manifest = synth.generate_paired(spec)
     if recordings:
         overt, covert = synth.to_recordings([overt, covert], gap_seconds=gap_seconds, seed=seed)
@@ -142,7 +145,8 @@ def _filters(cfg: dict, rate: float):
 
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
-    fileio.check_outputs(args.out, f"{args.out}.skipped.json", f"{args.out}.prov.json")
+    fileio.check_outputs(args.out, f"{args.out}.skipped.json", f"{args.out}.prov.json",
+                         inputs=[args.input, args.config])
     # design both filters and read the exclusions before touching any input
     # so config mistakes surface immediately
     notch, bandpass = _filters(cfg, cfg["sample_rate_hz"])
@@ -186,7 +190,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _load_config(args)
-    fileio.check_outputs(args.out, f"{args.out}.prov.json")
+    fileio.check_outputs(args.out, f"{args.out}.prov.json", inputs=[args.input, args.config])
     inputs = []
     epochs = fileio.read_epochs(args.input, inputs)
     tensor = extract_features(epochs, env_floor_rel=cfg["env_floor_rel"])
@@ -201,7 +205,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    fileio.check_outputs(args.out, args.checkpoint)
+    fileio.check_outputs(args.out, args.checkpoint, inputs=[args.features, args.config])
     seed, kind, k = cfg["seed"], cfg["model"], cfg["cv_folds"]
     inputs = []
     features = fileio.read_features(args.features, inputs)
@@ -242,7 +246,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    fileio.check_outputs(args.out)
+    fileio.check_outputs(args.out, inputs=[args.checkpoint, args.features, args.config])
     inputs = []
     model = fileio.load_model(args.checkpoint, inputs)
     features = fileio.read_features(args.features, inputs)
@@ -272,7 +276,7 @@ def cmd_evaluate(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _load_config(args)
     csv_path = Path(args.out).with_suffix(".csv")
-    fileio.check_outputs(args.out, csv_path)
+    fileio.check_outputs(args.out, csv_path, inputs=[args.source, args.covert, args.config])
     inputs = []
     source = fileio.load_model(args.source, inputs)
     covert = fileio.read_features(args.covert, inputs)
@@ -338,7 +342,9 @@ def cmd_report(args) -> int:
     if not tables:
         raise ConfigError("report: nothing to do; pass at least one input")
     paths = {name: Path(args.out_dir) / name for name in tables}
-    fileio.check_outputs(*paths.values())
+    fileio.check_outputs(*paths.values(), inputs=[
+        *(args.train_report or ()), args.transfer_report, args.overt_features,
+        args.covert_features])
     for name, rows in tables.items():
         print(f"wrote {fileio.write_csv(rows, paths[name])}")
     return 0

@@ -17,9 +17,7 @@ from .rng import substream
 class FoldPlan:
     """Partition of trials into k stratified folds (assignments[i] = fold id)."""
 
-    k: int
     assignments: np.ndarray
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -44,7 +42,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
             )
         members = members[rng.permutation(members.size)]
         assignments[members] = np.arange(members.size) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(assignments)
 
 
 def stratified_split(labels, fraction: float, rng):

@@ -144,19 +144,23 @@ def _publish(path, mode: str = "wb"):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def check_outputs(*paths):
+def check_outputs(*paths, inputs=()):
     """Reject, before any is written, outputs that ``_publish`` cannot write
-    all: two at one path, a directory at one, or a file on one's parent path.
-    A None path is an output not asked for."""
+    all or that would replace a file the command reads: two at one path, one
+    at the path of one of ``inputs``, a directory at one, or a file on one's
+    parent path. A None path is an output or input not asked for."""
+    read = {Path(p).resolve() for p in inputs if p is not None}
     seen = set()
     for path in (Path(p) for p in paths if p is not None):
+        resolved = path.resolve()
         nearest = next((d for d in path.parents if d.exists()), path.parent)
-        problem = ("two outputs at one path" if path.resolve() in seen
+        problem = ("two outputs at one path" if resolved in seen
+                   else "it is an input" if resolved in read
                    else "it is a directory" if path.is_dir()
                    else f"{nearest} is not a directory" if not nearest.is_dir() else None)
         if problem:
             raise ConfigError(f"cannot write {path}: {problem}")
-        seen.add(path.resolve())
+        seen.add(resolved)
 
 
 def _write_f32(fh, data):

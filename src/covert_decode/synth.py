@@ -294,20 +294,14 @@ def measure_cross_condition_envelope_correlation(overt: EpochSet, covert: EpochS
     return out
 
 
-def to_recording(epochs: EpochSet, gap_seconds: float = 0.25, seed: int = 0) -> EegRecording:
-    """Lay epochs on a continuous timeline with noise-filled gaps and markers.
-
-    The lead-in and inter-trial gaps leave room for pre-stimulus baseline
-    windows; markers point at each trial's first sample.
-    """
-    return to_recordings([epochs], gap_seconds, seed)[0]
-
-
 def to_recordings(epoch_sets, gap_seconds: float = 0.25, seed: int = 0) -> list:
-    """:func:`to_recording` of each epoch set. Recordings that span at least
-    two blocks of ``threads.BLOCK_BYTES`` are built over the package's
-    threads; each draws its gap noise from its own condition's substream, so
-    the split changes no bits."""
+    """Lay each epoch set on a continuous timeline with noise-filled gaps and
+    markers. The lead-in and inter-trial gaps leave room for pre-stimulus
+    baseline windows; markers point at each trial's first sample.
+
+    Recordings that span at least two blocks of ``threads.BLOCK_BYTES`` are
+    built over the package's threads; each draws its gap noise from its own
+    condition's substream, so the split changes no bits."""
     gap_and_length = []
     for epochs in epoch_sets:
         gap = int(round(gap_seconds * epochs.sample_rate_hz))

@@ -17,6 +17,11 @@ Each side runs in its own directory with relative paths, so the input paths
 that reports and provenance embed match. For each JSON file that differs,
 the key paths that differ are printed as ``path base -> head``.
 
+``CHAIN`` is the one description of the CLI chain: the ``workspace`` fixture
+of ``tests/test_cli.py`` runs the same lines in process through
+``cli.main``, and both it and this script check each chain directory with
+``chain_problems``.
+
 What the chain covers:
 - A component is excluded because that exclusion is what keeps FastICA in
   the comparison: with none excluded and every component kept, preprocess
@@ -102,11 +107,22 @@ def run_chain(tree, workdir):
     workdir.mkdir()
     printed = [run(tree, [sys.executable, "-m", "covert_decode.cli", *line.split()], workdir)
                for line in CHAIN]
+    problems = chain_problems(workdir)
+    if problems:
+        sys.exit("\n".join(problems))
+    return ["".join(stream) for stream in zip(*printed)]
+
+
+def chain_problems(workdir):
+    """What is wrong with one directory ``CHAIN`` has run in: the transfer
+    without baselines must write the runs of the full one without their
+    ``scratch_accuracy``, and no ``.partial`` temporary may be left."""
     full, heads = (json.loads((workdir / name).read_bytes())["runs"]
                    for name in ("transfer.json", "transfer_heads.json"))
+    problems = [f"{path}: left behind" for path in sorted(workdir.rglob("*.partial"))]
     if [{k: v for k, v in entry.items() if k != "scratch_accuracy"} for entry in full] != heads:
-        sys.exit(f"{workdir}: transfer runs differ without scratch baselines")
-    return ["".join(stream) for stream in zip(*printed)]
+        problems.append(f"{workdir}: transfer runs differ without scratch baselines")
+    return problems
 
 
 def content(path):

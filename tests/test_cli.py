@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a miniature synthetic subject, exit codes,
-determinism of emitted artifacts."""
+determinism of emitted artifacts. The ``workspace`` fixture runs
+``tests/revisions.py``'s ``CHAIN`` once and hands out the files it wrote."""
 
 import json
 import os
@@ -24,15 +25,7 @@ from covert_decode.preprocessing import epoch_and_baseline
 from covert_decode.synth import SynthSpec
 from covert_decode.training import TrainConfig
 
-SYNTH_SPEC = """
-# miniature subject: fast enough for tests
-n_classes = 5
-trials_per_class = 6
-n_channels = 4
-sample_rate_hz = 250
-epoch_seconds = 0.4
-noise_sigma = 0.4
-"""
+from revisions import CHAIN, SPEC, TRAIN_CFG, chain_problems
 
 TRAIN_OVERRIDES = [
     "--set", "hidden_units=6,4",
@@ -47,50 +40,30 @@ TRAIN_OVERRIDES = [
 ]
 
 
-def _chain(root):
-    """The commands that take the workspace subject from its recordings to
-    the report tables, each writing into ``root``."""
-    def path(name):
-        return str(root / name)
-
-    commands = []
-    for condition in ("overt", "covert"):
-        commands += [
-            ["preprocess", "--input", path(f"data/synthetic_{condition}.eegr"),
-             "--out", path(f"{condition}.epoc"), "--condition", condition, "--seed", "3",
-             *TRAIN_OVERRIDES],
-            ["features", "--input", path(f"{condition}.epoc"), "--out", path(f"{condition}.ften"),
-             *TRAIN_OVERRIDES],
-        ]
-    return commands + [
-        ["train", "--features", path("overt.ften"), "--model", "bilstm", "--cv", "3",
-         "--seed", "1", "--out", path("train.json"), "--checkpoint", path("model.rmdl"),
-         *TRAIN_OVERRIDES],
-        ["evaluate", "--model", path("model.rmdl"), "--features", path("covert.ften"),
-         "--out", path("eval.json"), *TRAIN_OVERRIDES],
-        ["transfer", "--source", path("model.rmdl"), "--covert", path("covert.ften"),
-         "--budgets", "0.3,0.4", "--seeds", "2", "--out", path("transfer.json"), "--seed", "0",
-         *TRAIN_OVERRIDES, "--set", "fine_tune_max_epochs=3"],
-        ["report", "--train-report", path("train.json"), "--transfer-report",
-         path("transfer.json"), "--overt-features", path("overt.ften"),
-         "--covert-features", path("covert.ften"), "--out-dir", path("tables")],
-    ]
-
-
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """The miniature subject taken through the whole CLI chain once: synth,
-    preprocess and features for each condition, train, evaluate, transfer and
-    report. Tests only read these files, and write under their own
-    ``tmp_path``, so they pass alone and in any order."""
+    """The directory ``chain/`` after ``CHAIN`` ran there once through
+    ``main``, next to ``subject.kv`` (``SPEC``) and ``train.cfg``
+    (``TRAIN_CFG``): synth recordings in ``data/``, ``overt``/``covert``
+    ``.epoc`` and ``.ften``, a ``<kind>.rmdl`` and ``train*.json`` per
+    recurrent kind, ``evaluate.json`` of ``gru.rmdl``, ``transfer.json`` and
+    ``.csv`` (2 budgets x 3 seeds) and ``tables/``. Tests only read these
+    files and write under their own ``tmp_path``, so they pass alone and in
+    any order."""
     root = tmp_path_factory.mktemp("cli")
-    spec = root / "subject.kv"
-    spec.write_text(SYNTH_SPEC)
-    assert main(["synth", "--spec", str(spec), "--out", str(root / "data"),
-                 "--seed", "3"]) == 0
-    for argv in _chain(root):
-        assert main(argv) == 0, argv
-    return root
+    (root / "subject.kv").write_text(SPEC)
+    (root / "train.cfg").write_text(TRAIN_CFG)
+    chain = root / "chain"
+    chain.mkdir()
+    cwd = os.getcwd()
+    os.chdir(chain)
+    try:
+        for line in CHAIN:
+            assert main(line.split()) == 0, line
+    finally:
+        os.chdir(cwd)
+    assert chain_problems(chain) == []
+    return chain
 
 
 def test_synth_emits_manifest_and_recordings(workspace):
@@ -128,18 +101,18 @@ def test_train_evaluate_transfer_report(workspace):
     root = workspace
     report = json.loads((root / "train.json").read_text())
     assert report["schema"] == 1
-    assert report["cv"]["k"] == 3
-    assert len(report["cv"]["fold_accuracies"]) == 3
-    assert (root / "model.rmdl").exists()
+    assert report["cv"]["k"] == 2
+    assert len(report["cv"]["fold_accuracies"]) == 2
+    assert (root / "gru.rmdl").exists()
     assert report["config"]["hidden_units"] == "6,4"
     assert report["inputs"][0]["sha256"] == fileio.sha256_file(root / "overt.ften")
 
-    ev = json.loads((root / "eval.json").read_text())
+    ev = json.loads((root / "evaluate.json").read_text())
     assert 0.0 <= ev["accuracy"] <= 1.0
     assert len(ev["confusion"]) == 5
 
     tr = json.loads((root / "transfer.json").read_text())
-    assert len(tr["runs"]) == 4  # 2 budgets x 2 seeds
+    assert len(tr["runs"]) == 6  # 2 budgets x 3 seeds
     assert (root / "transfer.csv").exists()
     for run in tr["runs"]:
         assert run["recurrent_hash_before"] == run["recurrent_hash_after"]
@@ -194,7 +167,7 @@ def test_commands_import_only_the_scipy_they_use(workspace, tmp_path):
     assert seen == {name: [] for name in
                     ("import", "features", "train", "evaluate", "report", "validate")}
     seen = _scipy_loaded([
-        ["transfer", "--source", str(root / "model.rmdl"), "--covert", str(root / "covert.ften"),
+        ["transfer", "--source", str(root / "gru.rmdl"), "--covert", str(root / "covert.ften"),
          "--budgets", "0.3", "--seeds", "2", "--out", str(tmp_path / "transfer.json"),
          *TRAIN_OVERRIDES, "--set", "fine_tune_max_epochs=2"],
     ])
@@ -214,7 +187,7 @@ def test_report_regeneration_idempotent(workspace, tmp_path):
 def test_validate_accepts_good_files(workspace, capsys):
     root = workspace
     code = main(["validate", str(root / "data" / "synthetic_overt.eegr"),
-                 str(root / "overt.ften"), str(root / "model.rmdl"),
+                 str(root / "overt.ften"), str(root / "gru.rmdl"),
                  str(root / "data" / "synthetic_manifest.json")])
     assert code == 0
     out = capsys.readouterr().out
@@ -1161,6 +1134,45 @@ def test_two_outputs_at_one_path_rejected_before_work(tmp_path, capsys, monkeypa
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "two outputs at one path" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+# each command with an output at the path of a file it reads; two of them
+# spell that path another way
+CLOBBERED = {
+    "preprocess --out": ["preprocess", "--input", "r.eegr", "--out", "./r.eegr",
+                         *TRAIN_OVERRIDES],
+    "features --out": ["features", "--input", "e.epoc", "--out", "e.epoc"],
+    "features --config": ["features", "--input", "e.epoc", "--out", "c.cfg", "--config", "c.cfg"],
+    "train --out": ["train", "--features", "f.ften", "--cv", "0", "--out", "f.ften",
+                    *TRAIN_OVERRIDES],
+    "train --checkpoint": ["train", "--features", "f.ften", "--cv", "0", "--out", "r.json",
+                           "--checkpoint", "a_dir/../f.ften", *TRAIN_OVERRIDES],
+    "evaluate --out": ["evaluate", "--model", "m.rmdl", "--features", "f.ften", "--out", "m.rmdl"],
+    "transfer --out": ["transfer", "--source", "m.rmdl", "--covert", "f.ften", "--budgets", "0.3",
+                       "--seeds", "1", "--out", "f.ften"],
+    "transfer csv": ["transfer", "--source", "m.rmdl", "--covert", "f.csv", "--budgets", "0.3",
+                     "--seeds", "1", "--out", "f.json"],
+    "report --out-dir": ["report", "--train-report", "t/accuracy_table.csv", "--out-dir", "t"],
+}
+
+
+@pytest.mark.parametrize("case", CLOBBERED)
+def test_output_at_an_input_path_is_config_error(workspace, tmp_path, capsys, monkeypatch, case):
+    # before, each command wrote over the file it had read: features on
+    # e.epoc left an FTEN file there
+    _readable_inputs(tmp_path)
+    shutil.copy(workspace / "data" / "synthetic_overt.eegr", tmp_path / "r.eegr")
+    shutil.copy(tmp_path / "f.ften", tmp_path / "f.csv")
+    (tmp_path / "c.cfg").write_text("seed = 1\n")
+    (tmp_path / "t").mkdir()
+    (tmp_path / "t" / "accuracy_table.csv").write_text(json.dumps(
+        {"model": "gru", "holdout": {"holdout_accuracy": 0.5}}))
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert main(CLOBBERED[case]) == 2
+    err = capsys.readouterr().err
+    assert "it is an input" in err and "Traceback" not in err
     assert _tree(tmp_path) == before
 
 

@@ -8,7 +8,7 @@ import pytest
 from covert_decode import cli
 from covert_decode.experiments import make_report
 
-from revisions import CHAIN, trees_match
+from revisions import CHAIN, chain_problems, trees_match
 
 
 @pytest.fixture
@@ -69,6 +69,29 @@ def test_temporary_left_on_both_sides_fails(sides, capsys):
     assert not trees_match(*sides)
     assert capsys.readouterr().out.splitlines() == [
         ".transfer.json.partial: left behind", "0 of 1 files match"]
+
+
+def write_transfers(root, heads_accuracy):
+    """A full transfer report with one run of transfer accuracy 0.5, and a
+    heads-only one whose run has ``heads_accuracy``."""
+    full = {"budget": 0.2, "seed": 3, "transfer_accuracy": 0.5, "scratch_accuracy": 0.25}
+    heads = {"budget": 0.2, "seed": 3, "transfer_accuracy": heads_accuracy}
+    for name, entry in (("transfer.json", full), ("transfer_heads.json", heads)):
+        (root / name).write_text(json.dumps({"runs": [entry]}))
+
+
+def test_heads_only_transfer_with_other_runs_is_a_problem(tmp_path):
+    write_transfers(tmp_path, 0.75)
+    assert chain_problems(tmp_path) == [
+        f"{tmp_path}: transfer runs differ without scratch baselines"]
+
+
+def test_temporary_left_in_one_chain_directory_is_a_problem(tmp_path):
+    write_transfers(tmp_path, 0.5)
+    (tmp_path / "tables").mkdir()
+    (tmp_path / "tables" / ".accuracy_table.csv.partial").write_bytes(b"subject")
+    assert chain_problems(tmp_path) == [
+        f"{tmp_path / 'tables' / '.accuracy_table.csv.partial'}: left behind"]
 
 
 def test_chain_runs_every_subcommand():

@@ -14,7 +14,7 @@ from covert_decode.synth import (
     SynthSpec,
     generate_paired,
     measure_cross_condition_envelope_correlation,
-    to_recording,
+    to_recordings,
     write_manifest,
 )
 
@@ -114,7 +114,7 @@ class TestToRecording:
     def test_markers_and_roundtrip_layout(self):
         spec = small_spec(trials_per_class=2)
         overt, _, _ = generate_paired(spec)
-        rec = to_recording(overt, gap_seconds=0.25, seed=0)
+        rec = to_recordings([overt], gap_seconds=0.25, seed=0)[0]
         assert len(rec.markers) == overt.n_trials
         m0, label0 = rec.markers[0]
         assert label0 == overt.labels[0]
@@ -123,7 +123,7 @@ class TestToRecording:
     def test_gap_leaves_baseline_room(self):
         spec = small_spec(trials_per_class=1)
         overt, _, _ = generate_paired(spec)
-        rec = to_recording(overt, gap_seconds=0.2, seed=0)
+        rec = to_recordings([overt], gap_seconds=0.2, seed=0)[0]
         assert rec.markers[0][0] >= 50  # 100 ms at 500 Hz
 
 
@@ -145,8 +145,8 @@ class TestManifest:
     def test_manifest_lists_two_files_per_subject(self, tmp_path):
         spec = small_spec(trials_per_class=1)
         overt, covert, _ = generate_paired(spec)
-        rec_o = to_recording(overt, seed=1)
-        rec_c = to_recording(covert, seed=1)
+        rec_o = to_recordings([overt], seed=1)[0]
+        rec_c = to_recordings([covert], seed=1)[0]
         path = write_manifest({"overt": rec_o, "covert": rec_c}, tmp_path, subject="s2")
         manifest = json.loads(path.read_text())
         assert len(manifest["files"]) == 2
@@ -155,7 +155,7 @@ class TestManifest:
     @pytest.mark.parametrize("second", ["recording", "not a dataset"])
     def test_mixed_kinds_write_nothing(self, tmp_path, second):
         overt, covert, _ = generate_paired(small_spec(trials_per_class=1))
-        other = to_recording(covert) if second == "recording" else second
+        other = to_recordings([covert])[0] if second == "recording" else second
         with pytest.raises(TypeError, match="need all EegRecording or all EpochSet"):
             write_manifest({"overt": overt, "covert": other}, tmp_path / "out")
         assert not (tmp_path / "out").exists()
