@@ -2,11 +2,12 @@
 """Freeze-then-fine-tune transfer from overt to covert data.
 
 Trains a small bidirectional LSTM on an 80:20 split of the overt half of a
-synthetic subject (``train_holdout``), then hands it to ``transfer_sweep``,
-which freezes its recurrent layers, re-trains only the dense head on growing
-covert budgets, and compares against training the source's architecture from
-scratch on each budget. Paired t-tests (Bonferroni-corrected) compare the
-budgets.
+synthetic subject (``train_holdout``), then hands it to ``transfer_sweep``.
+The sweep runs the source's frozen recurrent body over the covert set once
+and caches the features it feeds the dense head, re-trains only the head on
+those features for growing covert budgets, and compares against training
+the source's architecture from scratch on each budget. Paired t-tests
+(Bonferroni-corrected) compare the budgets.
 """
 
 import numpy as np

@@ -50,7 +50,7 @@ from .evaluation import (
 )
 from .experiments import make_report, run_cv, train_holdout
 from .features import envelope_correlation, extract_features
-from .ica import fastica_decompose, ica_reconstruct, prepare_fastica
+from .ica import check_excluded, fastica_decompose, ica_reconstruct, prepare_fastica
 from .network import RECURRENT_KINDS, classifier_specs
 from .preprocessing import (
     design_butterworth_bandpass,
@@ -128,7 +128,7 @@ def cmd_synth(args) -> int:
         overt, covert = synth.to_recordings([overt, covert], gap_seconds=gap_seconds, seed=seed)
     datasets = {"overt": overt, "covert": covert}
     manifest_path = synth.write_manifest(
-        datasets, args.out, subject=args.subject, seed=seed, class_names=list(spec.class_names)
+        datasets, args.out, subject=args.subject, seed=seed, class_names=spec.class_names
     )
     print(f"wrote {len(datasets)} {args.emit} files and {manifest_path}")
     return 0
@@ -153,13 +153,15 @@ def cmd_preprocess(args) -> int:
     excluded = parse_list(cfg["ica_exclude"], int, "ica_exclude")
     inputs = []
     recording = fileio.read_recording(args.input, inputs)
+    n_components = cfg["ica_components"] or recording.n_channels
+    if cfg["ica_enabled"]:
+        check_excluded(excluded, n_components)  # before the filters and FastICA
     if recording.sample_rate_hz != cfg["sample_rate_hz"]:
         notch, bandpass = _filters(cfg, recording.sample_rate_hz)
 
     # the filters overwrite the raw data, the reader's own float64 copy
     filter_zero_phase(recording.data, notch, bandpass, out=recording.data)
     if cfg["ica_enabled"]:
-        n_components = cfg["ica_components"] or recording.n_channels
         ica_args = {"n_components": n_components, "max_iter": cfg["ica_max_iter"],
                     "tol": cfg["ica_tol"]}
         if not excluded and n_components == recording.n_channels:
@@ -321,7 +323,7 @@ def _transfer_rows(summary) -> list:
     fields = ["budget", "transfer_mean", "transfer_stdev"]
     if summary and "scratch_mean" in summary[0]:
         fields += ["scratch_mean", "scratch_stdev"]
-    return [fields] + [[entry.get(f, "") for f in fields] for entry in summary]
+    return [fields] + [[entry[f] for f in fields] for entry in summary]
 
 
 def cmd_report(args) -> int:
@@ -333,9 +335,7 @@ def cmd_report(args) -> int:
         tables["accuracy_table.csv"] = _accuracy_rows(args.train_report)
     if args.transfer_report:
         report = fileio.load_json(args.transfer_report)
-        summary = report.get("summary")
-        if not isinstance(summary, list) or not all(isinstance(e, dict) for e in summary):
-            raise DataError(f"{args.transfer_report}: no summary list of budget entries")
+        summary = _transfer_summary(report, args.transfer_report)
         tables["transfer_budgets.csv"] = _transfer_rows(summary)
     if args.overt_features:
         tables.update(_envelope_tables(args.overt_features, args.covert_features))
@@ -348,6 +348,29 @@ def cmd_report(args) -> int:
     for name, rows in tables.items():
         print(f"wrote {fileio.write_csv(rows, paths[name])}")
     return 0
+
+
+def _transfer_summary(report, path) -> list:
+    """A transfer report's summary, checked as ``_transfer_rows`` reads it:
+    every entry holds a finite budget, transfer mean and stdev, and a scratch
+    mean and stdev if any entry does. Anything else is a DataError."""
+    summary = report.get("summary")
+    if not isinstance(summary, list) or not all(isinstance(e, dict) for e in summary):
+        raise DataError(f"{path}: no summary list of budget entries")
+    scratch = ["scratch_mean", "scratch_stdev"]
+    keys = ["budget", "transfer_mean", "transfer_stdev"]
+    keys += scratch if any(key in entry for entry in summary for key in scratch) else []
+    for index, entry in enumerate(summary):
+        for key in keys:
+            if not _is_finite(entry.get(key)):
+                raise DataError(f"{path}: summary entry {index} needs a finite number for "
+                                f"{key}, got {entry.get(key)!r}")
+    return summary
+
+
+def _is_finite(value) -> bool:
+    """True for a JSON number that is finite (not a bool, NaN or infinite)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _envelope_tables(overt_path, covert_path) -> dict:
@@ -389,7 +412,7 @@ def _accuracy_rows(train_reports) -> list:
         acc = source.get("mean_accuracy", source.get("holdout_accuracy"))
         if acc is None:
             raise DataError(f"{path}: no CV mean or holdout accuracy")
-        if not (type(acc) in (int, float) and abs(acc) <= sys.float_info.max):
+        if not _is_finite(acc):
             raise DataError(f"{path}: accuracy {acc!r} is not a finite number")
         if model in rows.get(subject, {}):
             raise DataError(f"{path}: a second {model} report for subject {subject!r}")

@@ -12,6 +12,7 @@ from dataclasses import fields
 
 from . import fileio
 from .errors import ConfigError
+from .features import DEFAULT_ENV_FLOOR_REL
 from .synth import SynthSpec
 from .training import TrainConfig
 
@@ -32,7 +33,7 @@ PIPELINE_DEFAULTS = {
     "epoch_seconds": 2.0,
     "baseline_ms": 100.0,
     # features
-    "env_floor_rel": 1e-12,
+    "env_floor_rel": DEFAULT_ENV_FLOOR_REL,
     # model
     "model": "bilstm",
     "hidden_units": "512,256",
@@ -52,10 +53,8 @@ PIPELINE_DEFAULTS = {
 # SynthSpec's fields with its defaults, but for two values the CLI has
 # always synthesized with: changing either would change every subject the
 # CLI writes, or else paper_train's inputs, which come from SynthSpec itself.
-# component_amplitude and class_names are not keys.
 SYNTH_DEFAULTS = {
-    **{f.name: f.default for f in fields(SynthSpec)
-       if f.name not in ("component_amplitude", "class_names")},
+    **{f.name: f.default for f in fields(SynthSpec)},
     "components_per_class": 2,
     "envelope_jitter": 0.2,
     "gap_seconds": 0.25,

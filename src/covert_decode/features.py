@@ -2,12 +2,12 @@
 cross-condition envelope correlation.
 
 ``hilbert_parts`` is the one analytic-signal transform: for every series along
-an axis it returns the Hilbert transform (the imaginary part of the analytic
-signal), the envelope (its magnitude) and the fine structure (the signal over
-the envelope, floored at ``max(env_floor_rel * peak envelope,
+the first axis, time, it returns the Hilbert transform (the imaginary part of
+the analytic signal), the envelope (its magnitude) and the fine structure (the
+signal over the envelope, floored at ``max(env_floor_rel * peak envelope,
 ABSOLUTE_ENV_FLOOR)``), so envelope * fine structure reconstructs the input
 wherever the envelope clears the floor. ``extract_features`` calls it on each
-trial along time.
+trial's (time, channels) block.
 """
 
 from dataclasses import dataclass
@@ -35,9 +35,9 @@ def _analytic_weights(n: int) -> np.ndarray:
     return w
 
 
-def hilbert_parts(x: np.ndarray, axis: int = 0, env_floor_rel: float = DEFAULT_ENV_FLOOR_REL):
+def hilbert_parts(x: np.ndarray, env_floor_rel: float = DEFAULT_ENV_FLOOR_REL):
     """(Hilbert transform, envelope, fine structure) of every series along
-    ``axis`` (batched FFT), each shaped like ``x``.
+    the first axis (batched FFT), each shaped like ``x``.
 
     The envelope is >= |x|; the fine structure lies in [-1, 1]. Raises
     DataError if a series is shorter than 4 samples, or if its envelope peak is
@@ -45,17 +45,15 @@ def hilbert_parts(x: np.ndarray, axis: int = 0, env_floor_rel: float = DEFAULT_E
     makes exactly that series' peak non-finite.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[axis]
+    n = x.shape[0]
     if n < 4:
         raise DataError(f"series too short for the analytic transform: {n} < 4 samples")
-    shape = [1] * x.ndim
-    shape[axis] = n
-    w = _analytic_weights(n).reshape(shape)
+    w = _analytic_weights(n).reshape((n,) + (1,) * (x.ndim - 1))
     # a non-finite series is reported below, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        imag = np.fft.ifft(np.fft.fft(x, axis=axis) * w, axis=axis).imag
+        imag = np.fft.ifft(np.fft.fft(x, axis=0) * w, axis=0).imag
         env = np.hypot(x, imag)
-    peak = env.max(axis=axis, keepdims=True)
+    peak = env.max(axis=0, keepdims=True)
     if not np.isfinite(peak).all():
         raise DataError("signal contains NaN or infinite samples, or overflows the analytic "
                         "transform; envelope features need finite data")
@@ -85,8 +83,7 @@ def extract_features(epochs: EpochSet, env_floor_rel: float = DEFAULT_ENV_FLOOR_
 
     def extract(trials):
         for t in range(trials.start, trials.stop):  # data[t] is (time, channels)
-            _, out[t, :, :c], out[t, :, c:] = hilbert_parts(data[t], axis=0,
-                                                            env_floor_rel=env_floor_rel)
+            _, out[t, :, :c], out[t, :, c:] = hilbert_parts(data[t], env_floor_rel=env_floor_rel)
 
     parts = threads.block_split(len(data), data[0].nbytes)
     threads.run([(extract, (part,)) for part in parts])

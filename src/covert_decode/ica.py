@@ -2,8 +2,9 @@
 
 Component selection is deliberately explicit: :func:`ica_reconstruct` takes
 the exclusion set as an argument, and :func:`suggest_artifact_components`
-offers an optional frontal-channel correlation heuristic. Nothing is removed
-automatically.
+offers an optional frontal-channel correlation heuristic, which flags a
+component whose absolute correlation with a listed channel exceeds
+``ARTIFACT_CORRELATION`` (0.7). Nothing is removed automatically.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .rng import substream
 _RANK_TOL = 1e-10
 # target size of one row block of the elementwise pass, so it stays in cache
 _BLOCK_BYTES = 2**20
+ARTIFACT_CORRELATION = 0.7  # see the module docstring
 
 
 @dataclass
@@ -48,8 +50,7 @@ def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
     return (u * (1.0 / np.sqrt(s))) @ u.T @ w
 
 
-def prepare_fastica(recording: EegRecording, n_components: int, max_iter: int = 200,
-                    tol: float = 1e-4):
+def prepare_fastica(recording: EegRecording, n_components: int, max_iter: int, tol: float):
     """FastICA's input checks, and the centered data and whitening basis the
     sweep starts from.
 
@@ -172,6 +173,17 @@ def fastica_decompose(
     )
 
 
+def check_excluded(excluded, n_components: int) -> set:
+    """The component indices ``excluded`` as a set; ConfigError if one lies
+    outside [0, n_components). The CLI checks its exclusions here before
+    FastICA runs, and :func:`ica_reconstruct` checks them again."""
+    excluded = set(int(i) for i in excluded)
+    for i in excluded:
+        if not 0 <= i < n_components:
+            raise ConfigError(f"component index {i} out of range [0, {n_components})")
+    return excluded
+
+
 def ica_reconstruct(decomp: IcaDecomposition, excluded=(), out=None) -> np.ndarray:
     """Rebuild channel data with the given components removed.
 
@@ -180,12 +192,7 @@ def ica_reconstruct(decomp: IcaDecomposition, excluded=(), out=None) -> np.ndarr
     C-contiguous float64 (n_channels, n_samples) array that receives the
     result in place of a new one; the result's bits do not depend on it.
     """
-    excluded = set(int(i) for i in excluded)
-    for i in excluded:
-        if not 0 <= i < decomp.n_components:
-            raise ConfigError(
-                f"component index {i} out of range [0, {decomp.n_components})"
-            )
+    excluded = check_excluded(excluded, decomp.n_components)
     if excluded:
         kept = [i for i in range(decomp.n_components) if i not in excluded]
         data = np.matmul(decomp.mixing[:, kept], decomp.sources[kept, :], out=out)
@@ -200,13 +207,12 @@ def suggest_artifact_components(
     decomp: IcaDecomposition,
     recording: EegRecording,
     frontal_channels,
-    threshold: float = 0.7,
 ) -> list:
     """Flag components strongly correlated with designated frontal channels.
 
     A helper for ocular-artifact screening; returns component indices whose
-    absolute Pearson correlation with any listed channel exceeds the
-    threshold. Selection remains the caller's decision.
+    absolute Pearson correlation with any listed channel exceeds
+    ``ARTIFACT_CORRELATION``. Selection remains the caller's decision.
     """
     flagged = []
     centered_sources = decomp.sources - decomp.sources.mean(axis=1, keepdims=True)
@@ -221,7 +227,7 @@ def suggest_artifact_components(
             if denom == 0:
                 continue
             r = float(centered_sources[comp] @ sig / denom)
-            if abs(r) > threshold:
+            if abs(r) > ARTIFACT_CORRELATION:
                 flagged.append(comp)
                 break
     return flagged

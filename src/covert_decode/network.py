@@ -376,7 +376,8 @@ class RecurrentLayer(_ParamLayer):
 
     def _scan_buffers(self, wh, n_time, n_batch, keep_cache: bool):
         """Every array a forward scan over the slots of ``wh`` (slots, H, G*H)
-        writes or reads besides its input projections, for all slots."""
+        writes or reads besides its input projections, for all slots; the
+        T-long ones are counted by :meth:`RecurrentModel.scan_bytes`."""
         n_slots, h_size, gh = wh.shape
         state = (n_slots, n_batch, h_size)
         empty = functools.partial(np.empty, dtype=self.dtype)
@@ -797,6 +798,20 @@ class RecurrentModel:
         for layer in self.layers:
             if layer is not None:
                 layer.grads = {}
+
+    def scan_bytes(self, n_rows: int, n_time: int, training: bool) -> int:
+        """Bytes of the T-long scan buffers that one pass over ``n_rows``
+        trials holds (see :meth:`RecurrentLayer._scan_buffers`)."""
+        per_state = 0
+        for layer in self.layers:
+            if isinstance(layer, RecurrentLayer):
+                # training keeps the T-long gate buffer, the hidden states,
+                # the cell (LSTM) or reset-gated (GRU) states and the output
+                # gradients; an eval pass keeps only the hidden states (its
+                # projections come in blocks of threads.BLOCK_BYTES)
+                width = layer.n_gates + 3 if training else 1
+                per_state += layer.n_dir * layer.spec.size * width
+        return n_time * n_rows * per_state * self.dtype.itemsize
 
     def parameter_count(self) -> int:
         return sum(arr.size for _, arr in self.param_blocks())

@@ -9,10 +9,10 @@ import numpy as np
 class AdamState:
     """First/second moment accumulators for the trainable parameters only."""
 
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: float
+    beta1: float
+    beta2: float
+    epsilon: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)

@@ -3,6 +3,7 @@ epoching with pre-stimulus baseline correction.
 
 The standard EEG chain here is notch (powerline), Butterworth band-pass,
 then epoching; artifact removal lives in :mod:`covert_decode.ica`.
+Filtering runs along the last axis, time in a (channels, samples) recording.
 
 ``scipy.signal`` is imported inside the functions that use it: loading it
 costs more than the rest of the package, and only ``preprocess`` needs it.
@@ -102,10 +103,10 @@ def design_butterworth_bandpass(
     return _check_stable(FilterCoefficients(b, a, descriptor))
 
 
-def filter_zero_phase(x: np.ndarray, *filters: FilterCoefficients, axis: int = -1,
-                      out=None) -> np.ndarray:
-    """Forward-backward filtering through each of ``filters`` in turn: zero
-    net phase shift, magnitude the product of their |H|^2.
+def filter_zero_phase(x: np.ndarray, *filters: FilterCoefficients, out=None) -> np.ndarray:
+    """Forward-backward filtering of every row (signal along the last axis)
+    through each of ``filters`` in turn: zero net phase shift, magnitude the
+    product of their |H|^2.
 
     Transients are suppressed by reflective edge padding of 3x the filter
     order, so the signal must be longer than 3x each filter's coefficient
@@ -113,14 +114,13 @@ def filter_zero_phase(x: np.ndarray, *filters: FilterCoefficients, axis: int = -
     second-order sections internally; narrow band-passes put poles close to
     the unit circle, where the direct (b, a) form loses several digits.
 
-    The signals along the other axes are filtered in blocks of about
-    ``threads.BLOCK_BYTES``: each block goes through every filter before the
-    next block starts, and each filter's result is written back into the
-    output, so the call holds the input, the output and sosfiltfilt's few
-    padded copies of one block for one filter. ``out``, if given, is a
-    float64 array of ``x``'s shape that receives the result in place of a
-    new one, and may be ``x`` itself; its signals must reshape to rows
-    without a copy (C order with ``axis`` first or last). Each signal is
+    The rows are filtered in blocks of about ``threads.BLOCK_BYTES``: each
+    block goes through every filter before the next block starts, and each
+    filter's result is written back into the output, so the call holds the
+    input, the output and sosfiltfilt's few padded copies of one block for
+    one filter. The result is C-ordered: ``out``, if given, is a C-contiguous
+    float64 array of ``x``'s shape that receives it in place of a new one,
+    and may be ``x`` itself. Each signal is
     filtered on its own, so the result's bits do not depend on the blocks or
     on ``out``. Signals that span at least two blocks are split over the
     package's threads (:mod:`covert_decode.threads`), each filtering its
@@ -135,23 +135,20 @@ def filter_zero_phase(x: np.ndarray, *filters: FilterCoefficients, axis: int = -
     stages = []
     for coeffs in filters:
         n_taps = max(coeffs.numerator.size, coeffs.denominator.size)
-        if x.shape[axis] <= 3 * n_taps:
+        if x.shape[-1] <= 3 * n_taps:
             raise EpochingError(
-                f"signal length {x.shape[axis]} too short for zero-phase filtering "
+                f"signal length {x.shape[-1]} too short for zero-phase filtering "
                 f"(need > {3 * n_taps} samples for {coeffs.design_descriptor or 'this filter'})"
             )
         stages.append((sp_signal.tf2sos(coeffs.numerator, coeffs.denominator), 3 * (n_taps - 1)))
-    moved = np.moveaxis(x, axis, -1)
-    signals = moved.reshape(-1, moved.shape[-1])
+    signals = x.reshape(-1, x.shape[-1])
     if out is None:
-        rows_out = np.empty_like(signals)
-        out = np.moveaxis(rows_out.reshape(moved.shape), -1, axis)
-    elif out.shape != x.shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {x.shape}")
-    else:
-        rows_out = np.moveaxis(out, axis, -1).reshape(signals.shape)
-        if not np.may_share_memory(rows_out, out):
-            raise ValueError("out's signals must reshape to rows without a copy")
+        # not empty_like: a Fortran-ordered x would give an out whose rows
+        # reshape to a copy, and the result would be lost in it
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
+    rows_out = out.reshape(signals.shape)
     row_bytes = rows_out.itemsize * rows_out.shape[1]
     parts = threads.block_split(len(rows_out), row_bytes)
     rows = max(1, threads.BLOCK_BYTES // len(parts) // row_bytes)

@@ -23,7 +23,7 @@ thread count either.
 the package (and every command but ``synth``) does not pay for loading it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,8 @@ from .rng import substream
 # channel-samples and the trials span at least two blocks (measured in
 # covert_decode.threads)
 _SPLIT_TRIAL_SAMPLES = 2**14
+# peak channel weight of every template component
+COMPONENT_AMPLITUDE = 3.0
 
 
 @dataclass
@@ -48,14 +50,12 @@ class SynthSpec:
     sample_rate_hz: float = 500.0
     epoch_seconds: float = 2.0
     components_per_class: int = 1
-    component_amplitude: float = 3.0
     cross_condition_rho: float = 0.8
     attenuation: float = 0.6
     noise_sigma: float = 0.5
     envelope_bandwidth_hz: float = 2.0
     envelope_jitter: float = 0.6
     phase_jitter: float = 0.6
-    class_names: list = field(default_factory=list)
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +65,10 @@ class SynthSpec:
             raise ConfigError("attenuation must lie in (0, 1]")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
-        if min(self.n_classes, self.trials_per_class, self.n_channels) < 1:
-            raise ConfigError("n_classes, trials_per_class, n_channels must be positive")
+        if min(self.n_classes, self.trials_per_class, self.n_channels,
+               self.components_per_class) < 1:
+            raise ConfigError("n_classes, trials_per_class, n_channels and "
+                              "components_per_class must be positive")
         if self.n_timesteps < 1:
             raise ConfigError("epoch_seconds * sample_rate_hz must round to at least one sample")
         if self.envelope_bandwidth_hz <= 0:
@@ -75,10 +77,10 @@ class SynthSpec:
         if _envelope_sigma_samples(self) > 100 * self.n_timesteps:
             raise ConfigError(f"envelope_bandwidth_hz={self.envelope_bandwidth_hz} smooths over "
                               f"more than 100 epochs of {self.n_timesteps} samples")
-        if not self.class_names:
-            self.class_names = default_class_names(self.n_classes)
-        if len(self.class_names) != self.n_classes:
-            raise ConfigError("class_names length must equal n_classes")
+
+    @property
+    def class_names(self) -> list:
+        return default_class_names(self.n_classes)
 
     @property
     def n_timesteps(self) -> int:
@@ -149,7 +151,7 @@ def _build_templates(spec: SynthSpec):
             # dense positive channel mix: every class loads every channel,
             # classes differ only in the weighting
             weights = np.abs(rng.standard_normal(spec.n_channels)) + 0.1
-            weights *= spec.component_amplitude / weights.max()
+            weights *= COMPONENT_AMPLITUDE / weights.max()
 
             base = _smooth_standardized(rng, t, sigma)
             # exact sample correlation: project out the shared part, then mix
@@ -251,14 +253,14 @@ def generate_paired(spec: SynthSpec):
         templates = _build_templates(spec)
         threads.run([(fill, (part,)) for part in parts])
 
-    common = dict(sample_rate_hz=spec.sample_rate_hz, class_names=list(spec.class_names))
+    common = dict(sample_rate_hz=spec.sample_rate_hz, class_names=spec.class_names)
     overt_set = EpochSet(data=overt, labels=labels, condition=Condition.OVERT, **common)
     covert_set = EpochSet(data=covert, labels=labels.copy(), condition=Condition.COVERT, **common)
     manifest = {
         "schema": 1,
         "seed": spec.seed,
         "n_trials": spec.n_trials,
-        "class_names": list(spec.class_names),
+        "class_names": spec.class_names,
         "cross_condition_rho": spec.cross_condition_rho,
         "attenuation": spec.attenuation,
         "noise_sigma": spec.noise_sigma,

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .evaluation import stratified_split
 from .network import (
-    RecurrentLayer,
     RecurrentModel,
     backward_models,
     cross_entropy_mean,
@@ -185,23 +184,9 @@ def _stack_groups(items, sizes, model, n_time, keep_cache):
     return groups
 
 
-def _scan_bytes(model, n_rows, n_time, keep_cache):
-    """Bytes of the scan buffers that one pass over ``n_rows`` trials holds."""
-    per_state = 0
-    for spec, layer in zip(model.specs, model.layers):
-        if isinstance(layer, RecurrentLayer):
-            # training keeps the T-long gate buffer, the hidden states, the
-            # cell (LSTM) or reset-gated (GRU) states and the output
-            # gradients; an eval pass keeps only the hidden states (its
-            # projections come in blocks of threads.BLOCK_BYTES)
-            width = layer.n_gates + 3 if keep_cache else 1
-            per_state += layer.n_dir * spec.size * width
-    return n_time * n_rows * per_state * model.dtype.itemsize
-
-
 def _stack_cap(model, n_rows, n_time, keep_cache):
     """How many models' scan buffers for ``n_rows`` trials fit the budget."""
-    return max(1, STACK_BUDGET_BYTES // max(1, _scan_bytes(model, n_rows, n_time, keep_cache)))
+    return max(1, STACK_BUDGET_BYTES // max(1, model.scan_bytes(n_rows, n_time, keep_cache)))
 
 
 def _merge_cap(model, batch_size, n_time):
@@ -210,8 +195,8 @@ def _merge_cap(model, batch_size, n_time):
     batch size (7 for LSTM, 6 for GRU). One-trial chunks are never merged."""
     if batch_size == 1:
         return 1
-    train = _scan_bytes(model, batch_size, n_time, keep_cache=True)
-    return max(1, train // max(1, _scan_bytes(model, batch_size, n_time, keep_cache=False)))
+    train = model.scan_bytes(batch_size, n_time, training=True)
+    return max(1, train // max(1, model.scan_bytes(batch_size, n_time, training=False)))
 
 
 @dataclass

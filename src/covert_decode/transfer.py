@@ -144,7 +144,7 @@ def transfer_sweep(
     plan: TransferPlan,
     covert: FeatureTensor,
     source_model: RecurrentModel,
-    train_config: TrainConfig = None,
+    train_config: TrainConfig,
     include_scratch_baseline: bool = True,
 ) -> dict:
     """Run the budget x seed transfer grid from a trained ``source_model``,
@@ -157,8 +157,6 @@ def transfer_sweep(
     summaries, pairwise budget t-tests (Bonferroni family = number of budget
     pairs), and transfer-vs-scratch t-tests per budget with baselines.
     """
-    if train_config is None:
-        train_config = TrainConfig()
     payload = {"budgets": list(plan.budgets), "seeds": list(plan.seeds)}
     # the whole grid is drawn before the body pass, so a covert set too
     # small for a budget fails before any model runs

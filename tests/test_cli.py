@@ -516,6 +516,8 @@ OUT_OF_RANGE = [
     ("synth", ["gap_seconds=0"]),
     ("synth", ["epoch_seconds=0"]),
     ("synth", ["cross_condition_rho=2"]),
+    ("synth", ["components_per_class=0"]),  # pure-noise subjects
+    ("synth", ["components_per_class=-2"]),
     # found by tests/test_fuzz_cli.py
     ("train", ["beta1=1"]),
     ("train", ["epsilon=0"]),
@@ -696,6 +698,20 @@ def test_kept_recording_is_within_one_float32_ulp_of_the_ica_round_trip(
                                     epochs.data.astype(np.float32), maxulp=1)
 
 
+@pytest.mark.parametrize("index", [7, -1])
+def test_out_of_range_exclusion_fails_before_fastica(workspace, tmp_path, capsys, monkeypatch,
+                                                     index):
+    def fail(*args, **kwargs):
+        raise AssertionError("FastICA ran")
+
+    monkeypatch.setattr(cli, "fastica_decompose", fail)
+    argv = _preprocess_argv(workspace / "data" / "synthetic_overt.eegr", tmp_path / "o.epoc",
+                            sets=[f"ica_exclude={index}"])
+    assert main(argv) == 2
+    assert f"component index {index} out of range [0, 4)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("case, code, message", [
     ("nan", 3, "sample data holds NaN or infinite values"),
     ("duplicate", 3, "covariance is rank-deficient"),
@@ -794,6 +810,7 @@ def test_config_keys_name_dataclass_fields():
     # every synth key but gap_seconds has SynthSpec's default, apart from two
     # values the CLI has always synthesized with
     spec_defaults = {field.name: field.default for field in fields(SynthSpec)}
+    assert set(SYNTH_DEFAULTS) == set(spec_defaults) | {"gap_seconds"}
     differ = {"components_per_class": 2, "envelope_jitter": 0.2}
     for key, value in SYNTH_DEFAULTS.items():
         if key != "gap_seconds":
@@ -864,6 +881,34 @@ def test_report_on_malformed_json_is_data_error(tmp_path, capsys, flag, content)
     captured = _expect_exit_3(["report", flag, str(report), "--out-dir", str(tmp_path / "t")],
                               capsys)
     assert str(report) in captured.err
+
+
+BUDGET = {"budget": 0.2, "transfer_mean": 0.5, "transfer_stdev": 0.1}
+SCRATCH = {"scratch_mean": 0.4, "scratch_stdev": 0.05}
+
+
+@pytest.mark.parametrize("summary, message", [
+    ([{"budget": 0.2}, {"budget": 0.3, "transfer_mean": "x", "transfer_stdev": None,
+                        "scratch_mean": 0.5}], "entry 0 needs a finite number for transfer_mean"),
+    ([BUDGET, {**BUDGET, "transfer_mean": "x"}], "entry 1 needs a finite number for "
+                                                  "transfer_mean, got 'x'"),
+    ([{**BUDGET, "transfer_stdev": None}], "transfer_stdev, got None"),
+    ([{**BUDGET, "budget": True}], "budget, got True"),
+    ([{**BUDGET, "transfer_mean": 1e999}], "transfer_mean, got inf"),
+    ([{**BUDGET, **SCRATCH}, BUDGET], "entry 1 needs a finite number for scratch_mean"),
+    ([BUDGET, {**BUDGET, **SCRATCH}], "entry 0 needs a finite number for scratch_mean"),
+    ([{**BUDGET, "scratch_mean": 0.4}], "scratch_stdev, got None"),
+], ids=["blank_cells", "text_mean", "null_stdev", "bool_budget", "infinite_mean",
+        "scratch_on_entry_0_only", "scratch_on_entry_1_only", "scratch_mean_alone"])
+def test_report_malformed_transfer_summary_is_data_error(tmp_path, capsys, summary, message):
+    report = tmp_path / "transfer.json"
+    report.write_text(json.dumps({"summary": summary}))
+    out_dir = tmp_path / "t"
+    captured = _expect_exit_3(["report", "--transfer-report", str(report),
+                               "--out-dir", str(out_dir)], capsys)
+    assert f"{report}: summary entry " in captured.err
+    assert message in captured.err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--overt-features", "--covert-features"])

@@ -97,7 +97,7 @@ class TestAnalyticSignal:
         # channel) block; demo 03 runs it on one series
         block = np.random.default_rng(n).standard_normal((n, 7))
         block[:, 3] = 0.0
-        parts = hilbert_parts(block, axis=0)
+        parts = hilbert_parts(block)
         for c in range(block.shape[1]):
             for got, want in zip(parts, hilbert_parts(block[:, c])):
                 np.testing.assert_array_equal(got[:, c], want)
@@ -113,7 +113,7 @@ class TestAnalyticSignal:
             block = np.random.default_rng(n).standard_normal((n, 3))
             block[at, 1] = bad
             with pytest.raises(DataError, match="NaN or infinite"):
-                hilbert_parts(block, axis=0)
+                hilbert_parts(block)
 
 
 class TestEnvelope:

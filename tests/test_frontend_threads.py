@@ -54,36 +54,23 @@ class TestFilterSplit:
         assert runs == [1 if n_blocks == 1 else 2]
         assert_array_equal(one, two)
 
-    def test_split_along_another_axis(self, workers, monkeypatch):
-        monkeypatch.setattr(threads, "BLOCK_BYTES", 2 * ROW_BYTES)
-        coeffs = preprocessing.design_notch(50.0, 30.0, 250.0)
-        x = np.random.default_rng(3).standard_normal((N_SAMPLES, 3, 5))
-        workers(1)
-        one = preprocessing.filter_zero_phase(x, coeffs, axis=0)
-        runs = workers(2)
-        two = preprocessing.filter_zero_phase(x, coeffs, axis=0)
-        assert runs == [2]
-        assert_array_equal(one, two)
-
 
 @needs_blas_calls
 class TestFilterChain:
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("in_place", [False, True])
-    @pytest.mark.parametrize("axis", [0, -1])
-    def test_matches_one_call_per_filter(self, workers, monkeypatch, n_workers, in_place, axis):
+    def test_matches_one_call_per_filter(self, workers, monkeypatch, n_workers, in_place):
         # seven blocks of two signals: each block goes through both filters
         # before the next one starts
         monkeypatch.setattr(threads, "BLOCK_BYTES", 2 * ROW_BYTES)
         notch = preprocessing.design_notch(50.0, 30.0, 250.0)
         bandpass = preprocessing.design_butterworth_bandpass(4, 2.0, 30.0, 250.0)
-        x = signals(13) if axis == -1 else np.ascontiguousarray(signals(13).T)
+        x = signals(13)
         workers(1)
-        want = preprocessing.filter_zero_phase(
-            preprocessing.filter_zero_phase(x, notch, axis=axis), bandpass, axis=axis)
+        want = preprocessing.filter_zero_phase(preprocessing.filter_zero_phase(x, notch), bandpass)
         runs = workers(n_workers)
         out = x if in_place else None
-        got = preprocessing.filter_zero_phase(x, notch, bandpass, axis=axis, out=out)
+        got = preprocessing.filter_zero_phase(x, notch, bandpass, out=out)
         assert runs == [n_workers]
         assert (got is x) == in_place
         assert_array_equal(got, want)

@@ -302,5 +302,5 @@ class TestReconstruction:
         rms_after = np.sqrt(np.mean((cleaned[0] - cleaned[0].mean()) ** 2))
         assert rms_after <= 0.2 * rms_before
 
-        flagged = suggest_artifact_components(decomp, rec, frontal_channels=[0], threshold=0.7)
+        flagged = suggest_artifact_components(decomp, rec, frontal_channels=[0])
         assert blink_comp in flagged

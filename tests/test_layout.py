@@ -1,9 +1,11 @@
 """Package layering: modules use only each other's public names, the CLI
 leaves error typing to the library, only fileio's publisher writes files and
 only its opener opens them for reading, only network.init_params draws
-initial weights, and every exported name has a caller outside tests."""
+initial weights, and every exported name and every option of an exported
+function has a caller outside tests."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -192,3 +194,43 @@ def test_every_export_has_a_caller():
     unused = [name for name, home in sorted(exports.items())
               if not any(name in names for path, names in callers.items() if path != home)]
     assert unused == []
+
+
+# defaulted parameters that only tests pass, each with its reason
+TEST_ONLY_OPTIONS = {
+    ("build_model", "dtype"): "the float64 gradcheck reference builds its models in float64",
+}
+
+
+def _passed_parameters(call, signature):
+    """The parameters of ``signature`` that ``call`` passes; a ``*args`` or
+    ``**kwargs`` argument counts as passing every parameter it could reach."""
+    positional = [p.name for p in signature.parameters.values()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        passed = set(positional)
+    else:
+        passed = set(positional[: len(call.args)])
+    for keyword in call.keywords:
+        passed |= set(signature.parameters) if keyword.arg is None else {keyword.arg}
+    return passed
+
+
+def test_every_option_has_a_caller():
+    # a default that every caller keeps is a constant with a parameter's cost
+    signatures = {name: inspect.signature(getattr(covert_decode, name))
+                  for name in covert_decode.__all__
+                  if inspect.isfunction(getattr(covert_decode, name))}
+    passed = {name: set() for name in signatures}
+    for path in [*PACKAGE.glob("*.py"), *(REPO / "demos").glob("*.py"),
+                 *(REPO / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in signatures:
+                    passed[name] |= _passed_parameters(node, signatures[name])
+    unpassed = {(name, param.name) for name, signature in signatures.items()
+                for param in signature.parameters.values()
+                if param.default is not param.empty and param.name not in passed[name]}
+    assert unpassed == set(TEST_ONLY_OPTIONS)

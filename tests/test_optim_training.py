@@ -394,14 +394,14 @@ class TestEvalMergeCap:
         model = build_model(specs, seed=0)
         n_time = 50
         k = training._merge_cap(model, batch_size, n_time)
-        step = training._scan_bytes(model, batch_size, n_time, keep_cache=True)
+        step = model.scan_bytes(batch_size, n_time, training=True)
         assert k >= 1
-        assert training._scan_bytes(model, k * batch_size, n_time, keep_cache=False) <= step
+        assert model.scan_bytes(k * batch_size, n_time, training=False) <= step
         if batch_size == 1:
             assert k == 1  # one-trial chunks keep their own pass
         else:
             assert k == (7 if kind.endswith("lstm") else 6)
-            merged = training._scan_bytes(model, (k + 1) * batch_size, n_time, keep_cache=False)
+            merged = model.scan_bytes((k + 1) * batch_size, n_time, training=False)
             assert merged > step
 
 

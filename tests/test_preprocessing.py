@@ -131,35 +131,36 @@ class TestZeroPhaseFilter:
         np.testing.assert_allclose(out[1], filter_zero_phase(x[1], coeffs), rtol=1e-10)
 
     @pytest.mark.parametrize(
-        "shape, axis, block_bytes",
+        "shape, order, block_bytes",
         [
-            ((7, 900), -1, 3 * 900 * 8),  # 3-row blocks: 3 + 3 + 1
-            ((5, 900), -1, 1),  # one signal per block
-            ((900,), -1, 2**22),  # 1-D: a single signal
-            ((900, 6), 0, 4 * 900 * 8),  # filtered along the first axis: 4 + 2
-            ((3, 900, 4), 1, 5 * 900 * 8),  # 12 signals across two other axes: 5 + 5 + 2
+            ((7, 900), "C", 3 * 900 * 8),  # 3-row blocks: 3 + 3 + 1
+            ((5, 900), "C", 1),  # one signal per block
+            ((900,), "C", 2**22),  # 1-D: a single signal
+            ((3, 4, 900), "C", 5 * 900 * 8),  # 12 signals across two leading axes: 5 + 5 + 2
+            ((3, 4, 900), "F", 5 * 900 * 8),  # the same, from a Fortran-ordered input
         ],
     )
-    def test_blocked_matches_one_sosfiltfilt_call(self, monkeypatch, shape, axis, block_bytes):
+    def test_blocked_matches_one_sosfiltfilt_call(self, monkeypatch, shape, order, block_bytes):
         monkeypatch.setattr(threads, "BLOCK_BYTES", block_bytes)
         coeffs = design_butterworth_bandpass(4, 0.5, 80, 500)
-        x = np.random.default_rng(2).standard_normal(shape)
+        x = np.asarray(np.random.default_rng(2).standard_normal(shape), order=order)
         sos = sp_signal.tf2sos(coeffs.numerator, coeffs.denominator)
         padlen = 3 * (max(coeffs.numerator.size, coeffs.denominator.size) - 1)
-        want = sp_signal.sosfiltfilt(sos, x, axis=axis, padtype="even", padlen=padlen)
-        np.testing.assert_array_equal(filter_zero_phase(x, coeffs, axis=axis), want)
+        want = sp_signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
+        got = filter_zero_phase(x, coeffs)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
     def test_out_must_take_the_rows_without_a_copy(self):
-        # filtered along a middle axis, a C-order array's signals are strided
-        # rows that only a copy would make
+        # a Fortran-ordered out's rows would reshape to a copy, which the
+        # result would be written into and lost
         coeffs = design_notch(50, 30, 500)
-        x = np.zeros((3, 900, 4))
-        with pytest.raises(ValueError, match="without a copy"):
-            filter_zero_phase(x, coeffs, axis=1, out=x)
-        with pytest.raises(ValueError, match="float64 array of shape"):
-            filter_zero_phase(x, coeffs, axis=1, out=x.astype(np.float32))
         y = np.zeros((3, 4, 900))
-        assert filter_zero_phase(y, coeffs, axis=-1, out=y) is y
+        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+            filter_zero_phase(y, coeffs, out=np.asfortranarray(y))
+        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+            filter_zero_phase(y, coeffs, out=y.astype(np.float32))
+        assert filter_zero_phase(y, coeffs, out=y) is y
 
     def test_peaks_at_output_plus_blocks(self):
         # sosfiltfilt holds about three padded copies of what it is given, so

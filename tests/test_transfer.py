@@ -390,7 +390,7 @@ class TestTransferSweep:
         plan = TransferPlan(budgets=(0.5, 0.8), seeds=(0, 1), fine_tune_max_epochs=1)
         with pytest.raises(DataError, match="budget 0.8 needs 2 trials of class 0"):
             transfer_sweep(plan, tensor, source_model=small_model(seed=14),
-                           include_scratch_baseline=False)
+                           train_config=TrainConfig(), include_scratch_baseline=False)
 
     def test_pairwise_family_size_six_for_four_budgets(self):
         tensor = toy_tensor(n_per_class=20, t_len=6)
